@@ -310,6 +310,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_count(args):
+    if args.n < 1 or args.d < 0:
+        raise ValueError(f"need n >= 1 and d >= 0, got n={args.n}, d={args.d}")
     if args.tensor:
         print(count_xi_tensor(args.n, args.d))
     else:

@@ -132,12 +132,6 @@ class LaurentPolynomial:
         out._hash = None
         return out
 
-    def min_exp(self):
-        return min(self.c)
-
-    def max_exp(self):
-        return max(self.c)
-
     def evaluate(self, x):
         """Exact value at a nonzero rational point (zero allowed if no
         negative exponents appear)."""
@@ -146,13 +140,6 @@ class LaurentPolynomial:
         for k, v in self.c.items():
             total += Fraction(v) * x ** k
         return total
-
-    def stretch(self, m):
-        """Substitute v -> v^m (exponent dilation)."""
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out.c = {k * m: v for k, v in self.c.items()}
-        out._hash = None
-        return out
 
     def __repr__(self):
         return f"LaurentPolynomial({_format_laurent(self)})"
@@ -394,12 +381,6 @@ class RationalFunction:
         if dv == 0:
             raise ZeroDivisionError(f"pole at v = {x}")
         return self.num.evaluate(x) / dv
-
-    def substitute_v_squared(self):
-        """The image under v -> v^2 (used to go from q-expressions to v)."""
-        if self.den == LP_ONE:
-            return RationalFunction._raw(self.num.stretch(2), LP_ONE)
-        return RationalFunction(self.num.stretch(2), self.den.stretch(2))
 
     def is_laurent(self):
         return self.den == LP_ONE

@@ -5,8 +5,10 @@ multiplication by the special basis elements (a diagonal idempotent, a
 diagonal plus one off-diagonal unit, or a diagonal with a marked corner) is
 implemented by closed-form case tables; everything else is assembled from
 those: the five distinguished generators e, f, k, k^-1, l, products of
-arbitrary basis elements through generator words, and the transpose
-anti-automorphism.
+arbitrary basis elements (the triangular recursion of
+Beilinson-Lusztig-MacPherson, run on the case tables), expressions of basis
+elements as generator words (the same recursion, run on words), and the
+transpose anti-automorphism.
 
 The case-table coefficients are polynomials in q and enter Q(v) via q = v^2.
 A product whose output label falls outside the index set contributes zero;
@@ -99,11 +101,14 @@ class SchurElement:
 
     @staticmethod
     def from_json(obj):
+        """Parse the to_json form; every label must lie in Xi_{2,d}."""
+        d = int(obj["d"])
         terms = {}
         for t in obj["terms"]:
             label = DecoratedMatrix.from_json(t["label"])
+            _require_label(label, d)
             terms[label] = parse_coeff(t["coeff"])
-        return SchurElement(int(obj["d"]), terms)
+        return SchurElement(d, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -111,6 +116,19 @@ class SchurElement:
         bits = [f"({format_coeff(c)})*T{label}"
                 for label, c in self.sorted_terms()]
         return "SchurElement(" + " + ".join(bits) + ")"
+
+
+def _require_label(label, d=None):
+    """Raise ValueError unless label is a valid decorated 2x2 matrix (with
+    entry sum d, when given)."""
+    if len(label.a) != 2 or any(len(row) != 2 for row in label.a):
+        raise ValueError(f"bad label {label}: not a 2x2 matrix")
+    ok, why = validate(label)
+    if not ok:
+        raise ValueError(f"bad label {label}: {why}")
+    if d is not None and label.d != d:
+        raise ValueError(f"bad label {label}: entry sum {label.d}, "
+                         f"expected d={d}")
 
 
 def _label(a11, a12, a21, a22, delta):
@@ -493,69 +511,19 @@ def star(x):
                               for label, c in x.terms.items()})
 
 
-def t22_diagonal(d, r):
-    """The diagonal basis element with marked lower-right corner, assembled
-    from products of the distinguished idempotents, steps and marked
-    idempotents; 0 <= r <= d-1."""
-    if not 0 <= r <= d - 1:
-        raise ValueError(f"index {r} out of range for degree {d}")
-    e_elt = SchurElement.basis(d, e_key(d, r))
-    fe = left_mul_special(f_key(d, r), e_elt)
-    fxe = left_mul_special(f_key(d, r),
-                           left_mul_special(x_key(d, r + 1), e_elt))
-    one_r = SchurElement.basis(d, one_key(d, r))
-    tail = one_r
-    bracket = fe
-    if r >= 1:
-        x_elt = SchurElement.basis(d, x_key(d, r))
-        ex = left_mul_special(e_key(d, r), x_elt)
-        fex = left_mul_special(f_key(d, r), ex)
-        xfe = left_mul_special(x_key(d, r), fe)
-        xfex = left_mul_special(x_key(d, r), fex)
-        bracket = bracket + xfex + xfe + fex
-        tail = tail + x_elt
-    # the diagonal correction carries v^{d-r+1} - v^{d-r-1}, i.e. the
-    # positive multiple (q^{d-r} - 1)v^{-(d-r)} of [d-r]
-    scal = (v_power(d - r + 1) - v_power(d - r - 1)) * quantum_integer(d - r)
-    return (fxe - bracket.scale(v_power(2 - 2 * r)) + fe
-            + tail.scale(scal))
-
-
 # ---------------------------------------------------------------------------
-# Expressing an arbitrary basis element as a combination of generator words.
-# A "combo" is a dict {letters tuple: coefficient}; concatenation of combos
-# mirrors multiplication in the algebra.
+# The triangular recursion of Beilinson-Lusztig-MacPherson: every basis
+# element is a leading product of special elements (1_r, E_r, F_r, X_r and
+# the marked diagonal T22_r) minus lower terms.  The case analysis is written
+# once, against a "reading" that says what a special element is and how to
+# multiply, add and scale:
+#   _Words      a value is a combo {letters tuple: coefficient} over the
+#               generators; concatenation mirrors multiplication
+#               (express_in_generators);
+#   _Operators  a value is a map y -> (element) * y; special elements act by
+#               their case tables and composition mirrors multiplication
+#               (mul_general, t22_diagonal).
 # ---------------------------------------------------------------------------
-
-def _cadd(a, b):
-    out = dict(a)
-    for w, s in b.items():
-        t = out.get(w, RF_ZERO) + s
-        if t:
-            out[w] = t
-        else:
-            out.pop(w, None)
-    return out
-
-
-def _cscale(a, s):
-    if not s:
-        return {}
-    return {w: c * s for w, c in a.items()}
-
-
-def _ccat(a, b):
-    out = {}
-    for wa, sa in a.items():
-        for wb, sb in b.items():
-            w = wa + wb
-            t = out.get(w, RF_ZERO) + sa * sb
-            if t:
-                out[w] = t
-            else:
-                out.pop(w, None)
-    return out
-
 
 _COMBO_LOCK = threading.Lock()
 _COMBO_CACHE = {}
@@ -570,26 +538,113 @@ def _cached(key, build):
     return got
 
 
-def _c_one(d, r):
-    def build():
-        # interpolate the idempotent from powers of k: the d+1 eigenvalues
-        # of k are the v^(2j-d), and the one with index r is selected
-        num = {(): RF_ONE}
-        den = RF_ONE
-        lam_r = v_power(2 * r - d)
-        for j in range(d + 1):
-            if j == r:
-                continue
-            lam = v_power(2 * j - d)
-            new = {}
-            for w, s in num.items():
-                _cbump(new, w + ("k",), s)
-                _cbump(new, w, -lam * s)
-            num = new
-            den = den * (lam_r - lam)
-        return _cscale(num, den.inverse())
-    return _cached((d, "one", r), build)
+def _mk(a11, a12, a21, a22, delta):
+    return decorated2(a11, a12, a21, a22, delta)
 
+
+def _with_delta(label, delta):
+    return DecoratedMatrix(label.a, delta)
+
+
+def _t22(alg, r):
+    """The diagonal (r, d-r) marked in the lower-right corner, assembled from
+    1_r, E_r, F_r and the marked idempotents X_r, X_{r+1}; 0 <= r <= d-1."""
+    d = alg.d
+    fe = alg.cat(alg.f(r), alg.e(r))
+    fxe = alg.cat(alg.f(r), alg.cat(alg.x(r + 1), alg.e(r)))
+    bracket = fe
+    tail = alg.one(r)
+    if r >= 1:
+        fex = alg.cat(alg.f(r), alg.cat(alg.e(r), alg.x(r)))
+        xfe = alg.cat(alg.x(r), fe)
+        xfex = alg.cat(alg.x(r), fex)
+        bracket = alg.add(alg.add(bracket, xfex), alg.add(xfe, fex))
+        tail = alg.add(tail, alg.x(r))
+    # the diagonal correction carries v^{d-r+1} - v^{d-r-1}, i.e. the
+    # positive multiple (q^{d-r} - 1)v^{-(d-r)} of [d-r]
+    scal = (v_power(d - r + 1) - v_power(d - r - 1)) * quantum_integer(d - r)
+    out = alg.sub(fxe, alg.scale(bracket, v_power(2 - 2 * r)))
+    return alg.add(alg.add(out, fe), alg.scale(tail, scal))
+
+
+def _unit(m):
+    """1 / (v^(m-1) [m]), the normalisation of a peeled lower-left unit."""
+    return (v_power(m - 1) * quantum_integer(m)).inverse()
+
+
+def _blm(alg, label):
+    """The basis element with this label, in the given reading; zero when
+    the label is outside the index set."""
+    (a11, a12), (a21, a22) = label.a
+    if min(a11, a12, a21, a22) < 0 or not validate(label)[0]:
+        return alg.zero()
+    cat, add, sub, scale, lab = alg.cat, alg.add, alg.sub, alg.scale, alg.label
+    delta = label.delta
+    if a21 == 0:
+        if delta == D_EMPTY:
+            if a12 == 0:
+                return alg.one(a11)
+            # divided power of e applied to an idempotent
+            prod = alg.e(a11 + a12 - 1)
+            for i in range(a12 - 2, -1, -1):
+                prod = cat(prod, alg.e(a11 + i))
+            return scale(prod, v_power(-comb(a12, 2)) / quantum_factorial(a12))
+        if delta == D_11:
+            return cat(lab(_mk(a11, a12, 0, a22, D_EMPTY)), alg.x(a11))
+        if delta == D_12:
+            out = cat(alg.x(a11 + a12), lab(_mk(a11, a12, 0, a22, D_EMPTY)))
+            if a11 >= 1:
+                out = sub(out, lab(_mk(a11, a12, 0, a22, D_11)))
+            return out
+        if delta == D_22:
+            return cat(alg.t22(a11 + a12), lab(_mk(a11, a12, 0, a22, D_EMPTY)))
+        return alg.zero()
+    # a21 >= 1: peel one unit off the lower-left entry
+    up = _mk(a11, a12, a21 - 1, a22 + 1, delta)          # A'
+    over = _mk(a11 + 1, a12 - 1, a21 - 1, a22 + 1, delta)  # A''
+    s = a11 + a21 - 1
+    if delta == D_EMPTY:
+        rest = scale(lab(over),
+                     v_power(2 * a21 + a11 - 2) * quantum_integer(a11 + 1))
+        return scale(sub(cat(lab(up), alg.f(s)), rest), _unit(a21))
+    if delta == D_11:
+        rest = scale(lab(over),
+                     v_power(2 * a21 + a11 - 3) * quantum_integer(a11))
+        return scale(sub(cat(lab(up), alg.f(s)), rest), _unit(a21))
+    if delta == D_12:
+        r1 = scale(lab(_with_delta(over, D_11)), v_power(2 * a21 + 2 * a11 - 2))
+        r2 = scale(lab(over),
+                   v_power(2 * a21 + a11 - 2) * quantum_integer(a11 + 1))
+        return scale(sub(cat(lab(up), alg.f(s)), add(r1, r2)), _unit(a21))
+    if delta == D_21:
+        anchor = _mk(a11 + 1, a12, a21 - 1, a22, D_11)   # A'''
+        r1 = scale(lab(_mk(a11, a12, a21, a22, D_11)),
+                   v_power(a21 - 1) * quantum_integer(a21))
+        r2 = scale(lab(_with_delta(over, D_11)),
+                   v_power(2 * a21 + a22 - 2) * quantum_integer(a22 + 1))
+        return sub(cat(alg.f(a11 + a12), lab(anchor)), add(r1, r2))
+    if delta == D_1221:
+        if a21 == 1:
+            anchor = _mk(a11 + 1, a12, 0, a22, D_12)     # A'''
+            r1 = lab(_mk(a11, a12, 1, a22, D_12))
+            r2 = scale(lab(_with_delta(over, D_12)),
+                       v_power(a22) * quantum_integer(a22 + 1))
+            r3 = lab(_with_delta(over, D_22))
+            return sub(cat(alg.f(a11 + a12), lab(anchor)),
+                       add(add(r1, r2), r3))
+        r1 = scale(lab(_with_delta(over, D_21)),
+                   v_power(2 * a21 + 2 * a11 - 2) - v_power(2 * a21 - 4))
+        r2 = scale(lab(over),
+                   v_power(2 * a21 + a11 - 2) * quantum_integer(a11 + 1))
+        return scale(sub(cat(lab(up), alg.f(s)), add(r1, r2)),
+                     _unit(a21 - 1))
+    # delta == D_22
+    lead = cat(alg.t22(a11 + a12), lab(_mk(a11, a12, a21, a22, D_EMPTY)))
+    return sub(lead, add(lab(_mk(a11, a12, a21, a22, D_21)),
+                         lab(_mk(a11, a12, a21, a22, D_1221))))
+
+
+# the word reading ------------------------------------------------------------
 
 def _cbump(combo, w, s):
     t = combo.get(w, RF_ZERO) + s
@@ -599,142 +654,84 @@ def _cbump(combo, w, s):
         combo.pop(w, None)
 
 
-def _c_e(d, r):
-    return _cached((d, "e", r), lambda: _cscale(
-        _ccat({("e",): RF_ONE}, _c_one(d, r)), v_power(r)))
+def _cadd(a, b):
+    out = dict(a)
+    for w, s in b.items():
+        _cbump(out, w, s)
+    return out
 
 
-def _c_f(d, r):
-    return _cached((d, "f", r), lambda: _cscale(
-        _ccat(_c_one(d, r), {("f",): RF_ONE}), v_power(d - r - 1)))
+def _cscale(a, s):
+    if not s:
+        return {}
+    return {w: c * s for w, c in a.items()}
 
 
-def _c_x(d, r):
-    return _cached((d, "x", r), lambda: _cadd(
-        _cscale(_ccat({("l",): RF_ONE}, _c_one(d, r)), v_power(2 * r)),
-        _cscale(_c_one(d, r), rf_const(-1))))
+def _ccat(a, b):
+    out = {}
+    for wa, sa in a.items():
+        for wb, sb in b.items():
+            _cbump(out, wa + wb, sa * sb)
+    return out
 
 
-def _c_t22(d, r):
-    def build():
-        fe = _ccat(_c_f(d, r), _c_e(d, r))
-        fxe = _ccat(_c_f(d, r), _ccat(_c_x(d, r + 1), _c_e(d, r)))
-        bracket = fe
-        tail = _c_one(d, r)
-        if r >= 1:
-            ex = _ccat(_c_e(d, r), _c_x(d, r))
-            fex = _ccat(_c_f(d, r), ex)
-            xfe = _ccat(_c_x(d, r), fe)
-            xfex = _ccat(_c_x(d, r), fex)
-            bracket = _cadd(_cadd(bracket, xfex), _cadd(xfe, fex))
-            tail = _cadd(tail, _c_x(d, r))
-        scal = (v_power(d - r + 1) - v_power(d - r - 1)) * quantum_integer(d - r)
-        out = _cadd(fxe, _cscale(bracket, -v_power(2 - 2 * r)))
-        out = _cadd(out, fe)
-        return _cadd(out, _cscale(tail, scal))
-    return _cached((d, "t22", r), build)
+class _Words:
+    """Special elements as combos of generator words; each combo is cached
+    per degree."""
 
+    zero = staticmethod(dict)
+    add = staticmethod(_cadd)
+    scale = staticmethod(_cscale)
+    cat = staticmethod(_ccat)
 
-def _c_label(d, label):
-    def build():
-        (a11, a12), (a21, a22) = label.a
-        if min(a11, a12, a21, a22) < 0 or not validate(label)[0]:
-            return {}
-        delta = label.delta
-        if a21 == 0:
-            if delta == D_EMPTY:
-                if a12 == 0:
-                    return _c_one(d, a11)
-                # divided power of e applied to an idempotent
-                combo = {(): RF_ONE}
-                for i in range(a12 - 1, -1, -1):
-                    combo = _ccat(combo, _c_e(d, a11 + i))
-                scal = v_power(-comb(a12, 2)) / quantum_factorial(a12)
-                return _cscale(combo, scal)
-            if delta == D_11:
-                return _ccat(_c_label(d, _mk(a11, a12, 0, a22, D_EMPTY)),
-                             _c_x(d, a11))
-            if delta == D_12:
-                plain = _c_label(d, _mk(a11, a12, 0, a22, D_EMPTY))
-                out = _ccat(_c_x(d, a11 + a12), plain)
-                if a11 >= 1:
-                    out = _cadd(out, _cscale(
-                        _c_label(d, _mk(a11, a12, 0, a22, D_11)),
-                        rf_const(-1)))
-                return out
-            if delta == D_22:
-                return _ccat(_c_t22(d, a11 + a12),
-                             _c_label(d, _mk(a11, a12, 0, a22, D_EMPTY)))
-            return {}
-        # a21 >= 1: peel one unit off the lower-left entry
-        up = _mk(a11, a12, a21 - 1, a22 + 1, delta)          # A'
-        over = _mk(a11 + 1, a12 - 1, a21 - 1, a22 + 1, delta)  # A''
-        s = a11 + a21 - 1
-        if delta == D_EMPTY:
-            lead = _ccat(_c_label(d, up), _c_f(d, s))
-            rest = _cscale(_c_label(d, over),
-                           v_power(2 * a21 + a11 - 2) * quantum_integer(a11 + 1))
-            combo = _cadd(lead, _cscale(rest, rf_const(-1)))
-            return _cscale(combo,
-                           (v_power(a21 - 1) * quantum_integer(a21)).inverse())
-        if delta == D_11:
-            lead = _ccat(_c_label(d, up), _c_f(d, s))
-            rest = _cscale(_c_label(d, over),
-                           v_power(2 * a21 + a11 - 3) * quantum_integer(a11))
-            combo = _cadd(lead, _cscale(rest, rf_const(-1)))
-            return _cscale(combo,
-                           (v_power(a21 - 1) * quantum_integer(a21)).inverse())
-        if delta == D_12:
-            lead = _ccat(_c_label(d, up), _c_f(d, s))
-            r1 = _cscale(_c_label(d, _with_delta(over, D_11)),
-                         v_power(2 * a21 + 2 * a11 - 2))
-            r2 = _cscale(_c_label(d, over),
-                         v_power(2 * a21 + a11 - 2) * quantum_integer(a11 + 1))
-            combo = _cadd(lead, _cscale(_cadd(r1, r2), rf_const(-1)))
-            return _cscale(combo,
-                           (v_power(a21 - 1) * quantum_integer(a21)).inverse())
-        if delta == D_21:
-            anchor = _mk(a11 + 1, a12, a21 - 1, a22, D_11)   # A'''
-            lead = _ccat(_c_f(d, a11 + a12), _c_label(d, anchor))
-            r1 = _cscale(_c_label(d, _mk(a11, a12, a21, a22, D_11)),
-                         v_power(a21 - 1) * quantum_integer(a21))
-            r2 = _cscale(_c_label(d, _with_delta(over, D_11)),
-                         v_power(2 * a21 + a22 - 2) * quantum_integer(a22 + 1))
-            return _cadd(lead, _cscale(_cadd(r1, r2), rf_const(-1)))
-        if delta == D_1221:
-            if a21 == 1:
-                anchor = _mk(a11 + 1, a12, 0, a22, D_12)     # A'''
-                lead = _ccat(_c_f(d, a11 + a12), _c_label(d, anchor))
-                r1 = _c_label(d, _mk(a11, a12, 1, a22, D_12))
-                r2 = _cscale(_c_label(d, _with_delta(over, D_12)),
-                             v_power(a22) * quantum_integer(a22 + 1))
-                r3 = _c_label(d, _with_delta(over, D_22))
-                drop = _cadd(_cadd(r1, r2), r3)
-                return _cadd(lead, _cscale(drop, rf_const(-1)))
-            lead = _ccat(_c_label(d, up), _c_f(d, s))
-            r1 = _cscale(_c_label(d, _with_delta(over, D_21)),
-                         v_power(2 * a21 + 2 * a11 - 2)
-                         - v_power(2 * a21 - 4))
-            r2 = _cscale(_c_label(d, over),
-                         v_power(2 * a21 + a11 - 2) * quantum_integer(a11 + 1))
-            combo = _cadd(lead, _cscale(_cadd(r1, r2), rf_const(-1)))
-            return _cscale(combo, (v_power(a21 - 2)
-                                   * quantum_integer(a21 - 1)).inverse())
-        # delta == D_22
-        lead = _ccat(_c_t22(d, a11 + a12),
-                     _c_label(d, _mk(a11, a12, a21, a22, D_EMPTY)))
-        r1 = _c_label(d, _mk(a11, a12, a21, a22, D_21))
-        r2 = _c_label(d, _mk(a11, a12, a21, a22, D_1221))
-        return _cadd(lead, _cscale(_cadd(r1, r2), rf_const(-1)))
-    return _cached((d, label), build)
+    def __init__(self, d):
+        self.d = d
 
+    @staticmethod
+    def sub(a, b):
+        return _cadd(a, _cscale(b, rf_const(-1)))
 
-def _mk(a11, a12, a21, a22, delta):
-    return decorated2(a11, a12, a21, a22, delta)
+    def one(self, r):
+        d = self.d
 
+        def build():
+            # interpolate the idempotent from powers of k: the d+1
+            # eigenvalues of k are the v^(2j-d), and the one with index r is
+            # selected
+            num = {(): RF_ONE}
+            den = RF_ONE
+            lam_r = v_power(2 * r - d)
+            for j in range(d + 1):
+                if j == r:
+                    continue
+                lam = v_power(2 * j - d)
+                new = {}
+                for w, s in num.items():
+                    _cbump(new, w + ("k",), s)
+                    _cbump(new, w, -lam * s)
+                num = new
+                den = den * (lam_r - lam)
+            return _cscale(num, den.inverse())
+        return _cached((d, "one", r), build)
 
-def _with_delta(label, delta):
-    return DecoratedMatrix(label.a, delta)
+    def e(self, r):
+        return _cached((self.d, "e", r), lambda: _cscale(
+            _ccat({("e",): RF_ONE}, self.one(r)), v_power(r)))
+
+    def f(self, r):
+        return _cached((self.d, "f", r), lambda: _cscale(
+            _ccat(self.one(r), {("f",): RF_ONE}), v_power(self.d - r - 1)))
+
+    def x(self, r):
+        return _cached((self.d, "x", r), lambda: _cadd(
+            _cscale(_ccat({("l",): RF_ONE}, self.one(r)), v_power(2 * r)),
+            _cscale(self.one(r), rf_const(-1))))
+
+    def t22(self, r):
+        return _cached((self.d, "t22", r), lambda: _t22(self, r))
+
+    def label(self, label):
+        return _cached((self.d, label), lambda: _blm(self, label))
 
 
 def express_in_generators(label):
@@ -742,63 +739,97 @@ def express_in_generators(label):
 
     The result is cached per label; invalid labels raise.
     """
-    ok, why = validate(label)
-    if not ok or label.n_rows != 2 or label.n_cols != 2:
-        raise ValueError(f"bad label {label}: {why}")
-    d = label.d
-    combo = _c_label(d, label)
+    _require_label(label)
+    combo = _Words(label.d).label(label)
     words = [GeneratorWord(s, w) for w, s in combo.items()]
     words.sort(key=lambda gw: (len(gw.letters), gw.letters))
     return tuple(words)
 
 
-def _apply_words_to(d, words, y):
-    """Sum of scalar * (word applied to y), sharing work across the common
-    word suffixes and accumulating per scalar denominator as in
-    evaluate_words."""
-    states = {(): y}
+# the operator reading --------------------------------------------------------
 
-    def fold(letters):
-        got = states.get(letters)
-        if got is None:
-            got = apply_letter(letters[0], fold(letters[1:]))
-            states[letters] = got
-        return got
+def _acts_by(key_of):
+    """Reads the special element with index r as left multiplication by the
+    basis element labelled key_of(d, r)."""
+    def special(self, r):
+        key = key_of(self.d, r)
+        return lambda y: left_mul_special(key, y)
+    return special
 
-    groups = {}
-    slow = SchurElement(d)
-    for gw in words:
-        base = fold(gw.letters)
-        sc = gw.scalar
-        acc = groups.setdefault(sc.den, {})
-        for lab, c in base.terms.items():
-            if c.is_laurent():
-                num = sc.num * c.num
-                prev = acc.get(lab)
-                acc[lab] = num if prev is None else prev + num
-            else:
-                slow = slow + SchurElement(d, {lab: c * sc})
-    total = {}
-    for den, acc in groups.items():
-        for lab, num in acc.items():
-            rf = RationalFunction(num, den)
-            prev = total.get(lab)
-            rf = rf if prev is None else prev + rf
-            total[lab] = rf
-    return slow + SchurElement(d, {lab: c for lab, c in total.items() if c})
+
+class _Operators:
+    """Special elements as left multiplications by their case tables; basis
+    elements act through the products memoised per basis pair."""
+
+    one = _acts_by(one_key)
+    e = _acts_by(e_key)
+    f = _acts_by(f_key)
+    x = _acts_by(x_key)
+    t22 = _acts_by(x22_key)
+
+    def __init__(self, d):
+        self.d = d
+
+    @staticmethod
+    def zero():
+        return lambda y: SchurElement(y.d)
+
+    @staticmethod
+    def add(a, b):
+        return lambda y: a(y) + b(y)
+
+    @staticmethod
+    def sub(a, b):
+        return lambda y: a(y) - b(y)
+
+    @staticmethod
+    def scale(a, c):
+        return lambda y: a(y).scale(c)
+
+    @staticmethod
+    def cat(a, b):
+        return lambda y: a(b(y))
+
+    @staticmethod
+    def label(label):
+        return lambda y: _label_times(label, y)
+
+
+def _basis_product(a, b):
+    """T_a * T_b for labels with co(a) = ro(b), memoised per pair."""
+    d = a.d
+    return _cached(("mul", a, b), lambda: _blm(_Operators(d), a)(
+        SchurElement.basis(d, b)))
+
+
+def _label_times(label, y):
+    """T_label * y."""
+    co = _col_sums(label)
+    out = {}
+    for b, cy in y.terms.items():
+        if _row_sums(b) == co:
+            for lab, c in _basis_product(label, b).terms.items():
+                _bump(out, lab, cy * c)
+    return SchurElement(y.d, out)
+
+
+def t22_diagonal(d, r):
+    """The diagonal basis element with marked lower-right corner, assembled
+    from products of the distinguished idempotents, steps and marked
+    idempotents; 0 <= r <= d-1."""
+    if not 0 <= r <= d - 1:
+        raise ValueError(f"index {r} out of range for degree {d}")
+    return _t22(_Operators(d), r)(identity_element(d))
 
 
 def mul_general(x, y):
-    """Product of two algebra elements via generator words."""
+    """Product of two algebra elements by the triangular recursion, each
+    special element acting through its case table."""
     if x.d != y.d:
         raise ValueError("mixed degrees")
-    out = SchurElement(x.d)
+    out = {}
     for label, c in x.terms.items():
-        co = _col_sums(label)
-        rel = {lab: cy for lab, cy in y.terms.items()
-               if _row_sums(lab) == co}
-        if not rel:
-            continue
-        words = express_in_generators(label)
-        out = out + _apply_words_to(x.d, words, SchurElement(x.d, rel)).scale(c)
-    return out
+        _require_label(label)
+        for lab, c2 in _label_times(label, y).terms.items():
+            _bump(out, lab, c * c2)
+    return SchurElement(x.d, out)

@@ -44,6 +44,13 @@ def test_count(capsys):
     assert out.strip() == "27"
 
 
+@pytest.mark.parametrize("n, d", [("0", "3"), ("2", "-1")])
+def test_count_rejects_invalid_sizes(capsys, n, d):
+    for extra in ((), ("--tensor",)):
+        code, out, err = run(capsys, "count", "--n", n, "--d", d, *extra)
+        assert code == 2 and "error:" in err and not out
+
+
 def test_mul(tmp_path, capsys):
     x = {"d": 2, "terms": [{"label": {"A": [[1, 0], [0, 1]], "delta": []},
                             "coeff": "1"}]}
@@ -63,6 +70,25 @@ def test_mul_missing_file(capsys):
                        "--rhs", "/nonexistent.json")
     assert code == 2
     assert "error:" in err
+
+
+def element(d, a, delta=()):
+    return json.dumps({"d": d, "terms": [
+        {"label": {"A": a, "delta": [list(p) for p in delta]}, "coeff": "1"}]})
+
+
+@pytest.mark.parametrize("lhs", [
+    element(2, [[3, 0], [0, -1]]),
+    element(2, [[2, 0], [0, 0]], [(2, 2)]),
+    element(2, [[1, 1], [0, 1]]),
+    element(2, [[1, 0, 0], [0, 1, 0]]),
+], ids=["negative-entry", "mark-on-zero", "entry-sum-not-d", "not-2x2"])
+def test_mul_rejects_invalid_labels(capsys, lhs):
+    one = element(2, [[1, 0], [0, 1]])
+    code, out, err = run(capsys, "mul", "--lhs", lhs, "--rhs", one)
+    assert code == 2 and "error:" in err and not out
+    code, out, err = run(capsys, "mul", "--lhs", one, "--rhs", lhs)
+    assert code == 2 and "error:" in err and not out
 
 
 def test_rep(capsys):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from mirabolic.decorated import decorated2, diag2, enumerate_xi, row_col_sums
-from mirabolic.qv import (RF_ONE, parse_coeff, quantum_integer, rf_const,
-                          v_power)
+from mirabolic.qv import (RF_ONE, RationalFunction, parse_coeff,
+                          quantum_integer, rf_const, v_power)
 from mirabolic.schur_algebra import (GeneratorWord, SchurElement, apply_letter,
                                      apply_word, chevalley, e_key,
                                      express_in_generators, f_key,
@@ -181,3 +181,61 @@ def test_nilpotency_in_quotient():
 def test_json_round_trip():
     x = chevalley(2, "e") + chevalley(2, "l").scale(parse_coeff("v^2-1"))
     assert SchurElement.from_json(x.to_json()) == x
+
+
+def compatible_pairs(d):
+    labels = enumerate_xi(2, d)
+    sums = {lab: row_col_sums(lab) for lab in labels}
+    return [(a, b) for a in labels for b in labels if sums[a][1] == sums[b][0]]
+
+
+@pytest.mark.parametrize("d, n_triples", [(2, 2667), (3, 21568)])
+def test_associativity_exhaustive(d, n_triples):
+    pairs = compatible_pairs(d)
+    prod = {(a, b): mul_general(basis(d, a), basis(d, b)) for a, b in pairs}
+    right_of = {}
+    for b, c in pairs:
+        right_of.setdefault(b, []).append(c)
+    checked = 0
+    for a, b in pairs:
+        for c in right_of[b]:
+            assert mul_general(prod[a, b], basis(d, c)) == \
+                mul_general(basis(d, a), prod[b, c]), (a, b, c)
+            checked += 1
+    assert checked == n_triples
+
+
+@pytest.mark.parametrize("d, n_pairs", [(1, 32), (2, 267), (3, 1168),
+                                        (4, 3629)])
+def test_star_anti_automorphism_exhaustive(d, n_pairs):
+    pairs = compatible_pairs(d)
+    assert len(pairs) == n_pairs
+    for a, b in pairs:
+        x, y = basis(d, a), basis(d, b)
+        assert star(mul_general(x, y)) == mul_general(star(y), star(x)), (a, b)
+
+
+def words_times(words, y):
+    """Sum of apply_word(w, y) over the words.  Words are applied with their
+    Laurent numerators and each group sharing a scalar denominator is
+    divided once, which keeps the exact sum cheap."""
+    by_den = {}
+    for w in words:
+        by_den.setdefault(w.scalar.den, []).append(
+            GeneratorWord(RationalFunction(w.scalar.num), w.letters))
+    total = SchurElement(y.d)
+    for den, group in by_den.items():
+        part = SchurElement(y.d)
+        for w in group:
+            part = part + apply_word(w, y)
+        total = total + part.scale(RF_ONE / RationalFunction(den))
+    return total
+
+
+def test_products_agree_with_word_expansion():
+    # the operator reading of the recursion against the word reading
+    d = 2
+    for a, b in compatible_pairs(d):
+        y = basis(d, b)
+        assert mul_general(basis(d, a), y) == \
+            words_times(express_in_generators(a), y), (a, b)
