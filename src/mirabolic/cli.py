@@ -12,6 +12,7 @@ import io
 import json
 import random
 import sys
+from math import comb
 
 from . import oracle as oracle_mod
 from . import pbw, reps, tensor_space
@@ -314,8 +315,13 @@ def _cmd_count(args):
         raise ValueError(f"need n >= 1 and d >= 0, got n={args.n}, d={args.d}")
     if args.tensor:
         print(count_xi_tensor(args.n, args.d))
-    else:
-        print(len(enumerate_xi(args.n, args.d)))
+        return 0
+    # enumerate_xi walks every n x n matrix with entry sum d
+    matrices = comb(args.d + args.n * args.n - 1, args.n * args.n - 1)
+    if matrices > oracle_mod.SIZE_GUARD:
+        raise ValueError(f"{matrices} matrices to enumerate exceed the "
+                         f"guard {oracle_mod.SIZE_GUARD}")
+    print(len(enumerate_xi(args.n, args.d)))
     return 0
 
 

@@ -164,43 +164,6 @@ D_22 = frozenset({(2, 2)})
 
 ALL_DELTAS = (D_EMPTY, D_11, D_12, D_21, D_1221, D_22)
 
-# height in the decoration order; the two middle elements are incomparable
-_DELTA_RANK = {D_EMPTY: 0, D_11: 1, D_12: 2, D_21: 2, D_1221: 3, D_22: 4}
-
-
-def _delta_leq(d1, d2):
-    if d1 == d2:
-        return True
-    return _DELTA_RANK[d1] < _DELTA_RANK[d2]
-
-
-def _matrix_leq(x, y):
-    return x.entry(1, 2) <= y.entry(1, 2) and x.entry(2, 1) <= y.entry(2, 1)
-
-
-def order_compare(x, y):
-    """Compare two decorated 2x2 matrices in the degeneration order.
-
-    Matrices compare by off-diagonal entries (both must not increase), and
-    decorations compare in the five-level order with the two single
-    off-diagonal marks incomparable.  Returns one of "less", "equal",
-    "greater", "incomparable".  Raises ValueError when the row or column
-    sums differ, where the order is not defined.
-    """
-    if x.n_rows != 2 or x.n_cols != 2 or y.n_rows != 2 or y.n_cols != 2:
-        raise ValueError("order is defined for 2x2 decorated matrices")
-    if row_col_sums(x) != row_col_sums(y):
-        raise ValueError("order requires equal row and column sums")
-    le = _matrix_leq(x, y) and _delta_leq(x.delta, y.delta)
-    ge = _matrix_leq(y, x) and _delta_leq(y.delta, x.delta)
-    if le and ge:
-        return "equal"
-    if le:
-        return "less"
-    if ge:
-        return "greater"
-    return "incomparable"
-
 
 def _antichains(cells):
     """All subsets of the (i, j) cells forming an antichain."""

@@ -14,13 +14,12 @@ row-echelon bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from .decorated import (ALL_DELTAS, D_EMPTY, DecoratedMatrix, MarkedSequence,
-                        decorated2, enumerate_xi, row_col_sums, validate)
+from .decorated import (ALL_DELTAS, MarkedSequence, decorated2, enumerate_xi,
+                        row_col_sums, validate)
 from .qv import lagrange_interpolate, substitute_q
 from .schur_algebra import SchurElement
 
@@ -229,37 +228,29 @@ def canonical_representative(label, p):
 
 # --- the counting kernel -----------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _digit_table(d, p):
-    idx = np.arange(p ** d, dtype=np.int64)
-    return np.stack([(idx // p ** k) % p for k in range(d)])
+def _span_indices(basis, d, p):
+    """Indices of all points of the span of the given rows."""
+    vecs = np.zeros((1, d), dtype=np.int64)
+    steps = np.arange(p)
+    for row in basis:
+        vecs = ((vecs[:, None] + np.multiply.outer(steps, row)) % p
+                ).reshape(-1, d)
+    return vecs @ p ** np.arange(d)
 
 
 def _span_mask(basis, d, p):
-    n = p ** d
-    mask = np.zeros(n, dtype=bool)
-    t = len(basis)
-    if t == 0:
-        mask[0] = True
-        return mask
-    coefs = np.stack([(np.arange(p ** t) // p ** j) % p for j in range(t)],
-                     axis=1)
-    vecs = coefs @ np.array(basis, dtype=np.int64) % p
-    powers = p ** np.arange(d, dtype=np.int64)
-    mask[vecs @ powers] = True
+    mask = np.zeros(p ** d, dtype=bool)
+    mask[_span_indices(basis, d, p)] = True
     return mask
 
 
 def _shift_perm(v, d, p):
     """perm[u] = index of v - u, coordinatewise mod p."""
-    dig = _digit_table(d, p)
+    idx = np.arange(p ** d, dtype=np.int64)
     perm = np.zeros(p ** d, dtype=np.int64)
     for k in range(d):
-        perm += ((v[k] - dig[k]) % p) * p ** k
+        perm += ((v[k] - idx // p ** k) % p) * p ** k
     return perm
-
-
-_ZONE_DELTA = ALL_DELTAS
 
 
 def _zone_array(mask_first, mask_second, sum_rank, sum_basis, d, p):
@@ -275,13 +266,36 @@ def _zone_array(mask_first, mask_second, sum_rank, sum_basis, d, p):
     return zone
 
 
+def _sum_indices(a_basis, in_a, h_basis, in_h, meet, d, p):
+    """Indices of the points of A + H, given those of A and of H and
+    meet = dim(A & H); None when A + H is the whole space."""
+    if len(a_basis) + len(h_basis) - meet == d:
+        return None
+    if meet == len(a_basis):
+        return in_h
+    if meet == len(h_basis):
+        return in_a
+    return _span_indices(rref(a_basis + h_basis, p), d, p)
+
+
 _CONV_CACHE = {}
 
 
 def _conv_table(d, out_label, mid_dim, p):
     """Counts of the convolution sum at the canonical triple of out_label,
     restricted to middle subspaces of the given dimension, for every pair of
-    (left, right) orbit labels at once."""
+    (left, right) orbit labels at once.
+
+    Every (H, u) pair is counted: u runs over all points w of F_p^d, and
+    the pair contributes to the code 6 zone(w; F, H) + zone(v - w; H, F'),
+    where zone(x; A, B) = 5 - [x in A+B] - 2[x in A] - [x in B] - [x = 0]
+    is the membership case of `_vector_zone`.  Split off what does not
+    depend on H, base(w) = 35 - 12[w in F] - [v - w in F'], whose histogram
+    is taken once; the rest, 6[w in F+H] + 6[w in H] + [v - w in H+F']
+    + 2[v - w in H] + 6[w = 0] + [w = v], is zero outside H, v - H, F+H
+    and v - (H+F'), and constant where a sum is the whole space, so only
+    the points of the proper ones (0 and v included) are reclassified.
+    """
     key = (d, out_label, mid_dim, p)
     got = _CONV_CACHE.get(key)
     if got is not None:
@@ -290,29 +304,66 @@ def _conv_table(d, out_label, mid_dim, p):
         raise ValueError(f"p^d = {p**d} exceeds the enumeration guard")
     rep = canonical_representative(out_label, p)
     f1, fp1 = rep.F[0], rep.Fp[0]
-    mask_f = _span_mask(f1.basis, d, p)
-    mask_fp = _span_mask(fp1.basis, d, p)
+    n = p ** d
     perm = _shift_perm(rep.v, d, p)
-    counts = {}
+    in_f = _span_indices(f1.basis, d, p)
+    in_fp = _span_indices(fp1.basis, d, p)
+    mask_f = np.zeros(n, dtype=bool)
+    mask_f[in_f] = True
+    mask_fp = np.zeros(n, dtype=bool)
+    mask_fp[in_fp] = True
+    base = np.full(n, 35, dtype=np.int64)
+    base[in_f] -= 12
+    base[perm[in_fp]] -= 1
+    base_hist = np.bincount(base, minlength=36)
+    dim_of = {p ** k: k for k in range(d + 1)}
+    moved = np.zeros(n, dtype=np.int64)   # base(w) - code(w), for one H
+    groups = {}      # (i11l, i11r) -> [number of H, histogram corrections]
     for h_basis in _all_subspace_bases(d, p, mid_dim):
-        mask_h = _span_mask(h_basis, d, p)
-        sum_l = rref(f1.basis + h_basis, p)
-        sum_r = rref(h_basis + fp1.basis, p)
-        i11l = f1.dim + mid_dim - len(sum_l)
-        i11r = mid_dim + fp1.dim - len(sum_r)
-        zone_l = _zone_array(mask_f, mask_h, len(sum_l), sum_l, d, p)
-        zone_r = _zone_array(mask_h, mask_fp, len(sum_r), sum_r, d, p)
-        cnt = np.bincount(zone_l * 6 + zone_r[perm], minlength=36)
+        in_h = _span_indices(h_basis, d, p)
+        # dim(F & H) and dim(H & F') from the points of H they contain
+        i11l = dim_of[int(np.count_nonzero(mask_f[in_h]))]
+        i11r = dim_of[int(np.count_nonzero(mask_fp[in_h]))]
+        sum_l = _sum_indices(f1.basis, in_f, h_basis, in_h, i11l, d, p)
+        sum_r = _sum_indices(fp1.basis, in_fp, h_basis, in_h, i11r, d, p)
+        # the left zone: w in F+H, w in H, w = 0
+        moved[in_h] += 6
+        moved[0] += 6
+        left = in_h
+        if sum_l is not None:
+            left = sum_l
+            moved[left] += 6
+        # the right zone: v - w in H+F', v - w in H, w = v; moved is
+        # nonzero exactly on `left` here, so pts lists each point once
+        v_minus_h = perm[in_h]
+        right = v_minus_h if sum_r is None else perm[sum_r]
+        pts = np.concatenate([left, right[moved[right] == 0]])
+        moved[v_minus_h] += 2
+        moved[perm[0]] += 1
+        if sum_r is not None:
+            moved[right] += 1
+        old = base[pts]
+        fix = (np.bincount(old - moved[pts], minlength=36)
+               - np.bincount(old, minlength=36))
+        moved[pts] = 0
+        group = groups.setdefault((i11l, i11r),
+                                  [0, np.zeros(36, dtype=np.int64)])
+        group[0] += 1
+        group[1] += fix
+    counts = {}
+    for (i11l, i11r), (n_h, fix) in groups.items():
         al = (i11l, f1.dim - i11l, mid_dim - i11l,
               d - f1.dim - mid_dim + i11l)
         ar = (i11r, mid_dim - i11r, fp1.dim - i11r,
               d - mid_dim - fp1.dim + i11r)
+        # full sums subtract 6 (left) and 1 (right) at every point
+        shift = 6 * (al[3] == 0) + (ar[3] == 0)
+        cnt = (n_h * base_hist + fix)[shift:]
         for code in np.nonzero(cnt)[0]:
             zl, zr = divmod(int(code), 6)
-            lab_l = decorated2(*al, _ZONE_DELTA[zl])
-            lab_r = decorated2(*ar, _ZONE_DELTA[zr])
-            pair = (lab_l, lab_r)
-            counts[pair] = counts.get(pair, 0) + int(cnt[code])
+            pair = (decorated2(*al, ALL_DELTAS[zl]),
+                    decorated2(*ar, ALL_DELTAS[zr]))
+            counts[pair] = int(cnt[code])
     _CONV_CACHE[key] = counts
     return counts
 
@@ -343,6 +394,18 @@ def _candidate_outputs(d, ro, co):
     return outs
 
 
+def _checked_primes(primes, d):
+    """The distinct primes, sorted; raises ValueError unless they are all
+    prime and there are at least d^2 + 1 of them."""
+    primes = sorted(set(primes))
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    if len(primes) < d * d + 1:
+        raise ValueError(f"need at least {d*d + 1} primes, got {len(primes)}")
+    return primes
+
+
 def structure_constants(left, right, primes):
     """The product of two basis symbols recovered purely from point counts.
 
@@ -353,12 +416,7 @@ def structure_constants(left, right, primes):
     d = left.d
     if right.d != d:
         raise ValueError("mixed degrees")
-    primes = sorted(set(primes))
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-    if len(primes) < d * d + 1:
-        raise ValueError(f"need at least {d*d + 1} primes, got {len(primes)}")
+    primes = _checked_primes(primes, d)
     ro_l, co_l = row_col_sums(left)
     ro_r, co_r = row_col_sums(right)
     if co_l != ro_r:
@@ -521,7 +579,7 @@ def _mixed_conv_table(d, out_ms, mid_dim, p):
             if not ok:
                 raise RuntimeError(
                     f"classification inconsistency at H={h_basis}: {why}")
-            lab_l = decorated2(*al, _ZONE_DELTA[zl])
+            lab_l = decorated2(*al, ALL_DELTAS[zl])
             pair = (lab_l, ms_r)
             counts[pair] = counts.get(pair, 0) + int(cnt[code])
     _MIXED_CACHE[key] = counts
@@ -534,9 +592,7 @@ def tensor_action_constants(left, right_ms, primes):
     d = left.d
     if right_ms.d != d:
         raise ValueError("mixed degrees")
-    primes = sorted(set(primes))
-    if len(primes) < d * d + 1:
-        raise ValueError(f"need at least {d*d + 1} primes")
+    primes = _checked_primes(primes, d)
     ro_l, co_l = row_col_sums(left)
     ones = sum(1 for x in right_ms.seq if x == 1)
     if co_l != (ones, d - ones):

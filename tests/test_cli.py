@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,6 +50,16 @@ def test_count_rejects_invalid_sizes(capsys, n, d):
     for extra in ((), ("--tensor",)):
         code, out, err = run(capsys, "count", "--n", n, "--d", d, *extra)
         assert code == 2 and "error:" in err and not out
+
+
+def test_count_refuses_huge_enumerations(capsys):
+    # C(45, 15) compositions at n = 4, d = 30; the guard answers at once
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "count", "--n", "4", "--d", "30")
+    assert code == 2 and "error:" in err and not out
+    assert time.monotonic() - t0 < 1.0
+    code, out, _ = run(capsys, "count", "--n", "4", "--d", "30", "--tensor")
+    assert code == 0 and int(out) > 0
 
 
 def test_mul(tmp_path, capsys):

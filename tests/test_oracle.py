@@ -3,6 +3,8 @@
 import random
 from itertools import product
 
+import pytest
+
 from mirabolic import oracle
 from mirabolic.decorated import (DecoratedMatrix, MarkedSequence,
                                  count_xi_tensor, decorated2, diag2,
@@ -85,6 +87,30 @@ def test_convolution_count_examples():
     a = decorated2(1, 1, 0, 0)
     b = decorated2(0, 0, 1, 1)
     assert oracle.convolution_count(a, b, a, 2) == 0
+
+
+def _literal_conv_table(d, out, mid_dim, p):
+    """Convolution counts at the canonical triple (F, F', v) of out, found by
+    classifying (F, H, u) and (H, F', v - u) for every H and every u."""
+    rep = oracle.canonical_representative(out, p)
+    counts = {}
+    for h in oracle.enumerate_flags(d, p, mid_dim):
+        for u in product(range(p), repeat=d):
+            v_minus_u = tuple((a - b) % p for a, b in zip(rep.v, u))
+            pair = (oracle.orbit_invariant(oracle.FlagTriple(rep.F, h, u)),
+                    oracle.orbit_invariant(
+                        oracle.FlagTriple(h, rep.Fp, v_minus_u)))
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def test_conv_table_matches_literal_enumeration():
+    for d, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        for out in enumerate_xi(2, d):
+            for mid_dim in range(d + 1):
+                assert oracle._conv_table(d, out, mid_dim, p) == \
+                    _literal_conv_table(d, out, mid_dim, p), \
+                    (d, out, mid_dim, p)
 
 
 def test_counts_are_nonnegative_integers():
@@ -185,6 +211,16 @@ def test_tensor_invariance_random_group_elements():
         g = oracle.random_invertible(d, p, rng)
         assert oracle.tensor_orbit_invariant(oracle.transform_triple(t, g)) \
             == oracle.tensor_orbit_invariant(t)
+
+
+def test_constants_reject_composite_moduli():
+    # counting over Z/4 is not counting over a field
+    lab = diag2(1, 1)
+    ms = MarkedSequence((1, 2))
+    with pytest.raises(ValueError, match="4 is not prime"):
+        oracle.tensor_action_constants(lab, ms, [2, 3, 4, 5, 7])
+    with pytest.raises(ValueError, match="4 is not prime"):
+        oracle.structure_constants(lab, lab, [2, 3, 4, 5, 7])
 
 
 def _oracle_generator_action(d, gen, ms, primes):
