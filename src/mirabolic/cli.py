@@ -8,7 +8,6 @@ verification ran and failed, 2 on usage errors.
 
 import argparse
 import csv
-import io
 import json
 import random
 import sys
@@ -19,12 +18,30 @@ from . import pbw, reps, tensor_space
 from .decorated import (DecoratedMatrix, count_xi_tensor, enumerate_xi,
                         row_col_sums, validate)
 from .qv import RF_ONE, RF_ZERO, format_coeff
-from .schur_algebra import (SchurElement, apply_letter, chevalley,
-                            identity_element, mul_general)
+from .schur_algebra import (SchurElement, apply_letter, eval_letters,
+                            mul_general)
 
 
 def _emit(obj):
     print(json.dumps(obj, indent=2))
+
+
+def _check_size(size, what):
+    """Refuse, before any work, a computation that would build more than
+    oracle.SIZE_GUARD items."""
+    if size > oracle_mod.SIZE_GUARD:
+        raise ValueError(f"{size} {what} exceed the guard "
+                         f"{oracle_mod.SIZE_GUARD}")
+
+
+def _check_tensor_size(d):
+    """Refuse a tensor space with more basis vectors than oracle.SIZE_GUARD.
+    It has count_xi_tensor(2, d) >= 2^d of them, so a d past the guard's
+    bit length is refused without forming that d-bit count."""
+    guard = oracle_mod.SIZE_GUARD
+    if d >= guard.bit_length() or count_xi_tensor(2, d) > guard:
+        raise ValueError(f"the tensor space at d={d} has more than {guard} "
+                         f"basis vectors")
 
 
 def _read_json_arg(text):
@@ -39,22 +56,15 @@ def _read_json_arg(text):
 # verification suites
 
 
-def _eval_word_in_quotient(d, letters, coeff=RF_ONE):
-    x = identity_element(d)
-    for g in reversed(letters):
-        x = apply_letter(g, x)
-    return x.scale(coeff)
-
-
 def _suite_relations(d):
     checks = []
     for name, lhs, rhs in pbw.defining_relations():
         a = SchurElement(d)
         for c, letters in lhs:
-            a = a + _eval_word_in_quotient(d, letters, c)
+            a = a + eval_letters(d, letters).scale(c)
         b = SchurElement(d)
         for c, letters in rhs:
-            b = b + _eval_word_in_quotient(d, letters, c)
+            b = b + eval_letters(d, letters).scale(c)
         checks.append((name, a == b))
     return checks
 
@@ -230,6 +240,9 @@ def _weight_rows(table):
 
 def _cmd_rep(args):
     kind, sign, n = reps.parse_module_name(args.module)
+    dim = 2 * n if kind == "L01" else n + 1
+    # build_module allocates five dense dim x dim generator matrices
+    _check_size(5 * dim * dim, "matrix entries")
     M = reps.build_module(kind, sign, n)
     out = {"module": M.name, "dim": M.dim,
            "weights": _weight_rows(reps.weight_table(M))}
@@ -245,6 +258,7 @@ def _cmd_rep(args):
 
 
 def _cmd_weights(args):
+    _check_tensor_size(args.d)
     table = tensor_space.weight_multiplicities(args.d)
     rows = [{"a": a, "eps": eps, "mult": m,
              "closed_form": tensor_space.rhs_closed_form(
@@ -262,6 +276,7 @@ def _cmd_weights(args):
 
 
 def _cmd_sw_check(args):
+    _check_tensor_size(args.d)
     report = tensor_space.check_left_module(args.d)
     _emit({"weights": report["weights"],
            "decomposition": report["decomposition"],
@@ -317,10 +332,8 @@ def _cmd_count(args):
         print(count_xi_tensor(args.n, args.d))
         return 0
     # enumerate_xi walks every n x n matrix with entry sum d
-    matrices = comb(args.d + args.n * args.n - 1, args.n * args.n - 1)
-    if matrices > oracle_mod.SIZE_GUARD:
-        raise ValueError(f"{matrices} matrices to enumerate exceed the "
-                         f"guard {oracle_mod.SIZE_GUARD}")
+    _check_size(comb(args.d + args.n * args.n - 1, args.n * args.n - 1),
+                "matrices to enumerate")
     print(len(enumerate_xi(args.n, args.d)))
     return 0
 

@@ -1,12 +1,104 @@
-"""Sparse exact Gaussian elimination over any Python field type.
+"""Sparse exact linear algebra over any Python field type.
 
-Rows are dicts mapping hashable column keys to nonzero coefficients.  The
-coefficient type only needs +, -, *, / and truthiness, so the same code
-serves fractions.Fraction and the rational-function field.  No floating
-point anywhere; a reported rank or solution is exact.
+Sparse vectors are dicts mapping hashable keys to nonzero coefficients:
+`bump` adds into one entry, `Combination` is the vector type behind the
+algebra, PBW and tensor-space elements, and the elimination routines treat
+such dicts as matrix rows.  The coefficient type only needs +, -, *, / and
+truthiness, so the same code serves fractions.Fraction and the
+rational-function field.  No floating point anywhere; a reported rank or
+solution is exact.
 """
 
 from fractions import Fraction
+
+from .qv import format_coeff, parse_coeff
+
+
+def bump(terms, key, c):
+    """terms[key] += c, keeping the dict free of zero coefficients."""
+    if not c:
+        return
+    prev = terms.get(key)
+    if prev is None:
+        terms[key] = c
+        return
+    s = prev + c
+    if s:
+        terms[key] = s
+    else:
+        del terms[key]
+
+
+class Combination:
+    """Finite linear combination {key: nonzero coefficient} of degree d.
+
+    Sums of combinations of different types or degrees are refused
+    (TypeError, ValueError).  Subclasses say what the keys are and how they
+    print; those whose keys have to_json and a read_label(obj, d) parser
+    share the JSON form {"d", "terms"}.
+    """
+
+    __slots__ = ("d", "terms")
+
+    def __init__(self, d, terms=None):
+        self.d = d
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    def _like(self, terms):
+        """A combination of the same type and degree holding terms, which
+        must have no zero coefficients."""
+        out = object.__new__(type(self))
+        out.d = self.d
+        out.terms = terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.d == other.d and self.terms == other.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.d != other.d:
+            raise ValueError("mixed degrees")
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            bump(t, k, c)
+        return self._like(t)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        if not c:
+            return self._like({})
+        return self._like({k: c * c0 for k, c0 in self.terms.items()})
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+
+    def to_json(self):
+        return {"d": self.d,
+                "terms": [{"label": key.to_json(), "coeff": format_coeff(c)}
+                          for key, c in self.sorted_terms()]}
+
+    @classmethod
+    def from_json(cls, obj):
+        """Parse the to_json form; read_label rejects labels that are
+        invalid or of the wrong size with ValueError."""
+        d = int(obj["d"])
+        return cls(d, {cls.read_label(t["label"], d): parse_coeff(t["coeff"])
+                       for t in obj["terms"]})
 
 
 def _coeff_size(c):
@@ -23,19 +115,13 @@ def reduce_row(row, pivots):
     """Reduce a row against unit pivot rows; returns the residual dict."""
     r = {col: c for col, c in row.items() if c}
     for col, prow in pivots:
-        c = r.get(col)
-        if not c:
+        c = r.pop(col, None)
+        if c is None:
             continue
-        del r[col]
+        m = -c
         for col2, x2 in prow.items():
-            if col2 == col:
-                continue
-            prev = r.get(col2)
-            s = -c * x2 if prev is None else prev - c * x2
-            if s:
-                r[col2] = s
-            elif prev is not None:
-                del r[col2]
+            if col2 != col:
+                bump(r, col2, m * x2)
     return r
 
 
@@ -88,20 +174,10 @@ def solve_unique(equations, rhs):
         col = min(cols, key=lambda k: _coeff_size(r[k]))
         inv = r[col]
         prow = {c2: x2 / inv for c2, x2 in r.items()}
-        for _, prow0 in pivots:
-            c0 = prow0.get(col)
-            if not c0:
-                continue
-            del prow0[col]
-            for c2, x2 in prow.items():
-                if c2 == col:
-                    continue
-                prev = prow0.get(c2)
-                s = -c0 * x2 if prev is None else prev - c0 * x2
-                if s:
-                    prow0[c2] = s
-                elif prev is not None:
-                    del prow0[c2]
+        # keep earlier pivot rows reduced against the new one
+        for i, (c0, prow0) in enumerate(pivots):
+            if col in prow0:
+                pivots[i] = (c0, reduce_row(prow0, [(col, prow)]))
         pivots.append((col, prow))
     solved = {col for col, _ in pivots}
     if seen - solved:

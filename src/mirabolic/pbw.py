@@ -30,8 +30,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .qv import (RF_ONE, RationalFunction, format_coeff, parse_coeff,
-                 quantum_integer, rf_const, v_power)
+from .linalg import Combination, bump
+from .qv import (RF_ONE, format_coeff, parse_coeff, quantum_integer, rf_const,
+                 v_power)
 from .schur_algebra import GeneratorWord, evaluate_words
 
 GENERATORS = ("e", "f", "k", "k^-1", "l")
@@ -108,59 +109,17 @@ def _mono(cls, r, s, t):
     return PbwMonomial(cls, r, s, t)
 
 
-class PbwElement:
+class PbwElement(Combination):
     """Finite Q(v)-linear combination of PBW monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    t[mono] = c
-        self.terms = t
+        super().__init__(None, terms)
 
     @staticmethod
     def monomial(mono, coeff=RF_ONE):
         return PbwElement({mono: coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, PbwElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for mono, c in other.terms.items():
-            _bump(t, mono, c)
-        out = PbwElement.__new__(PbwElement)
-        out.terms = t
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = PbwElement.__new__(PbwElement)
-        out.terms = {mono: -c for mono, c in self.terms.items()}
-        return out
-
-    def scale(self, c):
-        if not c:
-            return PbwElement()
-        out = PbwElement.__new__(PbwElement)
-        out.terms = {mono: c * c0 for mono, c0 in self.terms.items()}
-        return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def to_json(self):
         return {"terms": [{"monomial": str(mono), "coeff": format_coeff(c)}
@@ -179,17 +138,6 @@ class PbwElement:
             return "PbwElement(0)"
         bits = [f"({format_coeff(c)}) {mono}" for mono, c in self.sorted_terms()]
         return "PbwElement(" + " + ".join(bits) + ")"
-
-
-def _bump(terms, mono, c):
-    if not c:
-        return
-    prev = terms.get(mono)
-    s = prev + c if prev is not None else c
-    if s:
-        terms[mono] = s
-    else:
-        del terms[mono]
 
 
 def unit():
@@ -234,12 +182,12 @@ def ef_straighten(a, b):
     else:
         out = {}
         for (r, s, t), c in ef_straighten(a - 1, b).items():
-            _bump(out, (r, s + 1, t), c * v_power(2 * t))
+            bump(out, (r, s + 1, t), c * v_power(2 * t))
         if b >= 1:
             cb = quantum_integer(b) / _VM
             for (r, s, t), c in ef_straighten(a - 1, b - 1).items():
-                _bump(out, (r, s, t + 1), c * cb * v_power(1 - b))
-                _bump(out, (r, s, t - 1), -c * cb * v_power(b - 1))
+                bump(out, (r, s, t + 1), c * cb * v_power(1 - b))
+                bump(out, (r, s, t - 1), -c * cb * v_power(b - 1))
     with _STRAIGHTEN_LOCK:
         _EF_CACHE[key] = out
     return out
@@ -260,12 +208,12 @@ def fe_straighten(a, b):
     else:
         out = {}
         for (s, r, t), c in fe_straighten(a - 1, b).items():
-            _bump(out, (s, r + 1, t), c * v_power(-2 * t))
+            bump(out, (s, r + 1, t), c * v_power(-2 * t))
         if b >= 1:
             cb = quantum_integer(b) / _VM
             for (s, r, t), c in fe_straighten(a - 1, b - 1).items():
-                _bump(out, (s, r, t + 1), -c * cb * v_power(b - 1))
-                _bump(out, (s, r, t - 1), c * cb * v_power(1 - b))
+                bump(out, (s, r, t + 1), -c * cb * v_power(b - 1))
+                bump(out, (s, r, t - 1), c * cb * v_power(1 - b))
     with _STRAIGHTEN_LOCK:
         _FE_CACHE[key] = out
     return out
@@ -314,7 +262,7 @@ def _append_ell(mono):
         # e^s l f^r l = e^s f^r l; straighten the now-plain pair
         out = {}
         for (a, b, c), coeff in ef_straighten(s, r).items():
-            _bump(out, _mono(2, a, b, c + t), coeff)
+            bump(out, _mono(2, a, b, c + t), coeff)
         return out
     # classes 2, 3, 4 already end in l, up to l e^s l = l e^s
     return {mono: RF_ONE}
@@ -325,8 +273,8 @@ def _e_times_b0(r, s):
     out = {PbwMonomial(0, r, s + 1, 0): RF_ONE}
     if r >= 1:
         cr = quantum_integer(r) / _VM
-        _bump(out, PbwMonomial(0, r - 1, s, 1), cr * v_power(1 - r + 2 * s))
-        _bump(out, PbwMonomial(0, r - 1, s, -1), -cr * v_power(r - 1 - 2 * s))
+        bump(out, PbwMonomial(0, r - 1, s, 1), cr * v_power(1 - r + 2 * s))
+        bump(out, PbwMonomial(0, r - 1, s, -1), -cr * v_power(r - 1 - 2 * s))
     return out
 
 
@@ -340,10 +288,10 @@ def _e_times_b1(r, s):
     out = {}
     for (b, a, c), coeff in fe_straighten(r, s).items():
         den = quantum_integer(b + 1)
-        _bump(out, _mono(5, a, b + 1, c), coeff * v_power(-b) / den)
+        bump(out, _mono(5, a, b + 1, c), coeff * v_power(-b) / den)
         c_in = coeff * v_power(1) * quantum_integer(b) / den
         for (a2, b2, c2), coeff2 in ef_straighten(b + 1, a).items():
-            _bump(out, _mono(1, a2, b2, c2 + c), c_in * coeff2)
+            bump(out, _mono(1, a2, b2, c2 + c), c_in * coeff2)
     return out
 
 
@@ -366,37 +314,37 @@ def _mul_mono(g, mono):
         elif cls == 5:
             # l e^s l f^r = l e^s f^r
             for (a, b, c), coeff in ef_straighten(s, r).items():
-                _bump(out, _mono(1, a, b, c + t), coeff)
+                bump(out, _mono(1, a, b, c + t), coeff)
         else:
             # classes 1, 3, 4 start with l (or reach it through k e^s)
             out[mono] = RF_ONE
     elif g == "e":
         if cls == 0:
             for m2, coeff in _e_times_b0(r, s).items():
-                _bump(out, _shift(m2, t), coeff)
+                bump(out, _shift(m2, t), coeff)
         elif cls == 2:
             for m2, coeff in _e_times_b0(r, s).items():
                 for m3, c3 in _append_ell(m2).items():
-                    _bump(out, _shift(m3, t), coeff * c3)
+                    bump(out, _shift(m3, t), coeff * c3)
         elif cls == 4:
             den = quantum_integer(s + 1)
-            _bump(out, _mono(2, r, s + 1, t), v_power(-s) / den)
-            _bump(out, _mono(4, r, s + 1, t),
+            bump(out, _mono(2, r, s + 1, t), v_power(-s) / den)
+            bump(out, _mono(4, r, s + 1, t),
                   v_power(1) * quantum_integer(s) / den)
             cr = quantum_integer(r) / _VM
-            _bump(out, _mono(4, r - 1, s, t + 1), cr * v_power(1 - r + 2 * s))
-            _bump(out, _mono(4, r - 1, s, t - 1), -cr * v_power(r - 1 - 2 * s))
+            bump(out, _mono(4, r - 1, s, t + 1), cr * v_power(1 - r + 2 * s))
+            bump(out, _mono(4, r - 1, s, t - 1), -cr * v_power(r - 1 - 2 * s))
         elif cls == 5:
             out[PbwMonomial(5, r, s + 1, t)] = RF_ONE
         else:
             base = _e_times_b1(r, s)
             if cls == 1:
                 for m2, coeff in base.items():
-                    _bump(out, _shift(m2, t), coeff)
+                    bump(out, _shift(m2, t), coeff)
             else:
                 for m2, coeff in base.items():
                     for m3, c3 in _append_ell(m2).items():
-                        _bump(out, _shift(m3, t), coeff * c3)
+                        bump(out, _shift(m3, t), coeff * c3)
     elif g == "f":
         if cls == 0:
             out[PbwMonomial(0, r + 1, s, t)] = RF_ONE
@@ -408,18 +356,18 @@ def _mul_mono(g, mono):
             den = quantum_integer(r + 1)
             hi = v_power(r) / den
             lo = v_power(-1) * quantum_integer(r) / den
-            _bump(out, _mono(4, r + 1, s, t), hi)
-            _bump(out, _mono(1 if cls == 1 else 3, r + 1, s, t), lo)
+            bump(out, _mono(4, r + 1, s, t), hi)
+            bump(out, _mono(1 if cls == 1 else 3, r + 1, s, t), lo)
         else:
             den = quantum_integer(r + 1)
             hi = v_power(r) / den
             lo = v_power(-1) * quantum_integer(r) / den
             for (a, b, c), coeff in ef_straighten(s, r + 1).items():
-                _bump(out, _mono(2, a, b, c + t), coeff * hi)
-            _bump(out, PbwMonomial(5, r + 1, s, t), lo)
+                bump(out, _mono(2, a, b, c + t), coeff * hi)
+            bump(out, PbwMonomial(5, r + 1, s, t), lo)
             cs = quantum_integer(s) / _VM
-            _bump(out, _mono(5, r, s - 1, t + 1), -cs * v_power(s - 1 - 2 * r))
-            _bump(out, _mono(5, r, s - 1, t - 1), cs * v_power(1 - s + 2 * r))
+            bump(out, _mono(5, r, s - 1, t + 1), -cs * v_power(s - 1 - 2 * r))
+            bump(out, _mono(5, r, s - 1, t - 1), cs * v_power(1 - s + 2 * r))
     else:
         raise ValueError(f"unknown generator {g!r}")
     with _MUL_LOCK:
@@ -432,10 +380,8 @@ def left_mul_generator(g, x):
     out = {}
     for mono, c in x.terms.items():
         for m2, c2 in _mul_mono(g, mono).items():
-            _bump(out, m2, c * c2)
-    el = PbwElement.__new__(PbwElement)
-    el.terms = out
-    return el
+            bump(out, m2, c * c2)
+    return x._like(out)
 
 
 def normalize_word(letters):
@@ -454,10 +400,8 @@ def multiply(x, y):
         for letter in reversed(mono.letters()):
             acc = left_mul_generator(letter, acc)
         for m2, c2 in acc.terms.items():
-            _bump(total, m2, c * c2)
-    el = PbwElement.__new__(PbwElement)
-    el.terms = total
-    return el
+            bump(total, m2, c * c2)
+    return y._like(total)
 
 
 def antiautomorphism(x):
@@ -470,7 +414,7 @@ def antiautomorphism(x):
     out = {}
     for mono, c in x.terms.items():
         m2 = _mono(swap[mono.cls], mono.s, mono.r, mono.t)
-        _bump(out, m2, c * v_power(2 * mono.t * (mono.r - mono.s)))
+        bump(out, m2, c * v_power(2 * mono.t * (mono.r - mono.s)))
     return PbwElement(out)
 
 
@@ -481,14 +425,14 @@ def specialize_ell(eps, x):
     out = {}
     for mono, c in x.terms.items():
         if mono.cls == 0:
-            _bump(out, mono, c)
+            bump(out, mono, c)
         elif eps == 0:
             continue
         elif mono.cls == 5:
             for (a, b, c2), coeff in ef_straighten(mono.s, mono.r).items():
-                _bump(out, PbwMonomial(0, a, b, c2 + mono.t), c * coeff)
+                bump(out, PbwMonomial(0, a, b, c2 + mono.t), c * coeff)
         else:
-            _bump(out, PbwMonomial(0, mono.r, mono.s, mono.t), c)
+            bump(out, PbwMonomial(0, mono.r, mono.s, mono.t), c)
     return PbwElement(out)
 
 

@@ -17,6 +17,7 @@ the tables below rely on that convention.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -24,91 +25,28 @@ from math import comb
 from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
                         DecoratedMatrix, decorated2, diag2,
                         transpose_decorated, validate)
-from .qv import (RF_ONE, RF_ZERO, RationalFunction, format_coeff,
-                 parse_coeff, q_bracket, q_power, quantum_factorial,
-                 quantum_integer, rf_const, v_power)
+from .linalg import Combination, bump
+from .qv import (RF_ONE, RationalFunction, format_coeff, q_bracket, q_power,
+                 quantum_factorial, quantum_integer, v_power)
 
 LETTERS = ("e", "f", "k", "k^-1", "l")
 
 
-class SchurElement:
+class SchurElement(Combination):
     """Finite Q(v)-linear combination of decorated-matrix basis symbols."""
 
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d, terms=None):
-        self.d = d
-        t = {}
-        if terms:
-            for label, c in terms.items():
-                if c:
-                    t[label] = c
-        self.terms = t
+    __slots__ = ()
 
     @staticmethod
     def basis(d, label):
         return SchurElement(d, {label: RF_ONE})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.d != other.d:
-            raise ValueError("mixed degrees")
-        t = dict(self.terms)
-        for label, c in other.terms.items():
-            s = t.get(label, RF_ZERO) + c
-            if s:
-                t[label] = s
-            else:
-                t.pop(label, None)
-        out = SchurElement.__new__(SchurElement)
-        out.d, out.terms = self.d, t
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = SchurElement.__new__(SchurElement)
-        out.d = self.d
-        out.terms = {label: -c for label, c in self.terms.items()}
-        return out
-
-    def scale(self, c):
-        if not c:
-            return SchurElement(self.d)
-        out = SchurElement.__new__(SchurElement)
-        out.d = self.d
-        out.terms = {label: c * c0 for label, c0 in self.terms.items()}
-        return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def to_json(self):
-        return {"d": self.d,
-                "terms": [{"label": label.to_json(), "coeff": format_coeff(c)}
-                          for label, c in self.sorted_terms()]}
-
     @staticmethod
-    def from_json(obj):
-        """Parse the to_json form; every label must lie in Xi_{2,d}."""
-        d = int(obj["d"])
-        terms = {}
-        for t in obj["terms"]:
-            label = DecoratedMatrix.from_json(t["label"])
-            _require_label(label, d)
-            terms[label] = parse_coeff(t["coeff"])
-        return SchurElement(d, terms)
+    def read_label(obj, d):
+        """A label of Xi_{2,d} from its JSON form."""
+        label = DecoratedMatrix.from_json(obj)
+        _require_label(label, d)
+        return label
 
     def __repr__(self):
         if not self.terms:
@@ -339,12 +277,17 @@ _EXPANDERS = {"e": _expand_e, "f": _expand_f,
               "x11": _expand_x11, "x22": _expand_x22}
 
 
-def _bump(terms, label, c):
-    s = terms.get(label, RF_ZERO) + c
-    if s:
-        terms[label] = s
-    else:
-        terms.pop(label, None)
+def _expand_into(out, kind, label, c):
+    """Add c times (special element of this kind) * T_label to out, by the
+    case table of that kind."""
+    (a11, a12), (a21, a22) = label.a
+    for shift, delta2, coeff in _EXPANDERS[kind](label.a, label.delta):
+        if not coeff:
+            continue
+        lab2 = _label(a11 + shift[0], a12 + shift[1],
+                      a21 + shift[2], a22 + shift[3], delta2)
+        if lab2 is not None:
+            bump(out, lab2, c * coeff)
 
 
 def left_mul_special(key, x):
@@ -357,18 +300,10 @@ def left_mul_special(key, x):
         if _row_sums(label) != margin:
             continue
         if kind == "diag":
-            _bump(out, label, c)
-            continue
-        (a11, a12), (a21, a22) = label.a
-        for shift, delta2, coeff in _EXPANDERS[kind](label.a, label.delta):
-            if not coeff:
-                continue
-            lab2 = _label(a11 + shift[0], a12 + shift[1],
-                          a21 + shift[2], a22 + shift[3], delta2)
-            if lab2 is None:
-                continue
-            _bump(out, lab2, c * coeff)
-    return SchurElement(x.d, out)
+            bump(out, label, c)
+        else:
+            _expand_into(out, kind, label, c)
+    return x._like(out)
 
 
 def identity_element(d):
@@ -404,17 +339,17 @@ def apply_letter(letter, x):
     for label, c in x.terms.items():
         r0 = label.a[0][0] + label.a[0][1]
         if letter == "k":
-            _bump(out, label, c * v_power(2 * r0 - d))
+            bump(out, label, c * v_power(2 * r0 - d))
             continue
         if letter == "k^-1":
-            _bump(out, label, c * v_power(d - 2 * r0))
+            bump(out, label, c * v_power(d - 2 * r0))
             continue
         if letter == "l":
             if r0 == 0:
-                _bump(out, label, c)
+                bump(out, label, c)
                 continue
             s = c * v_power(-2 * r0)
-            _bump(out, label, s)
+            bump(out, label, s)
             kind = "x11"
         elif letter == "e":
             if r0 > d - 1:
@@ -428,16 +363,8 @@ def apply_letter(letter, x):
             kind = "f"
         else:
             raise ValueError(f"unknown generator {letter!r}")
-        (a11, a12), (a21, a22) = label.a
-        for shift, delta2, coeff in _EXPANDERS[kind](label.a, label.delta):
-            if not coeff:
-                continue
-            lab2 = _label(a11 + shift[0], a12 + shift[1],
-                          a21 + shift[2], a22 + shift[3], delta2)
-            if lab2 is None:
-                continue
-            _bump(out, lab2, s * coeff)
-    return SchurElement(d, out)
+        _expand_into(out, kind, label, s)
+    return x._like(out)
 
 
 @dataclass(frozen=True)
@@ -646,50 +573,32 @@ def _blm(alg, label):
 
 # the word reading ------------------------------------------------------------
 
-def _cbump(combo, w, s):
-    t = combo.get(w, RF_ZERO) + s
-    if t:
-        combo[w] = t
-    else:
-        combo.pop(w, None)
-
-
-def _cadd(a, b):
-    out = dict(a)
-    for w, s in b.items():
-        _cbump(out, w, s)
-    return out
-
-
-def _cscale(a, s):
-    if not s:
-        return {}
-    return {w: c * s for w, c in a.items()}
-
-
 def _ccat(a, b):
+    """The word combo a * b: every word of a followed by every word of b."""
     out = {}
-    for wa, sa in a.items():
-        for wb, sb in b.items():
-            _cbump(out, wa + wb, sa * sb)
-    return out
+    for wa, sa in a.terms.items():
+        for wb, sb in b.terms.items():
+            bump(out, wa + wb, sa * sb)
+    return a._like(out)
 
 
 class _Words:
     """Special elements as combos of generator words; each combo is cached
     per degree."""
 
-    zero = staticmethod(dict)
-    add = staticmethod(_cadd)
-    scale = staticmethod(_cscale)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    scale = staticmethod(Combination.scale)
     cat = staticmethod(_ccat)
 
     def __init__(self, d):
         self.d = d
 
-    @staticmethod
-    def sub(a, b):
-        return _cadd(a, _cscale(b, rf_const(-1)))
+    def zero(self):
+        return Combination(self.d)
+
+    def word(self, *letters):
+        return Combination(self.d, {letters: RF_ONE})
 
     def one(self, r):
         d = self.d
@@ -698,34 +607,29 @@ class _Words:
             # interpolate the idempotent from powers of k: the d+1
             # eigenvalues of k are the v^(2j-d), and the one with index r is
             # selected
-            num = {(): RF_ONE}
+            num = self.word()
             den = RF_ONE
             lam_r = v_power(2 * r - d)
             for j in range(d + 1):
                 if j == r:
                     continue
                 lam = v_power(2 * j - d)
-                new = {}
-                for w, s in num.items():
-                    _cbump(new, w + ("k",), s)
-                    _cbump(new, w, -lam * s)
-                num = new
+                num = _ccat(num, self.word("k")) - num.scale(lam)
                 den = den * (lam_r - lam)
-            return _cscale(num, den.inverse())
+            return num.scale(den.inverse())
         return _cached((d, "one", r), build)
 
     def e(self, r):
-        return _cached((self.d, "e", r), lambda: _cscale(
-            _ccat({("e",): RF_ONE}, self.one(r)), v_power(r)))
+        return _cached((self.d, "e", r), lambda: _ccat(
+            self.word("e"), self.one(r)).scale(v_power(r)))
 
     def f(self, r):
-        return _cached((self.d, "f", r), lambda: _cscale(
-            _ccat(self.one(r), {("f",): RF_ONE}), v_power(self.d - r - 1)))
+        return _cached((self.d, "f", r), lambda: _ccat(
+            self.one(r), self.word("f")).scale(v_power(self.d - r - 1)))
 
     def x(self, r):
-        return _cached((self.d, "x", r), lambda: _cadd(
-            _cscale(_ccat({("l",): RF_ONE}, self.one(r)), v_power(2 * r)),
-            _cscale(self.one(r), rf_const(-1))))
+        return _cached((self.d, "x", r), lambda: _ccat(
+            self.word("l"), self.one(r)).scale(v_power(2 * r)) - self.one(r))
 
     def t22(self, r):
         return _cached((self.d, "t22", r), lambda: _t22(self, r))
@@ -741,7 +645,7 @@ def express_in_generators(label):
     """
     _require_label(label)
     combo = _Words(label.d).label(label)
-    words = [GeneratorWord(s, w) for w, s in combo.items()]
+    words = [GeneratorWord(s, w) for w, s in combo.terms.items()]
     words.sort(key=lambda gw: (len(gw.letters), gw.letters))
     return tuple(words)
 
@@ -809,8 +713,8 @@ def _label_times(label, y):
     for b, cy in y.terms.items():
         if _row_sums(b) == co:
             for lab, c in _basis_product(label, b).terms.items():
-                _bump(out, lab, cy * c)
-    return SchurElement(y.d, out)
+                bump(out, lab, cy * c)
+    return y._like(out)
 
 
 def t22_diagonal(d, r):
@@ -831,5 +735,5 @@ def mul_general(x, y):
     for label, c in x.terms.items():
         _require_label(label)
         for lab, c2 in _label_times(label, y).terms.items():
-            _bump(out, lab, c * c2)
-    return SchurElement(x.d, out)
+            bump(out, lab, c * c2)
+    return x._like(out)

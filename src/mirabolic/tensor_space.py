@@ -20,25 +20,17 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
 
-from .decorated import MarkedSequence, count_xi_tensor, sequence_stats
-from .linalg import rank_of_rows
-from .qv import RF_ONE, format_coeff, parse_coeff, v_power
+from .decorated import (MarkedSequence, count_xi_tensor, sequence_stats,
+                        validate)
+from .linalg import Combination, rank_of_rows
+from .qv import RF_ONE, format_coeff, v_power
 from .reps import decompose_weight_table, format_module_name
 
 
-class TensorElement:
+class TensorElement(Combination):
     """Sparse vector in the marked tensor space of a fixed size d."""
 
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d, terms=None):
-        self.d = d
-        t = {}
-        if terms:
-            for label, c in terms.items():
-                if c:
-                    t[label] = c
-        self.terms = t
+    __slots__ = ()
 
     @staticmethod
     def basis(d, label):
@@ -46,63 +38,19 @@ class TensorElement:
             raise ValueError("label size mismatch")
         return TensorElement(d, {label: RF_ONE})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.d != other.d:
-            raise ValueError("mixed sizes")
-        t = dict(self.terms)
-        for label, c in other.terms.items():
-            s = t.get(label)
-            s = c if s is None else s + c
-            if s:
-                t[label] = s
-            elif label in t:
-                del t[label]
-        out = TensorElement.__new__(TensorElement)
-        out.d = self.d
-        out.terms = t
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = TensorElement.__new__(TensorElement)
-        out.d = self.d
-        out.terms = {label: -c for label, c in self.terms.items()}
-        return out
-
-    def scale(self, c):
-        if not c:
-            return TensorElement(self.d)
-        out = TensorElement.__new__(TensorElement)
-        out.d = self.d
-        out.terms = {label: c * c0 for label, c0 in self.terms.items()}
-        return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def to_json(self):
-        return {"d": self.d,
-                "terms": [{"label": label.to_json(), "coeff": format_coeff(c)}
-                          for label, c in self.sorted_terms()]}
-
     @staticmethod
-    def from_json(obj):
-        terms = {MarkedSequence.from_json(item["label"]): parse_coeff(item["coeff"])
-                 for item in obj["terms"]}
-        return TensorElement(obj["d"], terms)
+    def read_label(obj, d):
+        """A marked sequence of length d over {1, 2} from its JSON form."""
+        label = MarkedSequence.from_json(obj)
+        ok, why = validate(label)
+        if not ok:
+            raise ValueError(f"bad label {label}: {why}")
+        if not set(label.seq) <= {1, 2}:
+            raise ValueError(f"bad label {label}: letters must be 1 or 2")
+        if label.d != d:
+            raise ValueError(f"bad label {label}: length {label.d}, "
+                             f"expected d={d}")
+        return label
 
     def __repr__(self):
         if not self.terms:

@@ -1,5 +1,6 @@
 """Command-line interface: contracts, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -194,3 +195,59 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
+
+
+X1 = json.dumps({"A": [[1, 0], [0, 1]], "delta": [[1, 1]]})
+MUL_LHS = json.dumps({"d": 2, "terms": [
+    {"label": {"A": [[0, 1], [1, 0]], "delta": [[1, 2], [2, 1]]}, "coeff": "v"},
+    {"label": {"A": [[1, 0], [1, 0]], "delta": [[2, 1]]}, "coeff": "v^2-1"}]})
+MUL_RHS = json.dumps({"d": 2, "terms": [
+    {"label": {"A": [[1, 0], [0, 1]], "delta": [[2, 2]]}, "coeff": "1"},
+    {"label": {"A": [[2, 0], [0, 0]], "delta": [[1, 1]]},
+     "coeff": "(v)/(v^2+1)"}]})
+
+# sha256 of the stdout of the README's CLI examples, recorded before the
+# three element types were merged into one combination type
+GOLDEN = [
+    (("verify", "--suite", "relations", "--d", "3"),
+     "2c6a2e1100cc83e771f932fd3195fafb558ff6b56201a82a8dc0fd29fcc0791a"),
+    (("normalize", "--word", "l e f l"),
+     "bde75639877f27ce6c1e9db3543bac57a5db24ee09b9fadcaec34438092f0c4c"),
+    (("normalize", "--word", "(v^-1) e^2 l f k^-2"),
+     "1476c1e778aa0e95b5d37ceae6d1ad69c100d08032dce26822dc9238c8f02f84"),
+    (("mul", "--d", "2", "--lhs", MUL_LHS, "--rhs", MUL_RHS),
+     "aef5dc7d026d6916e366e04dfc421b84eb7dc5d516665ba3cc7d71f80c31c1aa"),
+    (("rep", "--module", "L+(2,01)", "--casimir", "--matrix", "e f"),
+     "e63fb5f194729bebd9a0c85f7ef62b33a5491291dc6152a02782dcceace28343"),
+    (("weights", "--d", "3", "--format", "csv"),
+     "556e3dcda18b988806a5cfd73a92d33d2ed5f7e36e7e242216c5e61b67f39b5b"),
+    (("sw-check", "--d", "2"),
+     "6455c3e4aa22cf0f45ec48edb55fb96176e2865794f75f173155640baa27b91b"),
+    (("oracle", "--d", "2", "--primes", "2,3,5,7,11", "--lhs", X1,
+      "--rhs", X1),
+     "4d615f078bc2417c046fa97acaeb9b021eaa7f42b192f67825f931fd5571d839"),
+    (("count", "--n", "2", "--d", "3"),
+     "913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc"),
+    (("count", "--n", "3", "--d", "5", "--tensor"),
+     "d05ab985e497f28c5cf571e803543b40c869df1887d38d0442e35b214ffa8a9e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join(a[:3]) for a, _ in GOLDEN])
+def test_readme_examples_are_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("weights", "--d", "40"),
+    ("sw-check", "--d", "40"),
+    ("rep", "--module", "L+(100000,0)"),
+])
+def test_huge_sizes_are_refused_at_once(capsys, argv):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err and not out
+    assert time.monotonic() - t0 < 1.0

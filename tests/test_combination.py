@@ -1,0 +1,101 @@
+"""The sparse combination type shared by algebra, PBW and tensor elements."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mirabolic import pbw
+from mirabolic.decorated import MarkedSequence, enumerate_xi
+from mirabolic.linalg import Combination, bump
+from mirabolic.qv import RF_ONE, quantum_integer, rf_laurent
+from mirabolic.schur_algebra import SchurElement, chevalley
+from mirabolic.tensor_space import TensorElement
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None,
+                    derandomize=True)
+
+# a nonzero coefficient: a Laurent polynomial, possibly over a quantum integer
+COEFFS = st.builds(
+    lambda poly, m: rf_laurent(poly) / quantum_integer(m),
+    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool),
+                    min_size=1, max_size=3),
+    st.integers(1, 3))
+
+
+def combinations(make, labels):
+    return st.builds(make, st.dictionaries(st.sampled_from(labels), COEFFS,
+                                           max_size=6))
+
+
+SCHUR = st.integers(1, 3).flatmap(lambda d: combinations(
+    lambda t: SchurElement(d, t), enumerate_xi(2, d)))
+TENSOR = st.integers(1, 3).flatmap(lambda d: combinations(
+    lambda t: TensorElement(d, t), enumerate_xi(2, d, tensor=True)))
+PBW = combinations(pbw.PbwElement, pbw.enumerate_monomials(2, 2, 1))
+
+
+@SETTINGS
+@given(SCHUR)
+def test_schur_json_round_trip(x):
+    assert SchurElement.from_json(x.to_json()) == x
+
+
+@SETTINGS
+@given(TENSOR)
+def test_tensor_json_round_trip(x):
+    assert TensorElement.from_json(x.to_json()) == x
+
+
+@SETTINGS
+@given(PBW)
+def test_pbw_json_round_trip(x):
+    assert pbw.PbwElement.from_json(x.to_json()) == x
+
+
+def test_tensor_json_example():
+    x = TensorElement(2, {MarkedSequence((2, 1), frozenset({1, 2})): RF_ONE,
+                          MarkedSequence((1, 1)): quantum_integer(2)})
+    obj = x.to_json()
+    assert obj == {"d": 2, "terms": [
+        {"label": {"seq": [1, 1], "marks": []}, "coeff": "v+v^-1"},
+        {"label": {"seq": [2, 1], "marks": [1, 2]}, "coeff": "1"}]}
+    assert TensorElement.from_json(obj) == x
+
+
+def test_different_types_are_unequal():
+    assert SchurElement(2) != TensorElement(2)
+    assert SchurElement(2) == SchurElement(2)
+    assert SchurElement(2) != SchurElement(3)
+    assert pbw.PbwElement() != SchurElement(None)
+    with pytest.raises(TypeError):
+        SchurElement(2) + TensorElement(2)
+
+
+@pytest.mark.parametrize("cls", [SchurElement, TensorElement])
+def test_mixed_degrees_refused(cls):
+    with pytest.raises(ValueError):
+        cls(2) + cls(3)
+    with pytest.raises(ValueError):
+        cls(2) - cls(1)
+
+
+def test_arithmetic_drops_zeros():
+    e = chevalley(2, "e")
+    assert (e - e).is_zero() and not (e - e)
+    assert e.scale(0).is_zero()
+    assert (-e) + e == SchurElement(2)
+    assert type(-e) is SchurElement and type(e.scale(2)) is SchurElement
+    assert SchurElement(2, {k: 0 * c for k, c in e.terms.items()}).terms == {}
+
+
+def test_bump():
+    terms = {}
+    bump(terms, "a", Fraction(1, 2))
+    bump(terms, "b", 0)
+    assert terms == {"a": Fraction(1, 2)}
+    bump(terms, "a", Fraction(-1, 2))
+    assert terms == {}
+    x = Combination(None, {"a": 1, "b": 0})
+    assert x.terms == {"a": 1}

@@ -9,10 +9,10 @@ from mirabolic.qv import (RF_ONE, RationalFunction, parse_coeff,
                           quantum_integer, rf_const, v_power)
 from mirabolic.schur_algebra import (GeneratorWord, SchurElement, apply_letter,
                                      apply_word, chevalley, e_key,
-                                     express_in_generators, f_key,
-                                     identity_element, left_mul_special,
-                                     mul_general, one_key, star, t22_diagonal,
-                                     x22_key, x_key)
+                                     eval_letters, express_in_generators,
+                                     f_key, identity_element,
+                                     left_mul_special, mul_general, one_key,
+                                     star, t22_diagonal, x22_key, x_key)
 
 
 def basis(d, label):
@@ -84,6 +84,18 @@ def test_ten_relations_in_quotient():
             for c, letters in rhs:
                 b = b + apply_word(word(c, *letters), one)
             assert a == b, (d, name)
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_ten_relations_at_larger_d(d):
+    from mirabolic.pbw import defining_relations
+    for name, lhs, rhs in defining_relations():
+        a, b = SchurElement(d), SchurElement(d)
+        for c, letters in lhs:
+            a = a + eval_letters(d, letters).scale(c)
+        for c, letters in rhs:
+            b = b + eval_letters(d, letters).scale(c)
+        assert a == b and a, (d, name)
 
 
 def test_serre_consequence():

@@ -2,6 +2,8 @@
 
 from math import comb
 
+import pytest
+
 from mirabolic.decorated import MarkedSequence, count_xi_tensor, enumerate_xi
 from mirabolic.qv import RF_ONE, v_power
 from mirabolic.tensor_space import (BipartitionLabel, TensorElement,
@@ -145,3 +147,19 @@ def test_check_left_module_reports():
     report = check_left_module(1)
     mods = {row["module"]: row["mult"] for row in report["decomposition"]}
     assert mods == {"L+(1,1)": 1, "L+(1,01)": 1}
+
+
+@pytest.mark.parametrize("label", [
+    {"seq": [3, 1, 1], "marks": [5]},
+    {"seq": [1, 2], "marks": [1, 2]},
+    {"seq": [1, 2, 1], "marks": []},
+    {"seq": [], "marks": []},
+], ids=["bad-letter-and-mark", "marks-not-decreasing", "wrong-length",
+        "empty"])
+def test_from_json_rejects_invalid_labels(label):
+    good = {"label": {"seq": [2, 1], "marks": [1, 2]}, "coeff": "1"}
+    obj = {"d": 2, "terms": [good, {"label": label, "coeff": "v"}]}
+    with pytest.raises(ValueError):
+        TensorElement.from_json(obj)
+    obj["terms"] = [good]
+    assert TensorElement.from_json(obj) == T(2, (2, 1), (1, 2))
