@@ -13,8 +13,10 @@ row-echelon bases.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -127,8 +129,8 @@ class FlagTriple:
 
 
 def _all_subspace_bases(d, p, r):
-    """Echelon bases of all r-dimensional subspaces of F_p^d."""
-    out = []
+    """Echelon bases of all r-dimensional subspaces of F_p^d, one at a
+    time."""
     for pivots in combinations(range(d), r):
         free = [(i, j) for i, pc in enumerate(pivots)
                 for j in range(pc + 1, d) if j not in pivots]
@@ -138,8 +140,16 @@ def _all_subspace_bases(d, p, r):
                 rows[i][pc] = 1
             for (i, j), val in zip(free, vals):
                 rows[i][j] = val
-            out.append(tuple(tuple(row) for row in rows))
-    return out
+            yield tuple(tuple(row) for row in rows)
+
+
+def _subspace_count(d, r, p):
+    """Number of r-dimensional subspaces of F_p^d (a Gaussian binomial)."""
+    num = den = 1
+    for i in range(r):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 def enumerate_flags(d, p, kind):
@@ -168,6 +178,10 @@ def enumerate_flags(d, p, kind):
 
 
 # --- orbit classification ---------------------------------------------------
+
+# every label the oracle emits is built once and then shared
+_label = cache(decorated2)
+
 
 def _pair_matrix(f1, f2, d, p):
     """2x2 dimension matrix of a pair of subspaces."""
@@ -199,7 +213,7 @@ def orbit_invariant(t):
     p, d = t.p, t.d
     a11, a12, a21, a22 = _pair_matrix(f1, f2, d, p)
     delta = ALL_DELTAS[_vector_zone(t.v, f1, f2, p)]
-    return decorated2(a11, a12, a21, a22, delta)
+    return _label(a11, a12, a21, a22, delta)
 
 
 def canonical_representative(label, p):
@@ -228,14 +242,88 @@ def canonical_representative(label, p):
 
 # --- the counting kernel -----------------------------------------------------
 
+class _PointMemo:
+    """Point sets and shift permutations shared by every table of one
+    (d, p), least recently used first out.
+
+    Each entry is charged its number of point indices, at most `limit`;
+    once the entries would hold more than `limit` of them the oldest are
+    dropped.
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.size = 0
+        self.entries = OrderedDict()    # key -> (value, size)
+
+    def get(self, key):
+        got = self.entries.get(key)
+        if got is None:
+            return None
+        self.entries.move_to_end(key)
+        return got[0]
+
+    def put(self, key, value, size):
+        while self.size + size > self.limit:
+            _, (_, old) = self.entries.popitem(last=False)
+            self.size -= old
+        self.entries[key] = (value, size)
+        self.size += size
+        return value
+
+
+_POINTS = _PointMemo(SIZE_GUARD)
+
+
+def _frozen(values):
+    """A read-only index array, since every caller gets the same object.
+    It keeps numpy's own index type: an int32 index array is converted on
+    every use, which made a table build about 1.8 times slower."""
+    arr = np.asarray(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
+def _points_of(bases, r, d, p):
+    """Indices of the points of the span of each basis of r rows: one row of
+    p^r indices per basis."""
+    rows = np.array(bases, dtype=np.int64).reshape(len(bases), r, d)
+    coeffs = np.indices((p,) * r).reshape(r, p ** r)
+    idx = np.zeros((len(bases), p ** r), dtype=np.int64)
+    for k in range(d):
+        idx += (rows[:, :, k] @ coeffs % p) * p ** k
+    return _frozen(idx)
+
+
 def _span_indices(basis, d, p):
-    """Indices of all points of the span of the given rows."""
-    vecs = np.zeros((1, d), dtype=np.int64)
-    steps = np.arange(p)
-    for row in basis:
-        vecs = ((vecs[:, None] + np.multiply.outer(steps, row)) % p
-                ).reshape(-1, d)
-    return vecs @ p ** np.arange(d)
+    """Indices of all points of the span of the given echelon rows."""
+    key = ("span", basis, d, p)
+    got = _POINTS.get(key)
+    if got is None:
+        got = _POINTS.put(key, _points_of((basis,), len(basis), d, p)[0],
+                          p ** len(basis))
+    return got
+
+
+def _middle_chunks(d, p, r):
+    """All r-dimensional subspaces in enumeration order, in chunks of at
+    most SIZE_GUARD / p^d, so that a chunk has at most SIZE_GUARD points:
+    (echelon bases, indices of their points, one row per subspace)."""
+    size = max(1, SIZE_GUARD // p ** d)
+    todo = None     # the enumeration, from the first chunk not kept on
+    for lo in range(0, _subspace_count(d, r, p), size):
+        key = ("middle", d, p, r, lo)
+        got = _POINTS.get(key)
+        if got is None:
+            if todo is None:
+                todo = islice(_all_subspace_bases(d, p, r), lo, None)
+            part = list(islice(todo, size))
+            got = _POINTS.put(key, (part, _points_of(part, r, d, p)),
+                              len(part) * p ** r)
+        elif todo is not None:
+            for _ in islice(todo, size):    # keep the enumeration in step
+                pass
+        yield got
 
 
 def _span_mask(basis, d, p):
@@ -246,11 +334,15 @@ def _span_mask(basis, d, p):
 
 def _shift_perm(v, d, p):
     """perm[u] = index of v - u, coordinatewise mod p."""
-    idx = np.arange(p ** d, dtype=np.int64)
-    perm = np.zeros(p ** d, dtype=np.int64)
-    for k in range(d):
-        perm += ((v[k] - idx // p ** k) % p) * p ** k
-    return perm
+    key = ("shift", v, p)
+    got = _POINTS.get(key)
+    if got is None:
+        idx = np.arange(p ** d, dtype=np.int64)
+        perm = np.zeros(p ** d, dtype=np.int64)
+        for k in range(d):
+            perm += ((v[k] - idx // p ** k) % p) * p ** k
+        got = _POINTS.put(key, _frozen(perm), p ** d)
+    return got
 
 
 def _zone_array(mask_first, mask_second, sum_rank, sum_basis, d, p):
@@ -266,16 +358,32 @@ def _zone_array(mask_first, mask_second, sum_rank, sum_basis, d, p):
     return zone
 
 
-def _sum_indices(a_basis, in_a, h_basis, in_h, meet, d, p):
-    """Indices of the points of A + H, given those of A and of H and
-    meet = dim(A & H); None when A + H is the whole space."""
-    if len(a_basis) + len(h_basis) - meet == d:
-        return None
-    if meet == len(a_basis):
-        return in_h
-    if meet == len(h_basis):
-        return in_a
-    return _span_indices(rref(a_basis + h_basis, p), d, p)
+def _sums_in_chunk(a, in_a, meets, h_bases, h_pts, offs, shift):
+    """The points each middle subspace H of a chunk reclassifies on one
+    side: A + H where that is a proper subspace, H where it is the whole
+    space.  `meets` holds dim(A & H) and `h_pts` the points of each H, and
+    every point is offset by p^d times the row of its H in the chunk and,
+    when `shift` is given, mapped through it first.  Returns (the points of
+    the proper sums, the reclassified points)."""
+    d, p, mid_dim = a.d, a.p, len(h_bases[0])
+    full = a.dim + mid_dim - meets == d
+    a_in_h = ~full & (meets == a.dim)               # A + H = H
+    h_in_a = ~full & ~a_in_h & (meets == mid_dim)   # A + H = A
+    rest = np.flatnonzero(~(full | a_in_h | h_in_a))
+    if shift is not None:
+        in_a = shift[in_a]
+    parts = [(h_pts[a_in_h] + offs[a_in_h, None]).ravel(),
+             (in_a + offs[h_in_a, None]).ravel()]
+    if len(rest):
+        sums = [_span_indices(rref(a.basis + h_bases[i], p), d, p)
+                for i in rest.tolist()]
+        flat = np.concatenate(sums)
+        if shift is not None:
+            flat = shift[flat]
+        parts.append(flat + np.repeat(offs[rest], [len(x) for x in sums]))
+    sums = np.concatenate(parts)
+    return sums, np.concatenate([(h_pts[full] + offs[full, None]).ravel(),
+                                 sums])
 
 
 _CONV_CACHE = {}
@@ -295,6 +403,9 @@ def _conv_table(d, out_label, mid_dim, p):
     + 2[v - w in H] + 6[w = 0] + [w = v], is zero outside H, v - H, F+H
     and v - (H+F'), and constant where a sum is the whole space, so only
     the points of the proper ones (0 and v included) are reclassified.
+    The middle subspaces go in chunks (`_middle_chunks`), each H with its
+    points offset by p^d times its row in the chunk, so one pass of array
+    operations reclassifies a whole chunk.
     """
     key = (d, out_label, mid_dim, p)
     got = _CONV_CACHE.get(key)
@@ -308,61 +419,59 @@ def _conv_table(d, out_label, mid_dim, p):
     perm = _shift_perm(rep.v, d, p)
     in_f = _span_indices(f1.basis, d, p)
     in_fp = _span_indices(fp1.basis, d, p)
-    mask_f = np.zeros(n, dtype=bool)
-    mask_f[in_f] = True
-    mask_fp = np.zeros(n, dtype=bool)
-    mask_fp[in_fp] = True
     base = np.full(n, 35, dtype=np.int64)
     base[in_f] -= 12
     base[perm[in_fp]] -= 1
     base_hist = np.bincount(base, minlength=36)
-    dim_of = {p ** k: k for k in range(d + 1)}
-    moved = np.zeros(n, dtype=np.int64)   # base(w) - code(w), for one H
-    groups = {}      # (i11l, i11r) -> [number of H, histogram corrections]
-    for h_basis in _all_subspace_bases(d, p, mid_dim):
-        in_h = _span_indices(h_basis, d, p)
+    mask_f = _span_mask(f1.basis, d, p)
+    mask_fp = _span_mask(fp1.basis, d, p)
+    powers = p ** np.arange(d + 1)
+    n_groups = (d + 1) ** 2    # group (i11l, i11r) is i11l * (d + 1) + i11r
+    n_h = np.zeros(n_groups, dtype=np.int64)      # subspaces H per group
+    fix = np.zeros(n_groups * 36, dtype=np.int64)  # histogram corrections
+    moved = None
+    for h_bases, chunk_h in _middle_chunks(d, p, mid_dim):
         # dim(F & H) and dim(H & F') from the points of H they contain
-        i11l = dim_of[int(np.count_nonzero(mask_f[in_h]))]
-        i11r = dim_of[int(np.count_nonzero(mask_fp[in_h]))]
-        sum_l = _sum_indices(f1.basis, in_f, h_basis, in_h, i11l, d, p)
-        sum_r = _sum_indices(fp1.basis, in_fp, h_basis, in_h, i11r, d, p)
-        # the left zone: w in F+H, w in H, w = 0
-        moved[in_h] += 6
-        moved[0] += 6
-        left = in_h
-        if sum_l is not None:
-            left = sum_l
-            moved[left] += 6
+        meet_l = np.searchsorted(powers, mask_f[chunk_h].sum(axis=1))
+        meet_r = np.searchsorted(powers, mask_fp[chunk_h].sum(axis=1))
+        group = meet_l * (d + 1) + meet_r
+        n_h += np.bincount(group, minlength=n_groups)
+        offs = np.arange(len(h_bases)) * n
+        chunk_vh = perm[chunk_h]
+        sum_l, left = _sums_in_chunk(f1, in_f, meet_l, h_bases, chunk_h,
+                                     offs, None)
+        sum_r, right = _sums_in_chunk(fp1, in_fp, meet_r, h_bases, chunk_vh,
+                                      offs, perm)
+        if moved is None:   # the first chunk is the largest
+            moved = np.zeros(len(h_bases) * n, dtype=np.int8)
+        # moved = base(w) - code(w); the left zone: w in F+H, w in H, w = 0
+        moved[(chunk_h + offs[:, None]).ravel()] += 6
+        moved[offs] += 6
+        moved[sum_l] += 6
         # the right zone: v - w in H+F', v - w in H, w = v; moved is
         # nonzero exactly on `left` here, so pts lists each point once
-        v_minus_h = perm[in_h]
-        right = v_minus_h if sum_r is None else perm[sum_r]
         pts = np.concatenate([left, right[moved[right] == 0]])
-        moved[v_minus_h] += 2
-        moved[perm[0]] += 1
-        if sum_r is not None:
-            moved[right] += 1
-        old = base[pts]
-        fix = (np.bincount(old - moved[pts], minlength=36)
-               - np.bincount(old, minlength=36))
+        moved[(chunk_vh + offs[:, None]).ravel()] += 2
+        moved[offs + perm[0]] += 1
+        moved[sum_r] += 1
+        row = pts // n
+        old = base[pts - row * n] + 36 * group[row]
+        fix += (np.bincount(old - moved[pts], minlength=n_groups * 36)
+                - np.bincount(old, minlength=n_groups * 36))
         moved[pts] = 0
-        group = groups.setdefault((i11l, i11r),
-                                  [0, np.zeros(36, dtype=np.int64)])
-        group[0] += 1
-        group[1] += fix
     counts = {}
-    for (i11l, i11r), (n_h, fix) in groups.items():
+    for g in np.flatnonzero(n_h).tolist():
+        i11l, i11r = divmod(g, d + 1)
         al = (i11l, f1.dim - i11l, mid_dim - i11l,
               d - f1.dim - mid_dim + i11l)
         ar = (i11r, mid_dim - i11r, fp1.dim - i11r,
               d - mid_dim - fp1.dim + i11r)
         # full sums subtract 6 (left) and 1 (right) at every point
         shift = 6 * (al[3] == 0) + (ar[3] == 0)
-        cnt = (n_h * base_hist + fix)[shift:]
+        cnt = (n_h[g] * base_hist + fix[36 * g:36 * g + 36])[shift:]
         for code in np.nonzero(cnt)[0]:
             zl, zr = divmod(int(code), 6)
-            pair = (decorated2(*al, ALL_DELTAS[zl]),
-                    decorated2(*ar, ALL_DELTAS[zr]))
+            pair = (_label(*al, ALL_DELTAS[zl]), _label(*ar, ALL_DELTAS[zr]))
             counts[pair] = int(cnt[code])
     _CONV_CACHE[key] = counts
     return counts
@@ -388,7 +497,7 @@ def _candidate_outputs(d, ro, co):
         a21 = co[0] - a11
         a22 = ro[1] - a21
         for delta in ALL_DELTAS:
-            lab = decorated2(a11, a12, a21, a22, delta)
+            lab = _label(a11, a12, a21, a22, delta)
             if validate(lab)[0]:
                 outs.append(lab)
     return outs
@@ -421,10 +530,13 @@ def structure_constants(left, right, primes):
     ro_r, co_r = row_col_sums(right)
     if co_l != ro_r:
         return SchurElement(d)
+    outs = _candidate_outputs(d, ro_l, co_r)
+    # prime by prime, so the tables of one prime share its point sets
+    counts = [[_conv_table(d, out, ro_r[0], p).get((left, right), 0)
+               for out in outs] for p in primes]
     terms = {}
-    for out in _candidate_outputs(d, ro_l, co_r):
-        pts = [(p, _conv_table(d, out, ro_r[0], p).get((left, right), 0))
-               for p in primes]
+    for out, col in zip(outs, zip(*counts)):
+        pts = list(zip(primes, col))
         try:
             poly = lagrange_interpolate(pts, d * d)
         except ValueError:
@@ -579,7 +691,7 @@ def _mixed_conv_table(d, out_ms, mid_dim, p):
             if not ok:
                 raise RuntimeError(
                     f"classification inconsistency at H={h_basis}: {why}")
-            lab_l = decorated2(*al, ALL_DELTAS[zl])
+            lab_l = _label(*al, ALL_DELTAS[zl])
             pair = (lab_l, ms_r)
             counts[pair] = counts.get(pair, 0) + int(cnt[code])
     _MIXED_CACHE[key] = counts

@@ -127,10 +127,18 @@ class PbwElement(Combination):
 
     @staticmethod
     def from_json(obj):
+        """Read what `to_json` writes.  Each "monomial" must be the word of
+        one basis monomial; any other word raises ValueError rather than
+        being normalised into several terms."""
         out = PbwElement()
         for item in obj["terms"]:
             coeff, letters = parse_word(f"({item['coeff']}) {item['monomial']}")
-            out = out + normalize_word(letters).scale(coeff)
+            norm = normalize_word(letters)
+            mono = next(iter(norm.terms), None)
+            if len(norm.terms) != 1 or mono.letters() != letters:
+                raise ValueError(
+                    f"{item['monomial']!r} is not a PBW basis monomial")
+            out = out + PbwElement.monomial(mono, coeff)
         return out
 
     def __repr__(self):

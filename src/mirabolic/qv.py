@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm, prod
+from operator import mul
 
 
 def _norm_rat(x):
@@ -508,6 +511,34 @@ def q_bracket(m):
     return rf_laurent({2 * i: 1 for i in range(m)})
 
 
+@lru_cache(maxsize=32)
+def _lagrange_basis(nodes):
+    """The Lagrange basis at distinct integer nodes over one denominator.
+
+    Returns (cols, den) with den * L_i(x) = sum_m cols[m][i] x^m for the
+    basis polynomials L_i(x) = prod_{j != i} (x - x_j) / (x_i - x_j); den is
+    the lcm of the |prod_{j != i} (x_i - x_j)|, so every entry is an integer.
+    """
+    full = [1]      # prod_j (x - x_j), constant term first
+    for t in nodes:
+        full = [a - t * b for a, b in zip([0] + full, full + [0])]
+    rows = []
+    for t in nodes:
+        # synthetic division of `full` by (x - t), highest term first
+        quot = [full[-1]]
+        for c in reversed(full[1:-1]):
+            quot.append(c + t * quot[-1])
+        quot.reverse()
+        rows.append((quot, prod(t - u for u in nodes if u != t)))
+    den = lcm(*(abs(w) for _, w in rows))
+    cols = tuple(zip(*([den // w * c for c in quot] for quot, w in rows)))
+    return cols, den
+
+
+def _rational(x):
+    return x if isinstance(x, int) else Fraction(x)
+
+
 def lagrange_interpolate(points, degree_bound):
     """Integer polynomial in q through the given (q-value, value) points.
 
@@ -517,6 +548,11 @@ def lagrange_interpolate(points, degree_bound):
     must come out integral.  Returns the coefficient list, constant term
     first.  Raises ValueError when the data does not support such a
     polynomial.
+
+    The fit is integer arithmetic only: nodes and values are scaled to
+    integers by the lcm of their denominators, and each coefficient is an
+    integer combination of the values, divided exactly by the common
+    denominator of the (cached) Lagrange basis at those nodes.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -524,40 +560,36 @@ def lagrange_interpolate(points, degree_bound):
         raise ValueError(
             f"need {degree_bound + 1} points for degree {degree_bound}, "
             f"got {len(points)}")
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    xs = [_rational(x) for x, _ in points]
+    ys = [_rational(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must be distinct")
     k = degree_bound + 1
-    # Newton's divided differences on the first k points.
-    coef = list(ys[:k])
-    for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * k
-    for j in range(k - 1, -1, -1):
-        # poly <- poly * (x - xs[j]) + coef[j]
-        new = [Fraction(0)] * k
-        for i in range(k - 1):
-            new[i + 1] += poly[i]
-            new[i] -= poly[i] * xs[j]
-        new[0] += coef[j]
-        poly = new
+    # P(x) = Q(sx x) / sy, where Q has integer nodes sx x_i and values sy y_i
+    sx = lcm(*(x.denominator for x in xs[:k]))
+    sy = lcm(*(y.denominator for y in ys[:k]))
+    nodes = tuple(x.numerator * (sx // x.denominator) for x in xs[:k])
+    vals = [y.numerator * (sy // y.denominator) for y in ys[:k]]
+    cols, den = _lagrange_basis(nodes)
+    den *= sy
+    poly = []
+    for m, col in enumerate(cols):
+        num = sum(map(mul, vals, col)) * sx ** m
+        c, rem = divmod(num, den)
+        if rem:
+            raise ValueError("non-integral interpolation coefficient "
+                             f"{Fraction(num, den)}")
+        poly.append(c)
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
-    for x, y in zip(xs, ys):
-        val = Fraction(0)
+    for x, y in zip(xs[k:], ys[k:]):
+        val = 0
         for c in reversed(poly):
             val = val * x + c
         if val != y:
             raise ValueError(
                 f"interpolated polynomial fails at q = {x}: {val} != {y}")
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise ValueError(f"non-integral interpolation coefficient {c}")
-        out.append(c.numerator)
-    return out
+    return poly
 
 
 def substitute_q(qpoly):

@@ -388,17 +388,28 @@ _EVAL_CACHE = {}
 
 
 def eval_letters(d, letters):
-    """The element obtained by multiplying out a generator word."""
-    key = (d, letters)
-    got = _EVAL_CACHE.get(key)
+    """The element obtained by multiplying out a generator word.
+
+    Every suffix of the word is memoised, so words sharing a tail share its
+    evaluation.  The loop starts from the longest suffix already known and
+    applies the remaining letters right to left, with no recursion, so the
+    word length is not bounded by the interpreter's stack.
+    """
+    got = _EVAL_CACHE.get((d, letters))
     if got is not None:
         return got
-    if not letters:
+    start = 0
+    while got is None and start < len(letters):
+        start += 1
+        got = _EVAL_CACHE.get((d, letters[start:]))
+    if got is None:
         got = identity_element(d)
-    else:
-        got = apply_letter(letters[0], eval_letters(d, letters[1:]))
-    with _EVAL_LOCK:
-        _EVAL_CACHE[key] = got
+        with _EVAL_LOCK:
+            _EVAL_CACHE[(d, ())] = got
+    for i in range(start - 1, -1, -1):
+        got = apply_letter(letters[i], got)
+        with _EVAL_LOCK:
+            _EVAL_CACHE[(d, letters[i:])] = got
     return got
 
 

@@ -1,4 +1,5 @@
-"""Acceptance suite: ten criteria, one verdict line each under pytest -v.
+"""Acceptance suite: ten criteria, one verdict line each under pytest -v,
+and the exhaustive form of criterion 2 at d = 3.
 
 Every comparison is exact (structural equality of canonical forms); there are
 no tolerances anywhere.  Stated runtime budgets are asserted.
@@ -87,6 +88,21 @@ def test_criterion_02_oracle_equivalence():
     _verdict(2, not mismatches and elapsed < 300.0,
              f"{len(pairs2)} pairs at d=2 + 50 pairs at d=3, "
              f"{len(mismatches)} mismatches, {elapsed:.1f}s < 300s")
+
+
+def test_oracle_equivalence_exhaustive_d3():
+    # criterion 2 samples 50 of the d = 3 pairs; this takes all of them.
+    # It runs right after criterion 2 and reads the tables that one built.
+    primes = oracle.primes_list(10)
+    labels = enumerate_xi(2, 3)
+    pairs = [(a, b) for a in labels for b in labels
+             if row_col_sums(a)[1] == row_col_sums(b)[0]]
+    mismatches = [(left, right) for left, right in pairs
+                  if oracle.structure_constants(left, right, primes)
+                  != mul_general(SchurElement.basis(3, left),
+                                 SchurElement.basis(3, right))]
+    assert len(pairs) == 1168
+    assert not mismatches, mismatches[:5]
 
 
 def test_criterion_03_generation_theorem():

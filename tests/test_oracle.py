@@ -113,6 +113,41 @@ def test_conv_table_matches_literal_enumeration():
                     (d, out, mid_dim, p)
 
 
+class _CheckedMemo(oracle._PointMemo):
+    """The memo, checking its bound after every insertion."""
+
+    def put(self, key, value, size):
+        got = super().put(key, value, size)
+        assert self.size == sum(n for _, n in self.entries.values())
+        assert self.size <= oracle.SIZE_GUARD
+        return got
+
+
+def test_point_memo_stays_bounded(monkeypatch):
+    # the planes of F_31^3 fill most of the memo (993 x 961 indices), and
+    # those of F_37^3 (1,407 x 1,369) alone exceed SIZE_GUARD, so the memo
+    # drops entries while it counts
+    d, mid = 3, 2
+    outs = [decorated2(0, 1, 1, 1), decorated2(1, 1, 1, 0, {(2, 1)}),
+            decorated2(0, 1, 2, 0, {(1, 2), (2, 1)})]
+    monkeypatch.setattr(oracle, "_POINTS", _CheckedMemo(oracle.SIZE_GUARD))
+    monkeypatch.setattr(oracle, "_CONV_CACHE", {})
+    for out in outs:
+        oracle._conv_table(d, out, mid, 31)
+    tables = [oracle._conv_table(d, out, mid, 37) for out in outs]
+    assert oracle._POINTS.entries
+    for value, _ in oracle._POINTS.entries.values():
+        for arr in (value[1:] if isinstance(value, tuple) else (value,)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # a fresh session, with nothing cached, counts the same
+    monkeypatch.setattr(oracle, "_POINTS",
+                        oracle._PointMemo(oracle.SIZE_GUARD))
+    monkeypatch.setattr(oracle, "_CONV_CACHE", {})
+    assert [oracle._conv_table(d, out, mid, 37) for out in outs] == tables
+
+
 def test_counts_are_nonnegative_integers():
     rng = random.Random(6)
     labels = enumerate_xi(2, 2)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from mirabolic import pbw
+from mirabolic import pbw, schur_algebra
 from mirabolic.linalg import rank_of_rows
 from mirabolic.qv import (RF_ONE, quantum_integer, rf_const, v_power)
-from mirabolic.schur_algebra import apply_letter, chevalley
+from mirabolic.schur_algebra import (SchurElement, apply_letter, chevalley,
+                                     identity_element)
 
 
 def nf(text):
@@ -227,3 +228,29 @@ def test_word_grammar():
 def test_element_json_round_trip():
     x = nf("e f k") + nf("l e").scale(quantum_integer(2))
     assert pbw.PbwElement.from_json(x.to_json()) == x
+
+
+def test_element_json_rejects_non_normal_words():
+    # "e f e" is a valid word but not a basis monomial: it normalises into
+    # three terms, so reading it as one term would change the element
+    obj = {"terms": [{"monomial": "e f e", "coeff": "1"}]}
+    assert len(nf("e f e").terms) == 3
+    with pytest.raises(ValueError, match="not a PBW basis monomial"):
+        pbw.PbwElement.from_json(obj)
+    x = nf("e f e").scale(quantum_integer(3)) + nf("l f^2 k^-1")
+    assert pbw.PbwElement.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("n", [1200, 5000])
+def test_project_long_k_power(monkeypatch, n):
+    # a word of n letters is evaluated without recursion; every suffix is
+    # memoised, the empty word included (a fresh memo, freed afterwards)
+    monkeypatch.setattr(schur_algebra, "_EVAL_CACHE", {})
+    got = pbw.project_to_schur(
+        2, pbw.PbwElement.monomial(pbw.PbwMonomial(0, 0, 0, n)))
+    # k acts on 1_(r, d-r) by v^(2r - d)
+    want = SchurElement(2, {
+        lab: c * v_power(n * (2 * sum(lab.a[0]) - 2))
+        for lab, c in identity_element(2).terms.items()})
+    assert got == want
+    assert len(schur_algebra._EVAL_CACHE) == n + 1

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirabolic.qv import (LP_ONE, LP_ZERO, RF_ONE, RF_ZERO, LaurentPolynomial,
                           format_coeff, lagrange_interpolate, lp_v_power,
@@ -94,6 +96,103 @@ def test_interpolation():
     assert lagrange_interpolate(pts, 3) == [3, -1, 2]
     with pytest.raises(ValueError):
         lagrange_interpolate([(2, 1), (3, 2), (5, 100)], 1)
+
+
+def _newton_fit(points, degree_bound):
+    """Reference: Newton's divided differences in Fractions on the first
+    degree_bound + 1 points, every point checked, integral coefficients
+    required; None wherever lagrange_interpolate must raise ValueError."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    k = degree_bound + 1
+    if len(points) < k or len(set(xs)) != len(xs):
+        return None
+    coef = list(ys[:k])
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = [Fraction(0)] * k
+    for j in range(k - 1, -1, -1):
+        # poly <- poly * (x - xs[j]) + coef[j]
+        new = [Fraction(0)] * k
+        for i in range(k - 1):
+            new[i + 1] += poly[i]
+            new[i] -= poly[i] * xs[j]
+        new[0] += coef[j]
+        poly = new
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    for x, y in zip(xs, ys):
+        if sum(c * x ** i for i, c in enumerate(poly)) != y:
+            return None
+    if any(c.denominator != 1 for c in poly):
+        return None
+    return [int(c) for c in poly]
+
+
+def _fit(points, degree_bound):
+    try:
+        return lagrange_interpolate(points, degree_bound)
+    except ValueError:
+        return None
+
+
+PRIMES10 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+INTERP = settings(max_examples=60, deadline=None, database=None,
+                  derandomize=True)
+RATS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def _value(poly, x):
+    return sum(c * x ** i for i, c in enumerate(poly))
+
+
+@INTERP
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=10),
+       st.integers(0, 9))
+def test_interpolation_recovers_integer_polynomials(poly, extra):
+    # the oracle's case: degree <= 9 at the first 10 primes, plus points
+    # beyond the first 10 that are checked against the fit
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    nodes = PRIMES10 + (31, 37, 41, 43, 47, 53, 59, 61, 67)[:extra]
+    pts = [(p, _value(poly, p)) for p in nodes]
+    assert lagrange_interpolate(pts, 9) == poly == _newton_fit(pts, 9)
+    # a wrong value anywhere is a point the fit misses, or a non-integral fit
+    i = extra % len(pts)
+    bad = pts[:i] + [(pts[i][0], pts[i][1] + 1)] + pts[i + 1:]
+    assert _fit(bad, 9) is None and _newton_fit(bad, 9) is None
+
+
+@INTERP
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=5),
+       st.lists(RATS, min_size=1, max_size=8, unique=True),
+       st.integers(0, 4))
+def test_interpolation_rational_nodes(poly, nodes, degree_bound):
+    # rational nodes with exact rational values of an integer polynomial
+    pts = [(x, _value(poly, x)) for x in nodes]
+    assert _fit(pts, degree_bound) == _newton_fit(pts, degree_bound)
+
+
+@INTERP
+@given(st.lists(st.tuples(RATS, RATS), min_size=1, max_size=7),
+       st.integers(0, 5))
+def test_interpolation_rational_data(pts, degree_bound):
+    # arbitrary rational data, repeated nodes included: the same verdict
+    assert _fit(pts, degree_bound) == _newton_fit(pts, degree_bound)
+
+
+def test_interpolation_errors():
+    with pytest.raises(ValueError, match="need 3 points"):
+        lagrange_interpolate([(2, 1), (3, 1)], 2)
+    with pytest.raises(ValueError, match="distinct"):
+        lagrange_interpolate([(2, 1), (3, 1), (Fraction(4, 2), 1)], 1)
+    with pytest.raises(ValueError, match="fails at q = 5"):
+        lagrange_interpolate([(2, 4), (3, 9), (5, 26)], 1)
+    with pytest.raises(ValueError, match="non-integral"):
+        lagrange_interpolate([(2, 0), (4, 1)], 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lagrange_interpolate([(2, 0)], -1)
 
 
 def test_substitute_q():
