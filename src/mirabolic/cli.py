@@ -9,17 +9,16 @@ verification ran and failed, 2 on usage errors.
 import argparse
 import csv
 import json
-import random
 import sys
 from math import comb
 
+from . import checks
 from . import oracle as oracle_mod
 from . import pbw, reps, tensor_space
 from .decorated import (DecoratedMatrix, count_xi_tensor, enumerate_xi,
                         row_col_sums, validate)
-from .qv import RF_ONE, RF_ZERO, format_coeff
-from .schur_algebra import (SchurElement, apply_letter, eval_letters,
-                            mul_general)
+from .qv import format_coeff
+from .schur_algebra import SchurElement, mul_general
 
 
 def _emit(obj):
@@ -44,6 +43,23 @@ def _check_tensor_size(d):
                          f"basis vectors")
 
 
+def _check_module(dim):
+    """Refuse a module of dimension dim: build_module allocates five dense
+    dim x dim generator matrices."""
+    _check_size(5 * dim * dim, "matrix entries")
+
+
+def _check_oracle_size(d):
+    """Refuse an oracle sweep at d if the last of the d^2 + 1 primes that
+    interpolation needs has p^d > oracle.SIZE_GUARD; as p^d >= 2^d, a d
+    past the guard's bit length is refused without listing the primes."""
+    guard = oracle_mod.SIZE_GUARD
+    if d >= guard.bit_length() or \
+            oracle_mod.primes_list(d * d + 1)[-1] ** d > guard:
+        raise ValueError(f"the oracle at d={d} counts more than {guard} "
+                         f"points per prime")
+
+
 def _read_json_arg(text):
     """Accept either a path to a JSON file or an inline JSON object."""
     if text.lstrip().startswith("{"):
@@ -52,153 +68,20 @@ def _read_json_arg(text):
         return json.load(fh)
 
 
-# ---------------------------------------------------------------------------
-# verification suites
+def _check_modules(n_max):
+    """Guard the simple modules with n <= n_max by the largest of them."""
+    _check_module(max(2 * n_max, n_max + 1))
 
 
-def _suite_relations(d):
-    checks = []
-    for name, lhs, rhs in pbw.defining_relations():
-        a = SchurElement(d)
-        for c, letters in lhs:
-            a = a + eval_letters(d, letters).scale(c)
-        b = SchurElement(d)
-        for c, letters in rhs:
-            b = b + eval_letters(d, letters).scale(c)
-        checks.append((name, a == b))
-    return checks
-
-
-def _suite_pbw(d):
-    checks = []
-    for name, lhs, rhs in pbw.defining_relations():
-        a = pbw.PbwElement()
-        for c, letters in lhs:
-            a = a + pbw.normalize_word(letters).scale(c)
-        b = pbw.PbwElement()
-        for c, letters in rhs:
-            b = b + pbw.normalize_word(letters).scale(c)
-        checks.append(("normal form: " + name, a == b))
-    for side in ("e", "f"):
-        for a_exp in range(4):
-            for b_exp in range(4):
-                if a_exp + b_exp == 0:
-                    continue
-                word = ((side,) * a_exp + ("l",) + (side,) * b_exp)
-                ok = pbw.normalize_word(word) == pbw.move_out(side, a_exp, b_exp)
-                checks.append((f"move-out {side} a={a_exp} b={b_exp}", ok))
-    rng = random.Random(20240601)
-    for i in range(5):
-        word = tuple(rng.choice(pbw.GENERATORS) for _ in range(rng.randint(1, 5)))
-        x = pbw.normalize_word(word)
-        ok = pbw.antiautomorphism(pbw.antiautomorphism(x)) == x
-        checks.append((f"antiautomorphism involution #{i + 1}", ok))
-    monos = pbw.enumerate_monomials(2, 2, 1)
-    hom_ok = True
-    for mono in monos:
-        x = pbw.PbwElement.monomial(mono)
-        px = pbw.project_to_schur(d, x)
-        for g in pbw.GENERATORS:
-            if pbw.project_to_schur(d, pbw.left_mul_generator(g, x)) != \
-                    apply_letter(g, px):
-                hom_ok = False
-    checks.append((f"quotient map is a homomorphism at d={d}", hom_ok))
-    return checks
-
-
-def _suite_casimir(n_max):
-    checks = []
-    c = pbw.casimir_element()
-    for g in pbw.GENERATORS:
-        ok = pbw.left_mul_generator(g, c) == pbw.multiply(c, pbw.generator(g))
-        checks.append((f"[casimir, {g}] = 0", ok))
-    for sign in reps.SIGNS:
-        for kind in reps.KINDS:
-            lo = 1 if kind == "L01" else 0
-            for n in range(lo, n_max + 1):
-                M = reps.build_module(kind, sign, n)
-                ok = reps.casimir_scalar(M) == \
-                    reps.casimir_scalar_formula(kind, sign, n)
-                checks.append((f"casimir scalar on {M.name}", ok))
-    return checks
-
-
-def _suite_reps(n_max):
-    checks = []
-    rels = pbw.defining_relations()
-    for sign in reps.SIGNS:
-        for kind in reps.KINDS:
-            lo = 1 if kind == "L01" else 0
-            for n in range(lo, n_max + 1):
-                M = reps.build_module(kind, sign, n)
-                bad = []
-                for name, lhs, rhs in rels:
-                    for j in range(M.dim):
-                        unit = [RF_ZERO] * M.dim
-                        unit[j] = RF_ONE
-                        a = [RF_ZERO] * M.dim
-                        for c, w in lhs:
-                            o = reps.act(reps.GeneratorWord(c, w), M, unit)
-                            a = [p + q for p, q in zip(a, o)]
-                        b = [RF_ZERO] * M.dim
-                        for c, w in rhs:
-                            o = reps.act(reps.GeneratorWord(c, w), M, unit)
-                            b = [p + q for p, q in zip(b, o)]
-                        if a != b:
-                            bad.append(name)
-                            break
-                checks.append((f"relations on {M.name}", not bad))
-    return checks
-
-
-def _suite_tensor(d_max):
-    checks = []
-    for d in range(1, d_max + 1):
-        w = tensor_space.weight_multiplicities(d)
-        ok = all(w[(d - 2 * r, eps)] == tensor_space.rhs_closed_form(d, r, eps)
-                 for r in range(d + 1) for eps in (0, 1))
-        checks.append((f"weight closed forms at d={d}", ok))
-        ok = sum(w.values()) == count_xi_tensor(2, d)
-        checks.append((f"total dimension at d={d}", ok))
-        if d <= 4:
-            idem, comm = True, True
-            for label in enumerate_xi(2, d, tensor=True):
-                x = tensor_space.TensorElement.basis(d, label)
-                lx = tensor_space.ell_action(x)
-                if tensor_space.ell_action(lx) != lx:
-                    idem = False
-                if tensor_space.k_action(lx) != \
-                        tensor_space.ell_action(tensor_space.k_action(x)):
-                    comm = False
-            checks.append((f"idempotent action at d={d}", idem))
-            checks.append((f"k and l actions commute at d={d}", comm))
-    return checks
-
-
-def _suite_oracle(d, pairs):
-    primes = oracle_mod.primes_list(d * d + 1)
-    labels = enumerate_xi(2, d)
-    rng = random.Random(97 + d)
-    compat = [(a, b) for a in labels for b in labels
-              if row_col_sums(a)[1] == row_col_sums(b)[0]]
-    sample = rng.sample(compat, min(pairs, len(compat)))
-    checks = []
-    for left, right in sample:
-        got = oracle_mod.structure_constants(left, right, primes)
-        want = mul_general(SchurElement.basis(d, left),
-                           SchurElement.basis(d, right))
-        checks.append((f"{left} * {right}", got == want))
-    return checks
-
-
+# verify --suite: (checks, the size option they take, its default, the
+# guard that refuses a size before any work)
 _SUITES = {
-    "relations": lambda args: _suite_relations(args.d if args.d else 3),
-    "pbw": lambda args: _suite_pbw(args.d if args.d else 3),
-    "casimir": lambda args: _suite_casimir(args.n if args.n else 4),
-    "reps": lambda args: _suite_reps(args.n if args.n else 4),
-    "tensor": lambda args: _suite_tensor(args.d if args.d else 4),
-    "oracle": lambda args: _suite_oracle(args.d if args.d else 2,
-                                         args.pairs),
+    "relations": (checks.relations_suite, "d", 3, None),
+    "pbw": (checks.pbw_suite, "d", 3, None),
+    "casimir": (checks.casimir_suite, "n", 4, _check_modules),
+    "reps": (checks.module_relations, "n", 4, _check_modules),
+    "tensor": (checks.tensor_suite, "d", 4, _check_tensor_size),
+    "oracle": (checks.oracle_suite, "d", 2, _check_oracle_size),
 }
 
 
@@ -222,9 +105,19 @@ def _cmd_normalize(args):
 
 
 def _cmd_verify(args):
-    checks = _SUITES[args.suite](args)
-    failures = [name for name, ok in checks if not ok]
-    out = {"passed": len(checks) - len(failures), "failed": len(failures)}
+    if (args.d is not None and args.d < 1) or \
+            (args.n is not None and args.n < 0) or args.pairs < 1:
+        raise ValueError(f"need d >= 1, n >= 0 and pairs >= 1, got d={args.d}, "
+                         f"n={args.n}, pairs={args.pairs}")
+    suite, option, default, guard = _SUITES[args.suite]
+    size = getattr(args, option)
+    size = default if size is None else size
+    if guard:
+        guard(size)
+    results = (suite(size, args.pairs) if args.suite == "oracle"
+               else suite(size))
+    failures = checks.failures(results)
+    out = {"passed": len(results) - len(failures), "failed": len(failures)}
     if failures:
         out["failures"] = failures
     _emit(out)
@@ -240,9 +133,7 @@ def _weight_rows(table):
 
 def _cmd_rep(args):
     kind, sign, n = reps.parse_module_name(args.module)
-    dim = 2 * n if kind == "L01" else n + 1
-    # build_module allocates five dense dim x dim generator matrices
-    _check_size(5 * dim * dim, "matrix entries")
+    _check_module(2 * n if kind == "L01" else n + 1)
     M = reps.build_module(kind, sign, n)
     out = {"module": M.name, "dim": M.dim,
            "weights": _weight_rows(reps.weight_table(M))}
@@ -266,10 +157,9 @@ def _cmd_weights(args):
             for (a, eps), m in table.items()]
     rows.sort(key=lambda r: (-r["a"], r["eps"]))
     if args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["a", "eps", "mult", "closed_form"])
-        for r in rows:
-            w.writerow([r["a"], r["eps"], r["mult"], r["closed_form"]])
+        w = csv.DictWriter(sys.stdout, ["a", "eps", "mult", "closed_form"])
+        w.writeheader()
+        w.writerows(rows)
     else:
         _emit({"d": args.d, "rows": rows})
     return 0
@@ -313,13 +203,9 @@ def _cmd_oracle(args):
 
     if args.counts:
         with open(args.counts, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["label", "p", "count"])
-            w.writerows(rows)
+            csv.writer(fh).writerows([("label", "p", "count")] + rows)
     if args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["label", "p", "count"])
-        w.writerows(rows)
+        csv.writer(sys.stdout).writerows([("label", "p", "count")] + rows)
     else:
         _emit(product.to_json())
     return 0

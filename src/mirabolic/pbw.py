@@ -27,7 +27,6 @@ algebra.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .linalg import Combination, bump
@@ -169,7 +168,6 @@ def generator(name):
 # ---------------------------------------------------------------------------
 # straightening of mixed e/f blocks
 
-_STRAIGHTEN_LOCK = threading.Lock()
 _EF_CACHE = {}
 _FE_CACHE = {}
 
@@ -196,8 +194,7 @@ def ef_straighten(a, b):
             for (r, s, t), c in ef_straighten(a - 1, b - 1).items():
                 bump(out, (r, s, t + 1), c * cb * v_power(1 - b))
                 bump(out, (r, s, t - 1), -c * cb * v_power(b - 1))
-    with _STRAIGHTEN_LOCK:
-        _EF_CACHE[key] = out
+    _EF_CACHE[key] = out
     return out
 
 
@@ -222,8 +219,7 @@ def fe_straighten(a, b):
             for (s, r, t), c in fe_straighten(a - 1, b - 1).items():
                 bump(out, (s, r, t + 1), -c * cb * v_power(b - 1))
                 bump(out, (s, r, t - 1), c * cb * v_power(1 - b))
-    with _STRAIGHTEN_LOCK:
-        _FE_CACHE[key] = out
+    _FE_CACHE[key] = out
     return out
 
 
@@ -249,7 +245,6 @@ def move_out(side, a, b):
 # ---------------------------------------------------------------------------
 # left multiplication by a generator
 
-_MUL_LOCK = threading.Lock()
 _MUL_CACHE = {}
 
 
@@ -378,8 +373,7 @@ def _mul_mono(g, mono):
             bump(out, _mono(5, r, s - 1, t - 1), cs * v_power(1 - s + 2 * r))
     else:
         raise ValueError(f"unknown generator {g!r}")
-    with _MUL_LOCK:
-        _MUL_CACHE[key] = out
+    _MUL_CACHE[key] = out
     return out
 
 

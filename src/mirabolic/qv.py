@@ -16,7 +16,7 @@ is available for counting arguments; the two are related through q = v^2 by
 
 >>> quantum_integer(3) == parse_coeff("v^2+1+v^-2")
 True
->>> arithmetic(parse_coeff("v^2-v^-2"), parse_coeff("v-v^-1"), "div")
+>>> parse_coeff("v^2-v^-2") / parse_coeff("v-v^-1")
 RationalFunction(v+v^-1)
 """
 
@@ -125,24 +125,6 @@ class LaurentPolynomial:
         out.c = {k: _norm_rat(v * r) for k, v in self.c.items()}
         out._hash = None
         return out
-
-    def shift(self, n):
-        """Multiply by v^n."""
-        if n == 0:
-            return self
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out.c = {k + n: v for k, v in self.c.items()}
-        out._hash = None
-        return out
-
-    def evaluate(self, x):
-        """Exact value at a nonzero rational point (zero allowed if no
-        negative exponents appear)."""
-        x = Fraction(x)
-        total = Fraction(0)
-        for k, v in self.c.items():
-            total += Fraction(v) * x ** k
-        return total
 
     def __repr__(self):
         return f"LaurentPolynomial({_format_laurent(self)})"
@@ -377,14 +359,6 @@ class RationalFunction:
         n, d = _rf_canonical(self.den, self.num)
         return RationalFunction._raw(n, d)
 
-    def evaluate(self, x):
-        """Exact value at a rational point; the point must not be a pole."""
-        x = Fraction(x)
-        dv = self.den.evaluate(x)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at v = {x}")
-        return self.num.evaluate(x) / dv
-
     def is_laurent(self):
         return self.den == LP_ONE
 
@@ -462,19 +436,6 @@ def v_power(n):
 def rf_laurent(coeffs):
     """Rational function from {exponent: coefficient}."""
     return RationalFunction._raw(LaurentPolynomial(coeffs), LP_ONE)
-
-
-def arithmetic(x, y, op):
-    """Field operation on two rational functions: add / sub / mul / div."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def quantum_integer(m):

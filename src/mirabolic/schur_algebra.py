@@ -18,7 +18,6 @@ the tables below rely on that convention.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass
 from math import comb
 
@@ -28,8 +27,6 @@ from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
 from .linalg import Combination, bump
 from .qv import (RF_ONE, RationalFunction, format_coeff, q_bracket, q_power,
                  quantum_factorial, quantum_integer, v_power)
-
-LETTERS = ("e", "f", "k", "k^-1", "l")
 
 
 class SchurElement(Combination):
@@ -383,7 +380,6 @@ def apply_word(word, x):
     return x.scale(word.scalar)
 
 
-_EVAL_LOCK = threading.Lock()
 _EVAL_CACHE = {}
 
 
@@ -404,12 +400,10 @@ def eval_letters(d, letters):
         got = _EVAL_CACHE.get((d, letters[start:]))
     if got is None:
         got = identity_element(d)
-        with _EVAL_LOCK:
-            _EVAL_CACHE[(d, ())] = got
+        _EVAL_CACHE[(d, ())] = got
     for i in range(start - 1, -1, -1):
         got = apply_letter(letters[i], got)
-        with _EVAL_LOCK:
-            _EVAL_CACHE[(d, letters[i:])] = got
+        _EVAL_CACHE[(d, letters[i:])] = got
     return got
 
 
@@ -463,7 +457,6 @@ def star(x):
 #               (mul_general, t22_diagonal).
 # ---------------------------------------------------------------------------
 
-_COMBO_LOCK = threading.Lock()
 _COMBO_CACHE = {}
 
 
@@ -471,8 +464,7 @@ def _cached(key, build):
     got = _COMBO_CACHE.get(key)
     if got is None:
         got = build()
-        with _COMBO_LOCK:
-            _COMBO_CACHE[key] = got
+        _COMBO_CACHE[key] = got
     return got
 
 

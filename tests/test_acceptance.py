@@ -7,18 +7,19 @@ no tolerances anywhere.  Stated runtime budgets are asserted.
 
 import random
 import time
+from functools import partial
 from math import comb
 
-from mirabolic import oracle, pbw, reps, tensor_space
+from mirabolic import checks, oracle, pbw, reps, tensor_space
 from mirabolic.decorated import (MarkedSequence, count_xi_tensor,
                                  enumerate_xi, matrix_to_sequence,
-                                 row_col_sums, sequence_to_matrix)
+                                 sequence_to_matrix)
 from mirabolic.linalg import rank_of_rows
 from mirabolic.qv import RF_ONE, RF_ZERO, quantum_integer, v_power
 from mirabolic.schur_algebra import (GeneratorWord, SchurElement, chevalley,
                                      evaluate_words, express_in_generators,
                                      identity_element, left_mul_special,
-                                     mul_general, t22_diagonal, x22_key)
+                                     t22_diagonal, x22_key)
 
 
 def _verdict(num, ok, detail):
@@ -36,23 +37,21 @@ def _apply_specials(letter, x):
     return out
 
 
+def _word_by_specials(d, letters):
+    x = identity_element(d)
+    for g in reversed(letters):
+        x = _apply_specials(g, x)
+    return x
+
+
 def test_criterion_01_relation_suite():
     t0 = time.monotonic()
     checked = 0
     for d in range(1, 6):
-        one = identity_element(d)
-        for name, lhs, rhs in pbw.defining_relations():
-            sides = []
-            for side in (lhs, rhs):
-                total = SchurElement(d)
-                for c, letters in side:
-                    x = one
-                    for g in reversed(letters):
-                        x = _apply_specials(g, x)
-                    total = total + x.scale(c)
-                sides.append(total)
-            assert sides[0] == sides[1], (d, name)
-            checked += 1
+        results = checks.relations(
+            checks.linear_side(partial(_word_by_specials, d)))
+        assert not checks.failures(results), (d, checks.failures(results))
+        checked += len(results)
     elapsed = time.monotonic() - t0
     _verdict(1, checked == 50 and elapsed < 10.0,
              f"{checked} relation instances, d=1..5, {elapsed:.1f}s < 10s")
@@ -61,28 +60,11 @@ def test_criterion_01_relation_suite():
 def test_criterion_02_oracle_equivalence():
     t0 = time.monotonic()
     primes = oracle.primes_list(13)
-    mismatches = []
-
-    labels2 = enumerate_xi(2, 2)
-    pairs2 = [(a, b) for a in labels2 for b in labels2
-              if row_col_sums(a)[1] == row_col_sums(b)[0]]
-    for left, right in pairs2:
-        got = oracle.structure_constants(left, right, primes[:5])
-        want = mul_general(SchurElement.basis(2, left),
-                           SchurElement.basis(2, right))
-        if got != want:
-            mismatches.append((2, left, right))
-
-    labels3 = enumerate_xi(2, 3)
-    pairs3 = [(a, b) for a in labels3 for b in labels3
-              if row_col_sums(a)[1] == row_col_sums(b)[0]]
+    pairs2 = checks.compatible_pairs(2)
+    mismatches = checks.failures(checks.oracle_agrees(pairs2, primes[:5]))
     rng = random.Random(271828)
-    for left, right in rng.sample(pairs3, 50):
-        got = oracle.structure_constants(left, right, primes[:10])
-        want = mul_general(SchurElement.basis(3, left),
-                           SchurElement.basis(3, right))
-        if got != want:
-            mismatches.append((3, left, right))
+    sample3 = rng.sample(checks.compatible_pairs(3), 50)
+    mismatches += checks.failures(checks.oracle_agrees(sample3, primes[:10]))
 
     elapsed = time.monotonic() - t0
     _verdict(2, not mismatches and elapsed < 300.0,
@@ -93,14 +75,9 @@ def test_criterion_02_oracle_equivalence():
 def test_oracle_equivalence_exhaustive_d3():
     # criterion 2 samples 50 of the d = 3 pairs; this takes all of them.
     # It runs right after criterion 2 and reads the tables that one built.
-    primes = oracle.primes_list(10)
-    labels = enumerate_xi(2, 3)
-    pairs = [(a, b) for a in labels for b in labels
-             if row_col_sums(a)[1] == row_col_sums(b)[0]]
-    mismatches = [(left, right) for left, right in pairs
-                  if oracle.structure_constants(left, right, primes)
-                  != mul_general(SchurElement.basis(3, left),
-                                 SchurElement.basis(3, right))]
+    pairs = checks.compatible_pairs(3)
+    mismatches = checks.failures(
+        checks.oracle_agrees(pairs, oracle.primes_list(10)))
     assert len(pairs) == 1168
     assert not mismatches, mismatches[:5]
 
@@ -130,15 +107,7 @@ def test_criterion_04_decorated_diagonal_lemma():
 
 def test_criterion_05_pbw_basis():
     # (a) the move-out identities inside the normal-form engine
-    ok_a = True
-    for side in ("e", "f"):
-        for a in range(6):
-            for b in range(6):
-                if a + b == 0:
-                    continue
-                letters = (side,) * a + ("l",) + (side,) * b
-                if pbw.normalize_word(letters) != pbw.move_out(side, a, b):
-                    ok_a = False
+    ok_a = not checks.failures(checks.move_out(5))
 
     # (b) full rank of the projected monomial family at d = 7.  Right
     # multiplication by k^t only rescales each right-weight component, so the
@@ -168,27 +137,10 @@ def test_criterion_05_pbw_basis():
 
 
 def test_criterion_06_casimir():
-    c = pbw.casimir_element()
-    ok_comm = all(
-        pbw.left_mul_generator(g, c) == pbw.multiply(c, pbw.generator(g))
-        for g in pbw.GENERATORS)
-
-    ok_scalar = True
-    for sign in reps.SIGNS:
-        for kind in reps.KINDS:
-            lo = 1 if kind == "L01" else 0
-            for n in range(lo, 7):
-                M = reps.build_module(kind, sign, n)
-                if reps.casimir_scalar(M) != \
-                        reps.casimir_scalar_formula(kind, sign, n):
-                    ok_scalar = False
-
-    scalars = []
-    for sign in reps.SIGNS:
-        for kind in reps.KINDS:
-            lo = 1 if kind == "L01" else 0
-            for n in range(lo, 9):
-                scalars.append(reps.casimir_scalar_formula(kind, sign, n))
+    ok_comm = not checks.failures(checks.casimir_commutators())
+    ok_scalar = not checks.failures(checks.casimir_scalars(6))
+    scalars = [reps.casimir_scalar_formula(M.kind, M.sign, M.n)
+               for M in checks.simple_modules(8)]
     ok_distinct = len(set(scalars)) == len(scalars)
 
     _verdict(6, ok_comm and ok_scalar and ok_distinct,
@@ -198,27 +150,7 @@ def test_criterion_06_casimir():
 
 
 def test_criterion_07_representations():
-    rels = pbw.defining_relations()
-    ok_rel = True
-    for sign in reps.SIGNS:
-        for kind in reps.KINDS:
-            lo = 1 if kind == "L01" else 0
-            for n in range(lo, 7):
-                M = reps.build_module(kind, sign, n)
-                for name, lhs, rhs in rels:
-                    for j in range(M.dim):
-                        vec = [RF_ZERO] * M.dim
-                        vec[j] = RF_ONE
-                        a = [RF_ZERO] * M.dim
-                        for cc, w in lhs:
-                            out = reps.act(GeneratorWord(cc, w), M, vec)
-                            a = [p + q for p, q in zip(a, out)]
-                        b = [RF_ZERO] * M.dim
-                        for cc, w in rhs:
-                            out = reps.act(GeneratorWord(cc, w), M, vec)
-                            b = [p + q for p, q in zip(b, out)]
-                        if a != b:
-                            ok_rel = False
+    ok_rel = not checks.failures(checks.module_relations(6))
 
     ok_comm = True
     for sign in reps.SIGNS:
@@ -259,17 +191,9 @@ def test_criterion_08_tensor_weights():
     def c(n, k):
         return comb(n, k) if 0 <= k <= n else 0
 
-    ok_wt = True
-    ok_tot = True
-    for d in range(1, 9):
-        w = tensor_space.weight_multiplicities(d)
-        for r in range(d + 1):
-            for eps in (0, 1):
-                if w[(d - 2 * r, eps)] != \
-                        tensor_space.rhs_closed_form(d, r, eps):
-                    ok_wt = False
-        if sum(w.values()) != count_xi_tensor(2, d):
-            ok_tot = False
+    closed_forms, totals = zip(*(checks.tensor(d)[:2] for d in range(1, 9)))
+    ok_wt = not checks.failures(closed_forms)
+    ok_tot = not checks.failures(totals)
 
     ok_inv = True
     for d in range(1, 11):

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from mirabolic import pbw
 from mirabolic.cli import main
+from mirabolic.qv import RF_ONE
 
 
 def run(capsys, *argv):
@@ -249,5 +251,95 @@ def test_readme_examples_are_byte_identical(capsys, argv, digest):
 def test_huge_sizes_are_refused_at_once(capsys, argv):
     t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err and not out
+    assert time.monotonic() - t0 < 1.0
+
+
+# sha256 of the stdout of every verify suite at its defaults and at one
+# larger size, recorded before the checks moved into mirabolic.checks
+VERIFY_GOLDEN = [
+    (("relations",),
+     "2c6a2e1100cc83e771f932fd3195fafb558ff6b56201a82a8dc0fd29fcc0791a"),
+    (("pbw",),
+     "480b059fb3ebae4fd96678f56cac163d23ad50aa1ddf32cb0a6a5ab53ffb6253"),
+    (("casimir",),
+     "f6e9a5f6894db973bbee4d273ea8dba37fb6212cd64358bb81119913ed437827"),
+    (("reps",),
+     "ed773e25f3ac5eb665d90d0f8068910d614c13ef89c0990ad008284ca020a2cd"),
+    (("tensor",),
+     "ffabd70d115364d8bc64c7f5e860d96b237de37dde1134849918b2a23b81b6fb"),
+    (("oracle",),
+     "1cac9634f14bf9af0ee7fd24358c26bc6c6ea35e2d97cdaf46e2660562229482"),
+    (("relations", "--d", "5"),
+     "2c6a2e1100cc83e771f932fd3195fafb558ff6b56201a82a8dc0fd29fcc0791a"),
+    (("pbw", "--d", "4"),
+     "480b059fb3ebae4fd96678f56cac163d23ad50aa1ddf32cb0a6a5ab53ffb6253"),
+    (("casimir", "--n", "6"),
+     "dcfa9c628726be6eaf63fdec58dc81bb0ac271ed23096d9845a066bc4a989a13"),
+    (("reps", "--n", "6"),
+     "9de89eb6a80c5d2ffb02775ccc4a4f9d8014ffa75672c4f87d9b0a45420475e8"),
+    (("tensor", "--d", "5"),
+     "e466117993854df8372cbce926517a6be23f9b870744f1fff4acd7c039e0a6b5"),
+    (("oracle", "--d", "2", "--pairs", "10"),
+     "2c6a2e1100cc83e771f932fd3195fafb558ff6b56201a82a8dc0fd29fcc0791a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", VERIFY_GOLDEN,
+                         ids=[" ".join(a) for a, _ in VERIFY_GOLDEN])
+def test_verify_suites_are_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, "verify", "--suite", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_lists_failed_checks(capsys, monkeypatch):
+    relations = pbw.defining_relations()
+    relations.insert(3, ("e = f", ((RF_ONE, ("e",)),), ((RF_ONE, ("f",)),)))
+    relations.append(("l = 1", ((RF_ONE, ("l",)),), ((RF_ONE, ()),)))
+    monkeypatch.setattr(pbw, "defining_relations", lambda: relations)
+    code, out, _ = run(capsys, "verify", "--suite", "relations")
+    assert code == 1
+    assert json.loads(out) == {"passed": 10, "failed": 2,
+                               "failures": ["e = f", "l = 1"]}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ffd660d2d3ad4ca7a5c3032a93422e23e0f8f975b964eefebd25b3a432833ff9"
+    code, out, _ = run(capsys, "verify", "--suite", "pbw")
+    assert code == 1
+    assert json.loads(out)["failures"] == ["normal form: e = f",
+                                           "normal form: l = 1"]
+    code, out, _ = run(capsys, "verify", "--suite", "reps", "--n", "1")
+    assert code == 1
+    assert json.loads(out) == {"passed": 2, "failed": 8, "failures": [
+        f"relations on L{s}({n},{k})" for s in "+-"
+        for n, k in ((0, 0), (1, 0), (1, 1), (1, "01"))]}
+
+
+@pytest.mark.parametrize("argv, passed", [
+    (("casimir", "--n", "0"), 9),
+    (("reps", "--n", "0"), 4),
+    (("relations", "--d", "1"), 10),
+    (("oracle", "--d", "1", "--pairs", "1"), 1),
+])
+def test_verify_uses_explicit_sizes(capsys, argv, passed):
+    code, out, _ = run(capsys, "verify", "--suite", *argv)
+    assert code == 0
+    assert json.loads(out) == {"passed": passed, "failed": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ("relations", "--d", "0"),
+    ("relations", "--d", "-1"),
+    ("casimir", "--n", "-1"),
+    ("oracle", "--pairs", "0"),
+    ("tensor", "--d", "40"),
+    ("reps", "--n", "100000"),
+    ("casimir", "--n", "100000"),
+    ("oracle", "--d", "4", "--pairs", "1"),
+    ("oracle", "--d", "1000000"),
+])
+def test_verify_refuses_bad_sizes_at_once(capsys, argv):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "--suite", *argv)
     assert code == 2 and "error:" in err and not out
     assert time.monotonic() - t0 < 1.0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mirabolic import pbw, reps
+from mirabolic import checks, pbw, reps
 from mirabolic.qv import RF_ONE, RF_ZERO, quantum_integer, v_power
 from mirabolic.schur_algebra import GeneratorWord
 
@@ -13,14 +13,6 @@ def unit_vec(M, j):
     vec = [RF_ZERO] * M.dim
     vec[j] = RF_ONE
     return vec
-
-
-def all_modules(n_max):
-    for sign in reps.SIGNS:
-        for kind in reps.KINDS:
-            lo = 1 if kind == "L01" else 0
-            for n in range(lo, n_max + 1):
-                yield reps.build_module(kind, sign, n)
 
 
 def test_module_names():
@@ -64,20 +56,7 @@ def test_action_examples():
 
 
 def test_relations_hold_n_to_6():
-    rels = pbw.defining_relations()
-    for M in all_modules(6):
-        for name, lhs, rhs in rels:
-            for j in range(M.dim):
-                vec = unit_vec(M, j)
-                a = [RF_ZERO] * M.dim
-                for c, w in lhs:
-                    out = reps.act(GeneratorWord(c, w), M, vec)
-                    a = [p + q for p, q in zip(a, out)]
-                b = [RF_ZERO] * M.dim
-                for c, w in rhs:
-                    out = reps.act(GeneratorWord(c, w), M, vec)
-                    b = [p + q for p, q in zip(b, out)]
-                assert a == b, (M.name, name, j)
+    assert not checks.failures(checks.module_relations(6))
 
 
 def test_ef_commutator_eigenvalues():
@@ -115,7 +94,7 @@ def test_simplicity_probe():
            pbw.normalize_word(("f",)),
            pbw.normalize_word(("l", "f")),
            pbw.normalize_word(("f",)) - pbw.normalize_word(("l", "f"))]
-    for M in all_modules(4):
+    for M in checks.simple_modules(4):
         for j in range(M.dim):
             seen = [unit_vec(M, j)]
             frontier = [unit_vec(M, j)]
@@ -146,7 +125,7 @@ def test_weight_tables():
     assert t == {("+", 0, 0): 1}
     t = reps.weight_table(reps.build_module("L1", "-", 1))
     assert t == {("-", 1, 1): 1, ("-", -1, 1): 1}
-    for M in all_modules(4):
+    for M in checks.simple_modules(4):
         assert reps.weight_table(M) == \
             reps.irreducible_weight_table(M.kind, M.sign, M.n)
 
@@ -159,14 +138,12 @@ def test_casimir_scalars():
     assert reps.casimir_scalar(M) == (v_power(1) + v_power(-1)) / vm
     M = reps.build_module("L1", "-", 2)
     assert reps.casimir_scalar(M) == -(v_power(4) + v_power(-2)) / vm
-    for M in all_modules(4):
-        assert reps.casimir_scalar(M) == \
-            reps.casimir_scalar_formula(M.kind, M.sign, M.n)
+    assert not checks.failures(checks.casimir_scalars(4))
 
 
 def test_casimir_scalars_distinct():
     seen = {}
-    for M in all_modules(8):
+    for M in checks.simple_modules(8):
         c = reps.casimir_scalar_formula(M.kind, M.sign, M.n)
         assert c not in seen, (M.name, seen.get(c))
         seen[c] = M.name
@@ -208,7 +185,7 @@ def test_decompose_weight_table():
 
 def test_decompose_random_multisets():
     rng = random.Random(23)
-    cands = [(M.kind, M.sign, M.n) for M in all_modules(6)]
+    cands = [(M.kind, M.sign, M.n) for M in checks.simple_modules(6)]
     for _ in range(12):
         picks = {}
         for _ in range(rng.randint(1, 6)):
