@@ -345,31 +345,18 @@ def _shift_perm(v, d, p):
     return got
 
 
-def _zone_array(mask_first, mask_second, sum_rank, sum_basis, d, p):
-    n = p ** d
-    zone = np.full(n, 4, dtype=np.int64)
-    if sum_rank < d:
-        zone[~_span_mask(sum_basis, d, p)] = 5
-    both = mask_first & mask_second
-    zone[mask_first] = 2
-    zone[mask_second] = 3
-    zone[both] = 1
-    zone[0] = 0
-    return zone
-
-
-def _sums_in_chunk(a, in_a, meets, h_bases, h_pts, offs, shift):
-    """The points each middle subspace H of a chunk reclassifies on one
-    side: A + H where that is a proper subspace, H where it is the whole
-    space.  `meets` holds dim(A & H) and `h_pts` the points of each H, and
-    every point is offset by p^d times the row of its H in the chunk and,
-    when `shift` is given, mapped through it first.  Returns (the points of
-    the proper sums, the reclassified points)."""
+def _sums_in_chunk(a, meets, h_bases, h_pts, offs, shift):
+    """The points of A + H for each middle subspace H of a chunk where that
+    sum is a proper subspace.  `meets` holds dim(A & H) and `h_pts` the
+    points of each H; every point is mapped through `shift` when that is
+    given (the caller maps `h_pts`), then offset by p^d times the row of its
+    H in the chunk."""
     d, p, mid_dim = a.d, a.p, len(h_bases[0])
     full = a.dim + mid_dim - meets == d
     a_in_h = ~full & (meets == a.dim)               # A + H = H
     h_in_a = ~full & ~a_in_h & (meets == mid_dim)   # A + H = A
     rest = np.flatnonzero(~(full | a_in_h | h_in_a))
+    in_a = _span_indices(a.basis, d, p)
     if shift is not None:
         in_a = shift[in_a]
     parts = [(h_pts[a_in_h] + offs[a_in_h, None]).ravel(),
@@ -381,98 +368,130 @@ def _sums_in_chunk(a, in_a, meets, h_bases, h_pts, offs, shift):
         if shift is not None:
             flat = shift[flat]
         parts.append(flat + np.repeat(offs[rest], [len(x) for x in sums]))
-    sums = np.concatenate(parts)
-    return sums, np.concatenate([(h_pts[full] + offs[full, None]).ravel(),
-                                 sums])
+    return np.concatenate(parts)
+
+
+def _count(rep, mid_dim):
+    """Counts of the convolution sum at the triple rep = (F, chain, v) over
+    the middle subspaces H of one dimension, in the sense of Beilinson,
+    Lusztig and MacPherson: {(left label, dims, c, m): number of (H, u)}.
+
+    The chain C_1 < ... < C_{N-1} is F' alone (N = 2) for a two-step triple
+    and the complete flag (N = d) for a tensor triple; C_0 = 0 and
+    C_N = F_p^d.  Every (H, u) pair is counted: (F, H, u) by its decorated
+    matrix, and (H, chain, x = v - u) by dims = (dim(H & C_r), 0 < r < N)
+    and the jump pair c = #{r < N: x not in H + C_r}, m = #{r < N: x not
+    in C_r}.  So u runs over all points w of F_p^d, and the pair adds to
+    the code K zone(w) + (N + 1) c(v - w) + m(v - w), K = (N + 1)^2, where
+    zone(w) = 5 - [w in F+H] - 2[w in F] - [w in H] - [w = 0] is the
+    membership case of `_vector_zone`.  Split off what does not depend on
+    H, base(w) = (5 - 2[w in F]) K + N (N + 1) + m(v - w), whose histogram
+    is taken once; the rest, K([w in F+H] + [w in H] + [w = 0])
+    + (N + 1) sum_r [v - w in H + C_r], is zero outside H, F + H and the
+    v - (H + C_r), and constant where a sum is the whole space, so only the
+    points of the proper sums are reclassified.  The middle subspaces go in
+    chunks (`_middle_chunks`), each H with its points offset by p^d times
+    its row in the chunk, so one pass of array operations reclassifies a
+    whole chunk.  The subspaces H with the same dim(F & H) and dims form a
+    group: they share their labels and which sums are full.
+    """
+    f, v, d, p = rep.F[0], rep.v, rep.d, rep.p
+    if p ** d > SIZE_GUARD:
+        raise ValueError(f"p^d = {p**d} exceeds the enumeration guard")
+    chain = (PrimeFieldSubspace(p, d, ()),) + rep.Fp
+    n, big_n = p ** d, len(chain)
+    k = (big_n + 1) ** 2
+    perm = _shift_perm(v, d, p)
+    # base(w), with m(v - w) = N - #{r < N: w in v - C_r}
+    base = np.full(n, 5 * k + big_n * (big_n + 2), dtype=np.int64)
+    base[_span_indices(f.basis, d, p)] -= 2 * k
+    for c in chain:
+        base[perm[_span_indices(c.basis, d, p)]] -= 1
+    base_hist = np.bincount(base, minlength=6 * k)
+    masks = [_span_mask(a.basis, d, p) for a in (f,) + chain[1:]]
+    powers = p ** np.arange(d + 1)
+    totals = {}     # group -> [subspaces H, histogram corrections]
+    moved = None
+    for h_bases, chunk_h in _middle_chunks(d, p, mid_dim):
+        rows = len(h_bases)
+        offs = np.arange(rows) * n
+        # dim(F & H) and dim(H & C_r), 0 < r < N, from the points of H they
+        # contain; together they are the group of H
+        meet_l, *meets = [np.searchsorted(powers, mask[chunk_h].sum(axis=1))
+                          for mask in masks]
+        slots = {}
+        group = np.array([slots.setdefault(g, len(slots)) for g in zip(
+            meet_l.tolist(), *[meet.tolist() for meet in meets])])
+        if moved is None:   # the first chunk is the largest
+            moved = np.zeros(rows * n, dtype=np.min_scalar_type(
+                3 * k + big_n * (big_n + 1)))
+        moved[(chunk_h + offs[:, None]).ravel()] = k        # w in H
+        moved[offs] += k                                    # w = 0
+        sum_l = _sums_in_chunk(f, meet_l, h_bases, chunk_h, offs, None)
+        moved[sum_l] += k                                   # w in F + H
+        # the points moved so far: F + H, which contains H, or H where
+        # F + H is the whole space
+        full = f.dim + mid_dim - meet_l == d
+        pts = [(chunk_h[full] + offs[full, None]).ravel(), sum_l]
+        # w in v - (H + C_r), where that is proper; H + C_0 = H
+        chunk_vh = perm[chunk_h]
+        right = [_sums_in_chunk(c, meet, h_bases, chunk_vh, offs, perm)
+                 for c, meet in zip(chain[1:], meets)]
+        if mid_dim < d:
+            right.append((chunk_vh + offs[:, None]).ravel())
+        for where in right:
+            # moved is nonzero exactly on the points listed so far
+            was = moved[where]
+            pts.append(where[was == 0])
+            moved[where] = was + (big_n + 1)
+        pts = np.concatenate(pts)
+        row = pts // n
+        old = base[pts - row * n] + (6 * k * group)[row]
+        size = len(slots) * 6 * k
+        fix = (np.bincount(old - moved[pts], minlength=size)
+               - np.bincount(old, minlength=size)).reshape(len(slots), -1)
+        n_h = np.bincount(group, minlength=len(slots))
+        for g, count, corr in zip(slots, n_h.tolist(), fix):
+            acc = totals.setdefault(g, [0, 0])
+            acc[0] += count
+            acc[1] += corr
+        moved[pts] = 0
+    counts = {}
+    for (i11, *dims), (n_h, fix) in totals.items():
+        al = (i11, f.dim - i11, mid_dim - i11, d - f.dim - mid_dim + i11)
+        # a full sum lowers the code of every point by K (left) or N + 1
+        shift = k * (al[3] == 0) + (big_n + 1) * sum(
+            mid_dim + sub.dim - meet == d
+            for sub, meet in zip(chain, [0] + dims))
+        cnt = (n_h * base_hist + fix)[shift:]
+        for code in np.flatnonzero(cnt).tolist():
+            zone, rest = divmod(code, k)
+            c, m = divmod(rest, big_n + 1)
+            counts[_label(*al, ALL_DELTAS[zone]), tuple(dims), c, m] = \
+                int(cnt[code])
+    return counts
 
 
 _CONV_CACHE = {}
+
+# the jump pair (c, m) of (H, F', x) -> the zone of `_vector_zone`
+_ZONES = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
 
 
 def _conv_table(d, out_label, mid_dim, p):
     """Counts of the convolution sum at the canonical triple of out_label,
     restricted to middle subspaces of the given dimension, for every pair of
-    (left, right) orbit labels at once.
-
-    Every (H, u) pair is counted: u runs over all points w of F_p^d, and
-    the pair contributes to the code 6 zone(w; F, H) + zone(v - w; H, F'),
-    where zone(x; A, B) = 5 - [x in A+B] - 2[x in A] - [x in B] - [x = 0]
-    is the membership case of `_vector_zone`.  Split off what does not
-    depend on H, base(w) = 35 - 12[w in F] - [v - w in F'], whose histogram
-    is taken once; the rest, 6[w in F+H] + 6[w in H] + [v - w in H+F']
-    + 2[v - w in H] + 6[w = 0] + [w = v], is zero outside H, v - H, F+H
-    and v - (H+F'), and constant where a sum is the whole space, so only
-    the points of the proper ones (0 and v included) are reclassified.
-    The middle subspaces go in chunks (`_middle_chunks`), each H with its
-    points offset by p^d times its row in the chunk, so one pass of array
-    operations reclassifies a whole chunk.
-    """
+    (left, right) orbit labels at once (see `_count`)."""
     key = (d, out_label, mid_dim, p)
     got = _CONV_CACHE.get(key)
     if got is not None:
         return got
-    if p ** d > SIZE_GUARD:
-        raise ValueError(f"p^d = {p**d} exceeds the enumeration guard")
     rep = canonical_representative(out_label, p)
-    f1, fp1 = rep.F[0], rep.Fp[0]
-    n = p ** d
-    perm = _shift_perm(rep.v, d, p)
-    in_f = _span_indices(f1.basis, d, p)
-    in_fp = _span_indices(fp1.basis, d, p)
-    base = np.full(n, 35, dtype=np.int64)
-    base[in_f] -= 12
-    base[perm[in_fp]] -= 1
-    base_hist = np.bincount(base, minlength=36)
-    mask_f = _span_mask(f1.basis, d, p)
-    mask_fp = _span_mask(fp1.basis, d, p)
-    powers = p ** np.arange(d + 1)
-    n_groups = (d + 1) ** 2    # group (i11l, i11r) is i11l * (d + 1) + i11r
-    n_h = np.zeros(n_groups, dtype=np.int64)      # subspaces H per group
-    fix = np.zeros(n_groups * 36, dtype=np.int64)  # histogram corrections
-    moved = None
-    for h_bases, chunk_h in _middle_chunks(d, p, mid_dim):
-        # dim(F & H) and dim(H & F') from the points of H they contain
-        meet_l = np.searchsorted(powers, mask_f[chunk_h].sum(axis=1))
-        meet_r = np.searchsorted(powers, mask_fp[chunk_h].sum(axis=1))
-        group = meet_l * (d + 1) + meet_r
-        n_h += np.bincount(group, minlength=n_groups)
-        offs = np.arange(len(h_bases)) * n
-        chunk_vh = perm[chunk_h]
-        sum_l, left = _sums_in_chunk(f1, in_f, meet_l, h_bases, chunk_h,
-                                     offs, None)
-        sum_r, right = _sums_in_chunk(fp1, in_fp, meet_r, h_bases, chunk_vh,
-                                      offs, perm)
-        if moved is None:   # the first chunk is the largest
-            moved = np.zeros(len(h_bases) * n, dtype=np.int8)
-        # moved = base(w) - code(w); the left zone: w in F+H, w in H, w = 0
-        moved[(chunk_h + offs[:, None]).ravel()] += 6
-        moved[offs] += 6
-        moved[sum_l] += 6
-        # the right zone: v - w in H+F', v - w in H, w = v; moved is
-        # nonzero exactly on `left` here, so pts lists each point once
-        pts = np.concatenate([left, right[moved[right] == 0]])
-        moved[(chunk_vh + offs[:, None]).ravel()] += 2
-        moved[offs + perm[0]] += 1
-        moved[sum_r] += 1
-        row = pts // n
-        old = base[pts - row * n] + 36 * group[row]
-        fix += (np.bincount(old - moved[pts], minlength=n_groups * 36)
-                - np.bincount(old, minlength=n_groups * 36))
-        moved[pts] = 0
+    fp1 = rep.Fp[0]
     counts = {}
-    for g in np.flatnonzero(n_h).tolist():
-        i11l, i11r = divmod(g, d + 1)
-        al = (i11l, f1.dim - i11l, mid_dim - i11l,
-              d - f1.dim - mid_dim + i11l)
-        ar = (i11r, mid_dim - i11r, fp1.dim - i11r,
-              d - mid_dim - fp1.dim + i11r)
-        # full sums subtract 6 (left) and 1 (right) at every point
-        shift = 6 * (al[3] == 0) + (ar[3] == 0)
-        cnt = (n_h[g] * base_hist + fix[36 * g:36 * g + 36])[shift:]
-        for code in np.nonzero(cnt)[0]:
-            zl, zr = divmod(int(code), 6)
-            pair = (_label(*al, ALL_DELTAS[zl]), _label(*ar, ALL_DELTAS[zr]))
-            counts[pair] = int(cnt[code])
+    for (lab_l, (i11,), c, m), n in _count(rep, mid_dim).items():
+        ar = (i11, mid_dim - i11, fp1.dim - i11, d - mid_dim - fp1.dim + i11)
+        counts[lab_l, _label(*ar, ALL_DELTAS[_ZONES[c, m]])] = n
     _CONV_CACHE[key] = counts
     return counts
 
@@ -505,13 +524,17 @@ def _candidate_outputs(d, ro, co):
 
 def _checked_primes(primes, d):
     """The distinct primes, sorted; raises ValueError unless they are all
-    prime and there are at least d^2 + 1 of them."""
+    prime, there are at least d^2 + 1 of them and the largest has
+    p^d <= SIZE_GUARD."""
     primes = sorted(set(primes))
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     if len(primes) < d * d + 1:
         raise ValueError(f"need at least {d*d + 1} primes, got {len(primes)}")
+    if primes[-1] ** d > SIZE_GUARD:    # refused before any table is built
+        raise ValueError(f"p^d = {primes[-1]**d} exceeds the enumeration "
+                         f"guard")
     return primes
 
 
@@ -634,66 +657,24 @@ _MIXED_CACHE = {}
 def _mixed_conv_table(d, out_ms, mid_dim, p):
     """Counts of the mixed convolution at the canonical triple of a marked
     sequence, middle subspaces of fixed dimension: keys are (left decorated
-    matrix, right marked sequence)."""
+    matrix, right marked sequence).  The right sequence has a letter 1
+    where dim(H & C_r) grows and the marks {c, m} - {0} (see `_count`)."""
     key = (d, out_ms, mid_dim, p)
     got = _MIXED_CACHE.get(key)
     if got is not None:
         return got
-    if p ** d > SIZE_GUARD:
-        raise ValueError(f"p^d = {p**d} exceeds the enumeration guard")
-    rep = canonical_tensor_representative(out_ms, p)
-    f1 = rep.F[0]
-    chain = _chain_subspaces(rep)
-    mask_f = _span_mask(f1.basis, d, p)
-    perm = _shift_perm(rep.v, d, p)
-    n = p ** d
-    # m(w): first step of the complete flag containing w
-    m_arr = np.zeros(n, dtype=np.int64)
-    for r in range(d):
-        m_arr += ~_span_mask(chain[r].basis, d, p)
-    ncodes = (d + 1) * (d + 1)
     counts = {}
-    for h_basis in _all_subspace_bases(d, p, mid_dim):
-        mask_h = _span_mask(h_basis, d, p)
-        sum_l = rref(f1.basis + h_basis, p)
-        i11l = f1.dim + mid_dim - len(sum_l)
-        zone_l = _zone_array(mask_f, mask_h, len(sum_l), sum_l, d, p)
-        # c(w): first step r with w in H + chain[r]
-        c_arr = np.zeros(n, dtype=np.int64)
-        seq = []
-        prev = 0
-        for r in range(d):
-            c_arr += ~_span_mask(rref(h_basis + chain[r].basis, p), d, p)
-        for r in range(1, d + 1):
-            inter = (mid_dim + chain[r].dim
-                     - fp_rank(h_basis + chain[r].basis, p))
-            seq.append(1 if inter > prev else 2)
-            prev = inter
-        seq = tuple(seq)
-        code_r = c_arr * (d + 1) + m_arr
-        cnt = np.bincount(zone_l * ncodes + code_r[perm],
-                          minlength=6 * ncodes)
-        al = (i11l, f1.dim - i11l, mid_dim - i11l,
-              d - f1.dim - mid_dim + i11l)
-        for code in np.nonzero(cnt)[0]:
-            zl, rest = divmod(int(code), ncodes)
-            c, m = divmod(rest, d + 1)
-            if c == m == 0:
-                marks = frozenset()
-            elif c == 0:
-                marks = frozenset({m})
-            elif c == m:
-                marks = frozenset({c})
-            else:
-                marks = frozenset({c, m})
-            ms_r = MarkedSequence(seq, marks)
-            ok, why = validate(ms_r)
-            if not ok:
-                raise RuntimeError(
-                    f"classification inconsistency at H={h_basis}: {why}")
-            lab_l = _label(*al, ALL_DELTAS[zl])
-            pair = (lab_l, ms_r)
-            counts[pair] = counts.get(pair, 0) + int(cnt[code])
+    for (lab_l, dims, c, m), n in _count(
+            canonical_tensor_representative(out_ms, p), mid_dim).items():
+        dims = (0, *dims, mid_dim)
+        ms_r = MarkedSequence(tuple(1 if b > a else 2
+                                    for a, b in zip(dims, dims[1:])),
+                              frozenset({c, m} - {0}))
+        ok, why = validate(ms_r)
+        if not ok:
+            raise RuntimeError(
+                f"classification inconsistency at {out_ms}: {why}")
+        counts[lab_l, ms_r] = n
     _MIXED_CACHE[key] = counts
     return counts
 

@@ -175,52 +175,48 @@ _FE_CACHE = {}
 def ef_straighten(a, b):
     """Normal form of e^a f^b; returns {(r, s, t): coeff} for f^r e^s k^t.
 
-    One e at a time crosses the f block:
-    e f^b = f^b e + [b] f^(b-1) (v^(1-b) k - v^(b-1) k^-1)/(v - v^-1),
-    and right-appended letters commute past the trailing k-power.
+    By the commutation formula of quantum sl2 for divided powers,
+    e^a f^b = sum_j [a]!/[a-j]! [b]!/[b-j]! f^(b-j) [k; 2j-a-b, j] e^(a-j)
+    with [k; c, j] = prod_{i=1..j} (v^(c-i+1) k - v^(i-1-c) k^-1)/(v^i - v^-i),
+    and k^t e^s = v^(2ts) e^s k^t moves each k-power to the right.  For
+    a = 1 this is e f^b = f^b e + [b] f^(b-1) (v^(1-b) k - v^(b-1) k^-1)
+    /(v - v^-1).  The min(a, b) + 1 terms are summed directly: no recursion
+    over a or b, and no table of the forms of e^i f^j on the way.
     """
-    key = (a, b)
-    got = _EF_CACHE.get(key)
+    got = _EF_CACHE.get((a, b))
     if got is not None:
         return got
-    if a == 0:
-        out = {(b, 0, 0): RF_ONE}
-    else:
-        out = {}
-        for (r, s, t), c in ef_straighten(a - 1, b).items():
-            bump(out, (r, s + 1, t), c * v_power(2 * t))
-        if b >= 1:
-            cb = quantum_integer(b) / _VM
-            for (r, s, t), c in ef_straighten(a - 1, b - 1).items():
-                bump(out, (r, s, t + 1), c * cb * v_power(1 - b))
-                bump(out, (r, s, t - 1), -c * cb * v_power(b - 1))
-    _EF_CACHE[key] = out
+    out = {}
+    scale = RF_ONE      # [a]!/[a-j]! [b]!/[b-j]! / prod_{i<=j} (v^i - v^-i)
+    for j in range(min(a, b) + 1):
+        if j:
+            scale = (scale * quantum_integer(a - j + 1)
+                     * quantum_integer(b - j + 1) / (v_power(j) - v_power(-j)))
+        c = 2 * j - a - b
+        poly = {0: RF_ONE}  # the numerator of [k; c, j], by power of k
+        for i in range(1, j + 1):
+            nxt = {}
+            for t, x in poly.items():
+                bump(nxt, t + 1, x * v_power(c - i + 1))
+                bump(nxt, t - 1, -x * v_power(i - 1 - c))
+            poly = nxt
+        for t, x in poly.items():
+            bump(out, (b - j, a - j, t), scale * x * v_power(2 * t * (a - j)))
+    _EF_CACHE[a, b] = out
     return out
 
 
 def fe_straighten(a, b):
     """Reversed form of f^a e^b; returns {(s, r, t): coeff} for e^s f^r k^t.
 
-    Mirror image of ef_straighten, moving one f at a time across the e block
-    via f e^b = e^b f - [b] e^(b-1) (v^(b-1) k - v^(1-b) k^-1)/(v - v^-1).
+    The image of ef_straighten(a, b) under the automorphism that swaps e
+    and f and sends k to k^-1.
     """
-    key = (a, b)
-    got = _FE_CACHE.get(key)
-    if got is not None:
-        return got
-    if a == 0:
-        out = {(b, 0, 0): RF_ONE}
-    else:
-        out = {}
-        for (s, r, t), c in fe_straighten(a - 1, b).items():
-            bump(out, (s, r + 1, t), c * v_power(-2 * t))
-        if b >= 1:
-            cb = quantum_integer(b) / _VM
-            for (s, r, t), c in fe_straighten(a - 1, b - 1).items():
-                bump(out, (s, r, t + 1), -c * cb * v_power(b - 1))
-                bump(out, (s, r, t - 1), c * cb * v_power(1 - b))
-    _FE_CACHE[key] = out
-    return out
+    got = _FE_CACHE.get((a, b))
+    if got is None:
+        got = {(r, s, -t): c for (r, s, t), c in ef_straighten(a, b).items()}
+        _FE_CACHE[a, b] = got
+    return got
 
 
 def move_out(side, a, b):

@@ -410,23 +410,19 @@ def eval_letters(d, letters):
 def evaluate_words(d, words):
     """Sum of scalar * (multiplied-out word) over a word list.
 
-    Word evaluations carry denominator-free coefficients, so contributions
-    are accumulated per scalar denominator and each (label, denominator)
-    cell is canonicalized only once.
+    Word evaluations carry Laurent coefficients: `eval_letters` starts from
+    the identity and every letter contributes powers of v or q-polynomial
+    table entries.  So contributions are accumulated as Laurent numerators
+    per scalar denominator, and each (label, denominator) cell is
+    canonicalized only once.
     """
     groups = {}
-    slow = SchurElement(d)
     for w in words:
-        base = eval_letters(d, w.letters)
-        sc = w.scalar
-        acc = groups.setdefault(sc.den, {})
-        for lab, c in base.terms.items():
-            if c.is_laurent():
-                num = sc.num * c.num
-                prev = acc.get(lab)
-                acc[lab] = num if prev is None else prev + num
-            else:
-                slow = slow + SchurElement(d, {lab: c * sc})
+        acc = groups.setdefault(w.scalar.den, {})
+        for lab, c in eval_letters(d, w.letters).terms.items():
+            num = w.scalar.num * c.num
+            prev = acc.get(lab)
+            acc[lab] = num if prev is None else prev + num
     total = {}
     for den, acc in groups.items():
         for lab, num in acc.items():
@@ -434,7 +430,7 @@ def evaluate_words(d, words):
             prev = total.get(lab)
             rf = rf if prev is None else prev + rf
             total[lab] = rf
-    return slow + SchurElement(d, {lab: c for lab, c in total.items() if c})
+    return SchurElement(d, {lab: c for lab, c in total.items() if c})
 
 
 def star(x):

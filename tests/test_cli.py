@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from mirabolic import pbw
+from mirabolic import oracle, pbw
 from mirabolic.cli import main
 from mirabolic.qv import RF_ONE
 
@@ -174,6 +174,28 @@ def test_oracle_needs_enough_primes(capsys):
                        "--lhs", '{"A": [[1,0],[0,1]], "delta": []}',
                        "--rhs", '{"A": [[1,0],[0,1]], "delta": []}')
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("word", ["l e^1200 l f", "e l f^1200"])
+def test_normalize_long_blocks(capsys, word):
+    # blocks of 1,200 letters once overflowed the interpreter's stack
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "normalize", "--word", word)
+    assert code == 0 and not err and json.loads(out)["terms"]
+    assert time.monotonic() - t0 < 2.0
+
+
+@pytest.mark.parametrize("start", [2, 37])
+def test_oracle_refuses_oversize_primes_at_once(capsys, start):
+    # 17 primes from 2 end at 59, and 59^4 > SIZE_GUARD; from 37 up
+    # already the smallest is too large
+    primes = oracle.primes_list(17, start)
+    x = '{"A": [[1,1],[1,1]], "delta": []}'
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "oracle", "--d", "4", "--primes",
+                         ",".join(map(str, primes)), "--lhs", x, "--rhs", x)
+    assert code == 2 and "error:" in err and not out
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_deterministic_output(capsys):

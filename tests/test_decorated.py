@@ -1,7 +1,5 @@
 """Decorated matrices, marked sequences, and their enumeration."""
 
-import pytest
-
 from mirabolic.decorated import (DecoratedMatrix, MarkedSequence,
                                  count_xi_tensor, decorated2, enumerate_xi,
                                  matrix_to_sequence, row_col_sums,

@@ -1,6 +1,7 @@
 """Finite-field brute force: orbit classification and interpolated products."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -88,19 +89,28 @@ def test_convolution_count_examples():
     assert oracle.convolution_count(a, b, a, 2) == 0
 
 
-def _literal_conv_table(d, out, mid_dim, p):
-    """Convolution counts at the canonical triple (F, F', v) of out, found by
-    classifying (F, H, u) and (H, F', v - u) for every H and every u."""
-    rep = oracle.canonical_representative(out, p)
+def _literal_table(rep, mid_dim, p, right_invariant):
+    """Convolution counts at the triple rep = (F, chain, v), found by
+    classifying (F, H, u) with `orbit_invariant` and (H, chain, v - u) with
+    right_invariant for every H and every u."""
     counts = {}
-    for h in oracle.enumerate_flags(d, p, mid_dim):
-        for u in product(range(p), repeat=d):
+    for h in oracle.enumerate_flags(rep.d, p, mid_dim):
+        for u in product(range(p), repeat=rep.d):
             v_minus_u = tuple((a - b) % p for a, b in zip(rep.v, u))
             pair = (oracle.orbit_invariant(oracle.FlagTriple(rep.F, h, u)),
-                    oracle.orbit_invariant(
-                        oracle.FlagTriple(h, rep.Fp, v_minus_u)))
+                    right_invariant(oracle.FlagTriple(h, rep.Fp, v_minus_u)))
             counts[pair] = counts.get(pair, 0) + 1
     return counts
+
+
+def _literal_conv_table(out, mid_dim, p):
+    return _literal_table(oracle.canonical_representative(out, p), mid_dim,
+                          p, oracle.orbit_invariant)
+
+
+def _literal_mixed_table(out_ms, mid_dim, p):
+    return _literal_table(oracle.canonical_tensor_representative(out_ms, p),
+                          mid_dim, p, oracle.tensor_orbit_invariant)
 
 
 def test_conv_table_matches_literal_enumeration():
@@ -108,8 +118,20 @@ def test_conv_table_matches_literal_enumeration():
         for out in enumerate_xi(2, d):
             for mid_dim in range(d + 1):
                 assert oracle._conv_table(d, out, mid_dim, p) == \
-                    _literal_conv_table(d, out, mid_dim, p), \
+                    _literal_conv_table(out, mid_dim, p), \
                     (d, out, mid_dim, p)
+
+
+def test_mixed_conv_table_matches_literal_enumeration():
+    tables = 0
+    for d, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
+        for out_ms in enumerate_xi(2, d, tensor=True):
+            for mid_dim in range(d + 1):
+                assert oracle._mixed_conv_table(d, out_ms, mid_dim, p) == \
+                    _literal_mixed_table(out_ms, mid_dim, p), \
+                    (d, out_ms, mid_dim, p)
+                tables += 1
+    assert tables == 246
 
 
 class _CheckedMemo(oracle._PointMemo):
@@ -251,6 +273,20 @@ def test_constants_reject_composite_moduli():
         oracle.structure_constants(lab, lab, [2, 3, 4, 5, 7])
 
 
+def test_constants_refuse_oversize_primes_at_once():
+    # the 17 primes d = 4 needs end at 59, and 59^4 > SIZE_GUARD: refused
+    # before the tables of the smaller primes are counted
+    lab = diag2(2, 2)
+    primes = oracle.primes_list(17)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="enumeration guard"):
+        oracle.structure_constants(lab, lab, primes)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        oracle.tensor_action_constants(lab, MarkedSequence((1, 1, 2, 2)),
+                                       primes)
+    assert time.monotonic() - t0 < 1.0
+
+
 def _oracle_generator_action(d, gen, ms, primes):
     out = TensorElement(d)
     for lab, c in chevalley(d, gen).terms.items():
@@ -261,13 +297,17 @@ def _oracle_generator_action(d, gen, ms, primes):
 
 
 def test_oracle_tensor_action_matches_closed_forms():
-    # k and l actions recovered by point counting equal the formulas
-    primes = [2, 3, 5, 7, 11]
-    d = 2
-    for ms in enumerate_xi(2, d, tensor=True):
-        x = TensorElement.basis(d, ms)
-        assert _oracle_generator_action(d, "k", ms, primes) == k_action(x)
-        assert _oracle_generator_action(d, "l", ms, primes) == ell_action(x)
+    # k and l actions recovered by point counting equal the formulas; at
+    # d = 3 the primes run up to 29, so the mixed tables of the lines and
+    # planes of F_p^3 take several chunks each
+    for d in (2, 3):
+        primes = oracle.primes_list(d * d + 1)
+        for ms in enumerate_xi(2, d, tensor=True):
+            x = TensorElement.basis(d, ms)
+            assert _oracle_generator_action(d, "k", ms, primes) == \
+                k_action(x)
+            assert _oracle_generator_action(d, "l", ms, primes) == \
+                ell_action(x)
 
 
 def test_oracle_tensor_ef_relation():

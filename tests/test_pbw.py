@@ -1,11 +1,12 @@
 """Normal-form engine for the abstract algebra on e, f, k, k^-1, l."""
 
 import random
+from functools import cache
 
 import pytest
 
 from mirabolic import checks, pbw, schur_algebra
-from mirabolic.linalg import rank_of_rows
+from mirabolic.linalg import bump, rank_of_rows
 from mirabolic.qv import (RF_ONE, quantum_integer, rf_const, v_power)
 from mirabolic.schur_algebra import (SchurElement, apply_letter, chevalley,
                                      identity_element)
@@ -149,6 +150,49 @@ def test_antiautomorphism():
         y = pbw.PbwElement.monomial(rng.choice(monos))
         assert pbw.antiautomorphism(pbw.multiply(x, y)) == \
             pbw.multiply(pbw.antiautomorphism(y), pbw.antiautomorphism(x))
+
+
+@cache
+def _straighten_one_letter(a, b, sign):
+    """e^a f^b (sign 1) or f^a e^b (sign -1) in normal form, one letter
+    crossing the other block at a time:
+    e f^b = f^b e + [b] f^(b-1) (v^(1-b) k - v^(b-1) k^-1)/(v - v^-1),
+    f e^b = e^b f - [b] e^(b-1) (v^(b-1) k - v^(1-b) k^-1)/(v - v^-1)."""
+    if a == 0:
+        return {(b, 0, 0): RF_ONE}
+    out = {}
+    for (r, s, t), c in _straighten_one_letter(a - 1, b, sign).items():
+        bump(out, (r, s + 1, t), c * v_power(2 * sign * t))
+    if b:
+        cb = quantum_integer(b) / (v_power(1) - v_power(-1))
+        for (r, s, t), c in _straighten_one_letter(a - 1, b - 1,
+                                                   sign).items():
+            bump(out, (r, s, t + 1), sign * c * cb * v_power(sign * (1 - b)))
+            bump(out, (r, s, t - 1), -sign * c * cb * v_power(sign * (b - 1)))
+    return out
+
+
+def test_straighten_matches_one_letter_recursion():
+    for a in range(8):
+        for b in range(8):
+            assert pbw.ef_straighten(a, b) == \
+                _straighten_one_letter(a, b, 1), (a, b)
+            assert pbw.fe_straighten(a, b) == \
+                _straighten_one_letter(a, b, -1), (a, b)
+
+
+def test_long_blocks_straighten_without_recursion():
+    # l e^s l f = l e^s f needs e^s f straightened: 1,200 letters used to
+    # exceed the interpreter's stack.  e^s f = f e^s + [s] e^(s-1)
+    # (v^(s-1) k - v^(1-s) k^-1)/(v - v^-1)
+    s = 1200
+    got = nf(f"l e^{s} l f").terms
+    assert set(got) == {pbw.PbwMonomial(1, 1, s, 0),
+                        pbw.PbwMonomial(1, 0, s - 1, 1),
+                        pbw.PbwMonomial(1, 0, s - 1, -1)}
+    assert got[pbw.PbwMonomial(1, 1, s, 0)] == RF_ONE
+    assert got[pbw.PbwMonomial(1, 0, s - 1, 1)] == \
+        -got[pbw.PbwMonomial(1, 0, s - 1, -1)] * v_power(2 * s - 2)
 
 
 def test_independence_without_k_powers():

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirabolic.qv import (LP_ONE, LP_ZERO, RF_ONE, RF_ZERO, LaurentPolynomial,
-                          format_coeff, lagrange_interpolate, lp_v_power,
-                          parse_coeff, q_bracket, q_power, quantum_factorial,
-                          quantum_integer, rf_const, rf_laurent, substitute_q,
-                          v_power)
+from mirabolic.qv import (LP_ONE, LP_ZERO, RF_ONE, RF_ZERO, format_coeff,
+                          lagrange_interpolate, lp_v_power, parse_coeff,
+                          q_bracket, q_power, quantum_factorial,
+                          quantum_integer, rf_const, substitute_q, v_power)
 
 
 def test_laurent_basics():
