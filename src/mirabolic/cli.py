@@ -44,8 +44,9 @@ def _check_tensor_size(d):
 
 
 def _check_module(dim):
-    """Refuse a module of dimension dim: build_module allocates five dense
-    dim x dim generator matrices."""
+    """Refuse a module of dimension dim by 5 dim^2 entries: `rep --matrix`,
+    `rep --casimir` and `verify --suite reps` build dense dim x dim
+    matrices through action_matrix."""
     _check_size(5 * dim * dim, "matrix entries")
 
 

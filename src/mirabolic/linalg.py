@@ -84,6 +84,16 @@ class Combination:
             return self._like({})
         return self._like({k: c * c0 for k, c0 in self.terms.items()})
 
+    def apply(self, column):
+        """The linear map with column(key) = {key2: coefficient} as the
+        image of each key, applied to self: sum_k c_k column(k), of the
+        same type and degree."""
+        out = {}
+        for k, c in self.terms.items():
+            for k2, c2 in column(k).items():
+                bump(out, k2, c * c2)
+        return self._like(out)
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 

@@ -703,61 +703,3 @@ def tensor_action_constants(left, right_ms, primes):
             out[cand] = coeff
     return out
 
-
-# --- whole-space classification checks ---------------------------------------
-
-def classify_all_pairs(d, p):
-    """Orbit sizes of all (two-step, two-step, vector) triples, by label."""
-    if p ** d > SIZE_GUARD:
-        raise ValueError("enumeration guard exceeded")
-    subs = []
-    for r in range(d + 1):
-        subs.extend(enumerate_flags(d, p, r))
-    vecs = list(product(range(p), repeat=d))
-    sizes = {}
-    for f in subs:
-        for fp_ in subs:
-            for v in vecs:
-                lab = orbit_invariant(FlagTriple(f, fp_, v))
-                sizes[lab] = sizes.get(lab, 0) + 1
-    return sizes
-
-
-def classify_all_mixed(d, p):
-    """Orbit sizes of all (two-step, complete, vector) triples, by marked
-    sequence."""
-    if p ** d > SIZE_GUARD:
-        raise ValueError("enumeration guard exceeded")
-    subs = []
-    for r in range(d + 1):
-        subs.extend(enumerate_flags(d, p, r))
-    completes = enumerate_flags(d, p, "complete")
-    vecs = list(product(range(p), repeat=d))
-    sizes = {}
-    for f in subs:
-        for ch in completes:
-            for v in vecs:
-                ms = tensor_orbit_invariant(FlagTriple(f, ch, v))
-                sizes[ms] = sizes.get(ms, 0) + 1
-    return sizes
-
-
-def random_invertible(d, p, rng):
-    while True:
-        g = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
-        if fp_rank(g, p) == d:
-            return g
-
-
-def transform_triple(t, g):
-    """Apply a change of basis to every constituent of the triple."""
-    p, d = t.p, t.d
-    def act_vec(v):
-        return tuple(sum(v[i] * g[i][j] for i in range(d)) % p
-                     for j in range(d))
-    def act_space(s):
-        return PrimeFieldSubspace.from_rows([act_vec(r) for r in s.basis],
-                                            d, p)
-    return FlagTriple(tuple(act_space(s) for s in t.F),
-                      tuple(act_space(s) for s in t.Fp),
-                      act_vec(t.v))

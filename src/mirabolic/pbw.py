@@ -375,31 +375,24 @@ def _mul_mono(g, mono):
 
 def left_mul_generator(g, x):
     """Normal form of g * x for a single generator g."""
-    out = {}
-    for mono, c in x.terms.items():
-        for m2, c2 in _mul_mono(g, mono).items():
-            bump(out, m2, c * c2)
-    return x._like(out)
+    return x.apply(lambda mono: _mul_mono(g, mono))
 
 
-def normalize_word(letters):
-    """Normal form of an arbitrary generator word."""
-    x = unit()
-    for letter in reversed(tuple(letters)):
+def _fold(letters, x):
+    """Normal form of (the word letters) * x, one generator at a time."""
+    for letter in reversed(letters):
         x = left_mul_generator(letter, x)
     return x
 
 
+def normalize_word(letters):
+    """Normal form of an arbitrary generator word."""
+    return _fold(tuple(letters), unit())
+
+
 def multiply(x, y):
     """Normal form of the product x * y."""
-    total = {}
-    for mono, c in x.terms.items():
-        acc = y
-        for letter in reversed(mono.letters()):
-            acc = left_mul_generator(letter, acc)
-        for m2, c2 in acc.terms.items():
-            bump(total, m2, c * c2)
-    return y._like(total)
+    return x.apply(lambda mono: _fold(mono.letters(), y).terms)
 
 
 def antiautomorphism(x):
@@ -409,29 +402,27 @@ def antiautomorphism(x):
     right end costs v^(2 t (r - s)).
     """
     swap = (0, 2, 1, 3, 4, 5)
-    out = {}
-    for mono, c in x.terms.items():
-        m2 = _mono(swap[mono.cls], mono.s, mono.r, mono.t)
-        bump(out, m2, c * v_power(2 * mono.t * (mono.r - mono.s)))
-    return PbwElement(out)
+    return x.apply(lambda mono: {
+        _mono(swap[mono.cls], mono.s, mono.r, mono.t):
+            v_power(2 * mono.t * (mono.r - mono.s))})
 
 
 def specialize_ell(eps, x):
     """Quotient to the plain quantum algebra: l maps to 0 or to 1."""
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
-    out = {}
-    for mono, c in x.terms.items():
+
+    def column(mono):
         if mono.cls == 0:
-            bump(out, mono, c)
-        elif eps == 0:
-            continue
-        elif mono.cls == 5:
-            for (a, b, c2), coeff in ef_straighten(mono.s, mono.r).items():
-                bump(out, PbwMonomial(0, a, b, c2 + mono.t), c * coeff)
-        else:
-            bump(out, PbwMonomial(0, mono.r, mono.s, mono.t), c)
-    return PbwElement(out)
+            return {mono: RF_ONE}
+        if eps == 0:
+            return {}
+        if mono.cls == 5:
+            straight = ef_straighten(mono.s, mono.r)
+            return {PbwMonomial(0, a, b, c + mono.t): coeff
+                    for (a, b, c), coeff in straight.items()}
+        return {PbwMonomial(0, mono.r, mono.s, mono.t): RF_ONE}
+    return x.apply(column)
 
 
 def project_to_schur(d, x):

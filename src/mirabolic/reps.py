@@ -29,7 +29,7 @@ from fractions import Fraction
 from .qv import (RF_ONE, RF_ZERO, RationalFunction, quantum_integer, rf_const,
                  v_power)
 from . import pbw
-from .linalg import solve_unique
+from .linalg import Combination, solve_unique
 from .schur_algebra import GeneratorWord
 
 KINDS = ("L0", "L1", "L01")
@@ -37,10 +37,11 @@ SIGNS = ("+", "-")
 
 
 class IrreducibleModule:
-    """A simple module given by explicit generator matrices.
+    """A simple module given by sparse generator columns.
 
-    Matrices act on column vectors: (g x)_i = sum_j action[g][i][j] x_j.
-    basis holds (i, eps) labels in column order.
+    action[g][j] = {i: coefficient} is the image of the j-th basis vector,
+    so (g x)_i = sum_j action[g][j].get(i, 0) x_j.  basis holds (i, eps)
+    labels in column order.
     """
 
     __slots__ = ("kind", "sign", "n", "dim", "basis", "action")
@@ -80,10 +81,6 @@ def parse_module_name(text):
     return kind, sign, int(n_str)
 
 
-def _zeros(dim):
-    return [[RF_ZERO] * dim for _ in range(dim)]
-
-
 def build_module(kind, sign, n):
     if kind not in KINDS:
         raise ValueError(f"unknown module kind {kind!r}")
@@ -95,23 +92,23 @@ def build_module(kind, sign, n):
             raise ValueError("n must be >= 0")
         basis = [(i, 0 if kind == "L0" else 1) for i in range(n + 1)]
         dim = n + 1
-        mk, mki, ml, me, mf = (_zeros(dim) for _ in range(5))
+        mk, mki, ml, me, mf = ([{} for _ in range(dim)] for _ in range(5))
         for i in range(dim):
             mk[i][i] = sg * v_power(n - 2 * i)
             mki[i][i] = sg * v_power(2 * i - n)
             if kind == "L1":
                 ml[i][i] = RF_ONE
             if i + 1 <= n:
-                mf[i + 1][i] = RF_ONE
+                mf[i][i + 1] = RF_ONE
             if i >= 1:
-                me[i - 1][i] = sg * quantum_integer(i) * quantum_integer(n + 1 - i)
+                me[i][i - 1] = sg * quantum_integer(i) * quantum_integer(n + 1 - i)
     else:
         if n < 1:
             raise ValueError("n must be >= 1 for L01")
         basis = [(i, 0) for i in range(n)] + [(j, 1) for j in range(1, n + 1)]
         dim = 2 * n
         idx = {lab: p for p, lab in enumerate(basis)}
-        mk, mki, ml, me, mf = (_zeros(dim) for _ in range(5))
+        mk, mki, ml, me, mf = ([{} for _ in range(dim)] for _ in range(5))
         for p, (i, eps) in enumerate(basis):
             mk[p][p] = sg * v_power(n - 2 * i)
             mki[p][p] = sg * v_power(2 * i - n)
@@ -119,20 +116,20 @@ def build_module(kind, sign, n):
                 ml[p][p] = RF_ONE
             if eps == 0:
                 if (i + 1, 0) in idx:
-                    mf[idx[(i + 1, 0)]][p] = RF_ONE
-                mf[idx[(i + 1, 1)]][p] = v_power(i) / quantum_integer(i + 1)
+                    mf[p][idx[(i + 1, 0)]] = RF_ONE
+                mf[p][idx[(i + 1, 1)]] = v_power(i) / quantum_integer(i + 1)
                 if i >= 1:
-                    me[idx[(i - 1, 0)]][p] = (
+                    me[p][idx[(i - 1, 0)]] = (
                         sg * v_power(1) * quantum_integer(i) * quantum_integer(n - i))
             else:
                 if (i + 1, 1) in idx:
-                    mf[idx[(i + 1, 1)]][p] = (
+                    mf[p][idx[(i + 1, 1)]] = (
                         v_power(-1) * quantum_integer(i) / quantum_integer(i + 1))
                 if (i - 1, 1) in idx:
-                    me[idx[(i - 1, 1)]][p] = (
+                    me[p][idx[(i - 1, 1)]] = (
                         sg * quantum_integer(i) * quantum_integer(n + 1 - i))
                 if (i - 1, 0) in idx:
-                    me[idx[(i - 1, 0)]][p] = sg * v_power(i - n) * quantum_integer(i)
+                    me[p][idx[(i - 1, 0)]] = sg * v_power(i - n) * quantum_integer(i)
     action = {"k": mk, "k^-1": mki, "l": ml, "e": me, "f": mf}
     return IrreducibleModule(kind, sign, n, basis, action)
 
@@ -149,36 +146,22 @@ def _coerce_vec(M, vec):
     return out
 
 
-def _mat_vec(mat, vec):
-    out = []
-    for row in mat:
-        s = RF_ZERO
-        for c, x in zip(row, vec):
-            if c and x:
-                s = s + c * x
-        out.append(s)
-    return out
-
-
-def _apply_letters(M, letters, vec):
-    for g in reversed(letters):
-        vec = _mat_vec(M.action[g], vec)
-    return vec
-
-
 def act(w, M, vec):
     """Apply a generator word or a normal-form element to a vector."""
-    vec = _coerce_vec(M, vec)
+    x = Combination(M.dim, dict(enumerate(_coerce_vec(M, vec))))
     if isinstance(w, GeneratorWord):
-        out = _apply_letters(M, w.letters, vec)
-        return [w.scalar * x for x in out]
-    if isinstance(w, pbw.PbwElement):
-        total = [RF_ZERO] * M.dim
-        for mono, c in w.terms.items():
-            out = _apply_letters(M, mono.letters(), vec)
-            total = [t + c * x for t, x in zip(total, out)]
-        return total
-    raise TypeError(f"cannot act by {type(w).__name__}")
+        words = [(w.scalar, w.letters)]
+    elif isinstance(w, pbw.PbwElement):
+        words = [(c, mono.letters()) for mono, c in w.terms.items()]
+    else:
+        raise TypeError(f"cannot act by {type(w).__name__}")
+    total = Combination(M.dim)
+    for c, letters in words:
+        y = x
+        for g in reversed(letters):
+            y = y.apply(M.action[g].__getitem__)
+        total = total + y.scale(c)
+    return [total.terms.get(i, RF_ZERO) for i in range(M.dim)]
 
 
 def action_matrix(w, M):
@@ -207,19 +190,18 @@ def weight_table(M):
     """Simultaneous (k, l) eigenspace dimensions as {(sign, a, eps): mult}.
 
     The module bases are k- and l-eigenbases, so this just reads off the
-    diagonals, checking that the matrices really are diagonal of the
-    expected shape.
+    diagonals, checking that each k and l column holds only its own
+    diagonal entry, of the expected shape.
     """
     mk, ml = M.action["k"], M.action["l"]
     table = {}
     for p in range(M.dim):
-        for q in range(M.dim):
-            if p != q and (mk[p][q] or ml[p][q]):
-                raise ValueError("k not diagonalizable over +-v^Z")
-        se = _eigen_exponent(mk[p][p])
+        if not mk[p].keys() <= {p} or not ml[p].keys() <= {p}:
+            raise ValueError("k not diagonalizable over +-v^Z")
+        se = _eigen_exponent(mk[p].get(p, RF_ZERO))
         if se is None:
             raise ValueError("k not diagonalizable over +-v^Z")
-        lv = ml[p][p]
+        lv = ml[p].get(p, RF_ZERO)
         if lv == RF_ONE:
             eps = 1
         elif not lv:

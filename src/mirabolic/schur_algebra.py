@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
@@ -387,24 +388,23 @@ def eval_letters(d, letters):
     """The element obtained by multiplying out a generator word.
 
     Every suffix of the word is memoised, so words sharing a tail share its
-    evaluation.  The loop starts from the longest suffix already known and
-    applies the remaining letters right to left, with no recursion, so the
-    word length is not bounded by the interpreter's stack.
+    evaluation.  A suffix is stored as (id, element) under the key (id of
+    the suffix one letter shorter, its first letter), with (d, None) for
+    the empty word, so the memo grows linearly in the word length.  The
+    loop applies the letters right to left, with no recursion, so the word
+    length is not bounded by the interpreter's stack.
     """
-    got = _EVAL_CACHE.get((d, letters))
-    if got is not None:
-        return got
-    start = 0
-    while got is None and start < len(letters):
-        start += 1
-        got = _EVAL_CACHE.get((d, letters[start:]))
-    if got is None:
-        got = identity_element(d)
-        _EVAL_CACHE[(d, ())] = got
-    for i in range(start - 1, -1, -1):
-        got = apply_letter(letters[i], got)
-        _EVAL_CACHE[(d, letters[i:])] = got
-    return got
+    node = _EVAL_CACHE.get((d, None))
+    if node is None:
+        node = _EVAL_CACHE[(d, None)] = (len(_EVAL_CACHE), identity_element(d))
+    for letter in reversed(letters):
+        key = (node[0], letter)
+        got = _EVAL_CACHE.get(key)
+        if got is None:
+            got = _EVAL_CACHE[key] = (len(_EVAL_CACHE),
+                                      apply_letter(letter, node[1]))
+        node = got
+    return node[1]
 
 
 def evaluate_words(d, words):
@@ -695,25 +695,23 @@ class _Operators:
 
     @staticmethod
     def label(label):
-        return lambda y: _label_times(label, y)
+        return partial(_label_times, label)
 
 
 def _basis_product(a, b):
-    """T_a * T_b for labels with co(a) = ro(b), memoised per pair."""
+    """The terms of T_a * T_b, memoised per pair; empty unless
+    co(a) = ro(b)."""
+    if _col_sums(a) != _row_sums(b):
+        return {}
     d = a.d
     return _cached(("mul", a, b), lambda: _blm(_Operators(d), a)(
-        SchurElement.basis(d, b)))
+        SchurElement.basis(d, b)).terms)
 
 
 def _label_times(label, y):
-    """T_label * y."""
-    co = _col_sums(label)
-    out = {}
-    for b, cy in y.terms.items():
-        if _row_sums(b) == co:
-            for lab, c in _basis_product(label, b).terms.items():
-                bump(out, lab, cy * c)
-    return y._like(out)
+    """T_label * y.  _blm recurses through here once per lower term; a
+    partial, unlike a lambda, adds no Python frame to each level."""
+    return y.apply(partial(_basis_product, label))
 
 
 def t22_diagonal(d, r):
@@ -730,9 +728,8 @@ def mul_general(x, y):
     special element acting through its case table."""
     if x.d != y.d:
         raise ValueError("mixed degrees")
-    out = {}
-    for label, c in x.terms.items():
+
+    def column(label):
         _require_label(label)
-        for lab, c2 in _label_times(label, y).terms.items():
-            bump(out, lab, c * c2)
-    return x._like(out)
+        return _label_times(label, y).terms
+    return x.apply(column)

@@ -60,11 +60,8 @@ class TensorElement(Combination):
 
 
 def k_action(x):
-    out = {}
-    for label, c in x.terms.items():
-        ones = sum(1 for val in label.seq if val == 1)
-        out[label] = c * v_power(2 * ones - x.d)
-    return TensorElement(x.d, out)
+    return x.apply(
+        lambda label: {label: v_power(2 * label.seq.count(1) - x.d)})
 
 
 def _ell_on_label(label):
@@ -109,10 +106,7 @@ def _ell_on_label(label):
 
 
 def ell_action(x):
-    out = TensorElement(x.d)
-    for label, c in x.terms.items():
-        out = out + TensorElement(x.d, _ell_on_label(label)).scale(c)
-    return out
+    return x.apply(_ell_on_label)
 
 
 def block_basis(seq):

@@ -99,3 +99,26 @@ def test_bump():
     assert terms == {}
     x = Combination(None, {"a": 1, "b": 0})
     assert x.terms == {"a": 1}
+
+
+APPLY_CASES = {
+    "schur": (lambda t: SchurElement(2, t), enumerate_xi(2, 2)),
+    "pbw": (pbw.PbwElement, pbw.enumerate_monomials(1, 1, 0)),
+    "tensor": (lambda t: TensorElement(2, t), enumerate_xi(2, 2, tensor=True)),
+}
+
+
+@pytest.mark.parametrize("make, labels", APPLY_CASES.values(), ids=APPLY_CASES)
+def test_apply(make, labels):
+    a, b, p = labels[:3]
+    two = quantum_integer(2)
+    x = make({a: RF_ONE, b: two})
+    # sum_k c_k column(k)
+    got = x.apply(lambda k: {k: RF_ONE, p: RF_ONE})
+    assert got == x + make({p: RF_ONE + two})
+    # the p entries 1 * [2] and [2] * (-1) cancel and leave no key
+    got = x.apply({a: {a: RF_ONE, p: two}, b: {p: -RF_ONE}}.__getitem__)
+    assert got.terms == {a: RF_ONE}
+    assert type(got) is type(x) and got.d == x.d
+    zero = x.apply(lambda k: {})
+    assert zero.is_zero() and type(zero) is type(x) and zero.d == x.d

@@ -15,6 +15,68 @@ from mirabolic.schur_algebra import (SchurElement, chevalley, mul_general,
 from mirabolic.tensor_space import TensorElement, ell_action, k_action
 
 
+
+# --- whole-space classification, by brute force over every triple ----------
+
+def classify_all_pairs(d, p):
+    """Orbit sizes of all (two-step, two-step, vector) triples, by label."""
+    if p ** d > oracle.SIZE_GUARD:
+        raise ValueError("enumeration guard exceeded")
+    subs = []
+    for r in range(d + 1):
+        subs.extend(oracle.enumerate_flags(d, p, r))
+    vecs = list(product(range(p), repeat=d))
+    sizes = {}
+    for f in subs:
+        for fp_ in subs:
+            for v in vecs:
+                lab = oracle.orbit_invariant(oracle.FlagTriple(f, fp_, v))
+                sizes[lab] = sizes.get(lab, 0) + 1
+    return sizes
+
+
+def classify_all_mixed(d, p):
+    """Orbit sizes of all (two-step, complete, vector) triples, by marked
+    sequence."""
+    if p ** d > oracle.SIZE_GUARD:
+        raise ValueError("enumeration guard exceeded")
+    subs = []
+    for r in range(d + 1):
+        subs.extend(oracle.enumerate_flags(d, p, r))
+    completes = oracle.enumerate_flags(d, p, "complete")
+    vecs = list(product(range(p), repeat=d))
+    sizes = {}
+    for f in subs:
+        for ch in completes:
+            for v in vecs:
+                ms = oracle.tensor_orbit_invariant(oracle.FlagTriple(f, ch, v))
+                sizes[ms] = sizes.get(ms, 0) + 1
+    return sizes
+
+
+def random_invertible(d, p, rng):
+    while True:
+        g = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
+        if oracle.fp_rank(g, p) == d:
+            return g
+
+
+def transform_triple(t, g):
+    """Apply a change of basis to every constituent of the triple."""
+    p, d = t.p, t.d
+
+    def act_vec(v):
+        return tuple(sum(v[i] * g[i][j] for i in range(d)) % p
+                     for j in range(d))
+
+    def act_space(s):
+        return oracle.PrimeFieldSubspace.from_rows(
+            [act_vec(r) for r in s.basis], d, p)
+    return oracle.FlagTriple(tuple(act_space(s) for s in t.F),
+                             tuple(act_space(s) for s in t.Fp),
+                             act_vec(t.v))
+
+
 def test_enumerate_flags():
     assert len(oracle.enumerate_flags(2, 2, 1)) == 3
     assert len(oracle.enumerate_flags(3, 3, "complete")) == 52
@@ -50,7 +112,7 @@ def test_orbit_partition():
     # orbit sizes add up to the full triple count
     for d in (1, 2, 3):
         for p in (2, 3):
-            sizes = oracle.classify_all_pairs(d, p)
+            sizes = classify_all_pairs(d, p)
             subs = sum(len(oracle.enumerate_flags(d, p, r))
                        for r in range(d + 1))
             assert sum(sizes.values()) == subs * subs * p ** d
@@ -67,8 +129,8 @@ def test_orbit_invariance_random_group_elements():
     for _ in range(100):
         t = oracle.FlagTriple(rng.choice(subs), rng.choice(subs),
                               rng.choice(vecs))
-        g = oracle.random_invertible(d, p, rng)
-        assert oracle.orbit_invariant(oracle.transform_triple(t, g)) == \
+        g = random_invertible(d, p, rng)
+        assert oracle.orbit_invariant(transform_triple(t, g)) == \
             oracle.orbit_invariant(t)
 
 
@@ -224,13 +286,13 @@ def test_tensor_orbit_examples():
     t = oracle.FlagTriple((full,), (), (1,))
     assert oracle.tensor_orbit_invariant(t) == \
         MarkedSequence((1,), frozenset({1}))
-    assert len(oracle.classify_all_mixed(2, 2)) == 13
+    assert len(classify_all_mixed(2, 2)) == 13
 
 
 def test_tensor_partition_and_counts():
     for d in (1, 2, 3):
         for p in (2, 3):
-            sizes = oracle.classify_all_mixed(d, p)
+            sizes = classify_all_mixed(d, p)
             assert set(sizes) == set(enumerate_xi(2, d, tensor=True))
             assert len(sizes) == count_xi_tensor(2, d)
             subs = sum(len(oracle.enumerate_flags(d, p, r))
@@ -258,8 +320,8 @@ def test_tensor_invariance_random_group_elements():
     for _ in range(100):
         t = oracle.FlagTriple(rng.choice(subs), rng.choice(completes),
                               rng.choice(vecs))
-        g = oracle.random_invertible(d, p, rng)
-        assert oracle.tensor_orbit_invariant(oracle.transform_triple(t, g)) \
+        g = random_invertible(d, p, rng)
+        assert oracle.tensor_orbit_invariant(transform_triple(t, g)) \
             == oracle.tensor_orbit_invariant(t)
 
 

@@ -1,6 +1,7 @@
 """Normal-form engine for the abstract algebra on e, f, k, k^-1, l."""
 
 import random
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -270,3 +271,16 @@ def test_project_long_k_power(monkeypatch, n):
         for lab, c in identity_element(2).terms.items()})
     assert got == want
     assert len(schur_algebra._EVAL_CACHE) == n + 1
+
+
+def test_project_long_k_power_memory_is_linear(monkeypatch):
+    # the suffix memo holds one small key per letter, not every suffix
+    monkeypatch.setattr(schur_algebra, "_EVAL_CACHE", {})
+    x = pbw.PbwElement.monomial(pbw.PbwMonomial(0, 0, 0, 5000))
+    tracemalloc.start()
+    try:
+        pbw.project_to_schur(2, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, peak

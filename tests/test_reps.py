@@ -1,11 +1,14 @@
 """Simple finite-dimensional modules, Casimir scalars, weight decompositions."""
 
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
 from mirabolic import checks, pbw, reps
-from mirabolic.qv import RF_ONE, RF_ZERO, quantum_integer, v_power
+from mirabolic.qv import (RF_ONE, RF_ZERO, format_coeff, quantum_integer,
+                          v_power)
 from mirabolic.schur_algebra import GeneratorWord
 
 
@@ -53,6 +56,23 @@ def test_action_examples():
     for j in range(M.dim):
         assert reps.act(GeneratorWord(RF_ONE, ("l",)), M, unit_vec(M, j)) \
             == unit_vec(M, j)
+
+
+def test_action_matrices_pinned():
+    # sha256 of the matrix of every word of 1-3 letters, and of its normal
+    # form, on every simple with n <= 4, recorded from the dense-matrix
+    # modules this sparse form replaced
+    h = hashlib.sha256()
+    for M in checks.simple_modules(4):
+        for length in (1, 2, 3):
+            for letters in product(pbw.GENERATORS, repeat=length):
+                for w in (GeneratorWord(RF_ONE, letters),
+                          pbw.normalize_word(letters)):
+                    for row in reps.action_matrix(w, M):
+                        h.update((",".join(map(format_coeff, row))
+                                  + "\n").encode())
+    assert h.hexdigest() == \
+        "58b59b32b4f9c0a18293fb977bc9680fec1dc5929db8f4f61f956679c21679c7"
 
 
 def test_relations_hold_n_to_6():
