@@ -15,8 +15,7 @@ from math import comb
 from . import checks
 from . import oracle as oracle_mod
 from . import pbw, reps, tensor_space
-from .decorated import (DecoratedMatrix, count_xi_tensor, enumerate_xi,
-                        row_col_sums, validate)
+from .decorated import count_xi_tensor, enumerate_xi, row_col_sums
 from .qv import format_coeff
 from .schur_algebra import SchurElement, mul_general
 
@@ -95,6 +94,8 @@ def _cmd_mul(args):
     y = SchurElement.from_json(_read_json_arg(args.rhs))
     if args.d is not None and (x.d != args.d or y.d != args.d):
         raise ValueError(f"elements have d={x.d}, d={y.d}, expected {args.d}")
+    # a product may run through all of Xi_{2,d}, which has (d+1)^3 labels
+    _check_size((x.d + 1) ** 3, "basis labels")
     _emit(mul_general(x, y).to_json())
     return 0
 
@@ -175,21 +176,10 @@ def _cmd_sw_check(args):
     return 0 if report["conjecture_match"] else 1
 
 
-def _parse_label(obj):
-    lab = DecoratedMatrix.from_json(obj)
-    ok, why = validate(lab)
-    if not ok:
-        raise ValueError(f"invalid label: {why}")
-    return lab
-
-
 def _cmd_oracle(args):
     primes = sorted({int(p) for p in args.primes.split(",")})
-    left = _parse_label(_read_json_arg(args.lhs))
-    right = _parse_label(_read_json_arg(args.rhs))
-    if left.d != args.d or right.d != args.d:
-        raise ValueError(f"labels have d={left.d}, d={right.d}, "
-                         f"expected {args.d}")
+    left = SchurElement.read_label(_read_json_arg(args.lhs), args.d)
+    right = SchurElement.read_label(_read_json_arg(args.rhs), args.d)
     product = oracle_mod.structure_constants(left, right, primes)
 
     rows = []

@@ -61,6 +61,11 @@ class DecoratedMatrix:
 
     @staticmethod
     def from_json(obj):
+        """Read the to_json form; any other JSON shape raises ValueError."""
+        if not (isinstance(obj, dict) and _int_rows(obj.get("A"))
+                and _int_rows(obj.get("delta"), 2)):
+            raise ValueError(f'a label is {{"A": rows of integers, "delta": '
+                             f'[[i, j], ...]}}, got {obj!r:.80}')
         return DecoratedMatrix(tuple(tuple(r) for r in obj["A"]),
                                frozenset(tuple(p) for p in obj["delta"]))
 
@@ -68,6 +73,14 @@ class DecoratedMatrix:
         rows = ";".join(",".join(str(x) for x in row) for row in self.a)
         marks = "{" + ",".join(f"({i},{j})" for i, j in self.sorted_delta()) + "}"
         return f"[{rows}]{marks}"
+
+
+def _int_rows(obj, width=None):
+    """Whether obj is a JSON list of lists of integers, each of the given
+    width if there is one."""
+    return isinstance(obj, list) and all(
+        isinstance(row, list) and width in (None, len(row))
+        and all(isinstance(x, int) for x in row) for row in obj)
 
 
 @dataclass(frozen=True)

@@ -104,11 +104,19 @@ class Combination:
 
     @classmethod
     def from_json(cls, obj):
-        """Parse the to_json form; read_label rejects labels that are
-        invalid or of the wrong size with ValueError."""
-        d = int(obj["d"])
+        """Parse the to_json form.  Any other JSON shape raises ValueError,
+        and so does a label that read_label finds invalid or of the wrong
+        size."""
+        terms = obj.get("terms") if isinstance(obj, dict) else None
+        if not (isinstance(terms, list) and isinstance(obj.get("d"), int)
+                and all(isinstance(t, dict) and isinstance(t.get("coeff"), str)
+                        for t in terms)):
+            raise ValueError(f'an element is {{"d": integer, "terms": '
+                             f'[{{"label": ..., "coeff": string}}, ...]}}, '
+                             f'got {obj!r:.80}')
+        d = obj["d"]
         return cls(d, {cls.read_label(t["label"], d): parse_coeff(t["coeff"])
-                       for t in obj["terms"]})
+                       for t in terms})
 
 
 def _coeff_size(c):

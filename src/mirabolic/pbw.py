@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Combination, bump
+from .oracle import SIZE_GUARD
 from .qv import (RF_ONE, format_coeff, parse_coeff, quantum_integer, rf_const,
                  v_power)
 from .schur_algebra import GeneratorWord, evaluate_words
@@ -547,7 +548,8 @@ def parse_word(text):
 
     The parenthesized coefficient is optional and uses the scalar grammar;
     letters are e, f, l, k with optional integer exponents, where only k
-    admits negative ones.
+    admits negative ones.  A word of more than oracle.SIZE_GUARD letters is
+    refused before its letters are listed.
     """
     text = text.strip()
     coeff = RF_ONE
@@ -566,7 +568,7 @@ def parse_word(text):
             raise ValueError("unbalanced parenthesis in word")
         coeff = parse_coeff(text[1:end].replace(" ", ""))
         text = text[end + 1:]
-    letters = []
+    blocks = []
     for tok in text.split():
         if tok == "1":
             continue
@@ -574,12 +576,11 @@ def parse_word(text):
         if base not in ("e", "f", "k", "l"):
             raise ValueError(f"unknown generator {base!r}")
         n = int(exp) if exp else 1
-        if n == 0:
-            continue
-        if n < 0:
-            if base != "k":
-                raise ValueError(f"negative power of {base}")
-            letters.extend(["k^-1"] * (-n))
-        else:
-            letters.extend([base] * n)
-    return coeff, tuple(letters)
+        if n < 0 and base != "k":
+            raise ValueError(f"negative power of {base}")
+        blocks.append(("k^-1" if n < 0 else base, abs(n)))
+    length = sum(n for _, n in blocks)
+    if length > SIZE_GUARD:
+        raise ValueError(f"a word of {length} letters exceeds the guard "
+                         f"{SIZE_GUARD}")
+    return coeff, tuple(g for g, n in blocks for _ in range(n))

@@ -359,9 +359,6 @@ class RationalFunction:
         n, d = _rf_canonical(self.den, self.num)
         return RationalFunction._raw(n, d)
 
-    def is_laurent(self):
-        return self.den == LP_ONE
-
     def __repr__(self):
         return f"RationalFunction({format_coeff(self)})"
 
@@ -628,6 +625,8 @@ def _parse_laurent(s):
         if not m:
             raise ValueError(f"malformed term {piece!r}")
         if m.group("rat") is not None:
+            if int(m.group("rat").partition("/")[2] or 1) == 0:
+                raise ValueError(f"zero denominator in {piece!r}")
             mag = Fraction(m.group("rat"))
             if m.group("var1") is not None:
                 exp = int(m.group("exp1") or 1)
@@ -645,12 +644,15 @@ def _parse_laurent(s):
 
 
 def parse_coeff(s):
-    """Inverse of format_coeff; accepts any valid string of the grammar."""
+    """Inverse of format_coeff; accepts any valid string of the grammar and
+    raises ValueError on any other, a zero denominator included."""
     s = s.strip()
     m = re.match(r"^\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)$", s)
     if m:
-        return RationalFunction(_parse_laurent(m.group("num")),
-                                _parse_laurent(m.group("den")))
+        den = _parse_laurent(m.group("den"))
+        if not den.c:
+            raise ValueError(f"zero denominator in {s!r}")
+        return RationalFunction(_parse_laurent(m.group("num")), den)
     if s.startswith("(") and s.endswith(")") and "(" not in s[1:-1]:
         s = s[1:-1]
     return RationalFunction(_parse_laurent(s))

@@ -124,23 +124,19 @@ def x22_key(d, r):
 
 
 def classify_special(key):
-    """Which case table applies to left multiplication by this label.
-
-    Returns (kind, required_input_row_sums).
-    """
+    """Which case table applies to left multiplication by this label."""
     (a11, a12), (a21, a22) = key.a
-    d = a11 + a12 + a21 + a22
     if key.delta == D_EMPTY:
         if a12 == 1 and a21 == 0:
-            return "e", (a11, d - a11)
+            return "e"
         if a21 == 1 and a12 == 0:
-            return "f", (a11 + 1, d - a11 - 1)
+            return "f"
         if a12 == 0 and a21 == 0:
-            return "diag", (a11, a22)
+            return "diag"
     elif key.delta == D_11 and a12 == 0 and a21 == 0 and a11 >= 1:
-        return "x11", (a11, a22)
+        return "x11"
     elif key.delta == D_22 and a12 == 0 and a21 == 0 and a22 >= 1:
-        return "x22", (a11, a22)
+        return "x22"
     raise ValueError(f"not a special multiplication key: {key}")
 
 
@@ -275,94 +271,79 @@ _EXPANDERS = {"e": _expand_e, "f": _expand_f,
               "x11": _expand_x11, "x22": _expand_x22}
 
 
-def _expand_into(out, kind, label, c):
-    """Add c times (special element of this kind) * T_label to out, by the
-    case table of that kind."""
+def _special_column(kind, label):
+    """T_S * T_label as {label: coefficient}, where S is the special element
+    of this kind whose column sums are ro(label), by the case table of that
+    kind."""
+    if kind == "diag":
+        return {label: RF_ONE}
     (a11, a12), (a21, a22) = label.a
+    out = {}
     for shift, delta2, coeff in _EXPANDERS[kind](label.a, label.delta):
         if not coeff:
             continue
         lab2 = _label(a11 + shift[0], a12 + shift[1],
                       a21 + shift[2], a22 + shift[3], delta2)
         if lab2 is not None:
-            bump(out, lab2, c * coeff)
+            bump(out, lab2, coeff)
+    return out
 
 
 def left_mul_special(key, x):
     """Left-multiply x by the special basis element with the given label."""
-    kind, margin = classify_special(key)
+    kind = classify_special(key)
     if key.d != x.d:
         raise ValueError("mixed degrees")
-    out = {}
-    for label, c in x.terms.items():
-        if _row_sums(label) != margin:
-            continue
-        if kind == "diag":
-            bump(out, label, c)
-        else:
-            _expand_into(out, kind, label, c)
-    return x._like(out)
+    margin = _col_sums(key)
+    return x.apply(lambda label: _special_column(kind, label)
+                   if _row_sums(label) == margin else {})
 
 
 def identity_element(d):
     return SchurElement(d, {one_key(d, r): RF_ONE for r in range(d + 1)})
 
 
-def chevalley(d, which):
-    """One of the five distinguished generators as an algebra element."""
-    if which == "e":
-        return SchurElement(d, {e_key(d, r): v_power(-r) for r in range(d)})
-    if which == "f":
-        return SchurElement(d, {f_key(d, r): v_power(1 + r - d)
-                                for r in range(d)})
-    if which == "k":
-        return SchurElement(d, {one_key(d, r): v_power(2 * r - d)
-                                for r in range(d + 1)})
-    if which == "k^-1":
-        return SchurElement(d, {one_key(d, r): v_power(d - 2 * r)
-                                for r in range(d + 1)})
-    if which == "l":
-        terms = {one_key(d, 0): RF_ONE}
-        for r in range(1, d + 1):
-            terms[one_key(d, r)] = v_power(-2 * r)
-            terms[x_key(d, r)] = v_power(-2 * r)
-        return SchurElement(d, terms)
-    raise ValueError(f"unknown generator {which!r}")
+def _scaled(column, c):
+    return {label: c * coeff for label, coeff in column.items()}
 
 
 def apply_letter(letter, x):
-    """Left-multiply by a generator, term by term via the case tables."""
+    """Left-multiply by a generator.  With r the first row sum of a label A
+    and d the degree, the generators act on T_A by
+        k:     v^(2r-d) T_A,
+        k^-1:  v^(d-2r) T_A,
+        e:     v^-r E_r T_A, and 0 when r = d,
+        f:     v^(r-d) F_(r-1) T_A, and 0 when r = 0,
+        l:     T_A when r = 0, and v^-2r (T_A + X_r T_A) otherwise,
+    where E_r, F_(r-1) and X_r act by their case tables."""
+    if letter not in ("e", "f", "k", "k^-1", "l"):
+        raise ValueError(f"unknown generator {letter!r}")
     d = x.d
-    out = {}
-    for label, c in x.terms.items():
-        r0 = label.a[0][0] + label.a[0][1]
+
+    def column(label):
+        r = label.a[0][0] + label.a[0][1]
         if letter == "k":
-            bump(out, label, c * v_power(2 * r0 - d))
-            continue
+            return {label: v_power(2 * r - d)}
         if letter == "k^-1":
-            bump(out, label, c * v_power(d - 2 * r0))
-            continue
-        if letter == "l":
-            if r0 == 0:
-                bump(out, label, c)
-                continue
-            s = c * v_power(-2 * r0)
-            bump(out, label, s)
-            kind = "x11"
-        elif letter == "e":
-            if r0 > d - 1:
-                continue
-            s = c * v_power(-r0)
-            kind = "e"
-        elif letter == "f":
-            if r0 == 0:
-                continue
-            s = c * v_power(r0 - d)
-            kind = "f"
-        else:
-            raise ValueError(f"unknown generator {letter!r}")
-        _expand_into(out, kind, label, s)
-    return x._like(out)
+            return {label: v_power(d - 2 * r)}
+        if letter == "e":
+            return {} if r == d else _scaled(_special_column("e", label),
+                                             v_power(-r))
+        if letter == "f":
+            return {} if r == 0 else _scaled(_special_column("f", label),
+                                             v_power(r - d))
+        if r == 0:
+            return {label: RF_ONE}
+        out = _special_column("x11", label)
+        bump(out, label, RF_ONE)
+        return _scaled(out, v_power(-2 * r))
+    return x.apply(column)
+
+
+def chevalley(d, which):
+    """One of the five distinguished generators as an algebra element:
+    g * 1."""
+    return apply_letter(which, identity_element(d))
 
 
 @dataclass(frozen=True)
@@ -464,10 +445,6 @@ def _cached(key, build):
     return got
 
 
-def _mk(a11, a12, a21, a22, delta):
-    return decorated2(a11, a12, a21, a22, delta)
-
-
 def _with_delta(label, delta):
     return DecoratedMatrix(label.a, delta)
 
@@ -516,18 +493,18 @@ def _blm(alg, label):
                 prod = cat(prod, alg.e(a11 + i))
             return scale(prod, v_power(-comb(a12, 2)) / quantum_factorial(a12))
         if delta == D_11:
-            return cat(lab(_mk(a11, a12, 0, a22, D_EMPTY)), alg.x(a11))
+            return cat(lab(_with_delta(label, D_EMPTY)), alg.x(a11))
         if delta == D_12:
-            out = cat(alg.x(a11 + a12), lab(_mk(a11, a12, 0, a22, D_EMPTY)))
+            out = cat(alg.x(a11 + a12), lab(_with_delta(label, D_EMPTY)))
             if a11 >= 1:
-                out = sub(out, lab(_mk(a11, a12, 0, a22, D_11)))
+                out = sub(out, lab(_with_delta(label, D_11)))
             return out
         if delta == D_22:
-            return cat(alg.t22(a11 + a12), lab(_mk(a11, a12, 0, a22, D_EMPTY)))
+            return cat(alg.t22(a11 + a12), lab(_with_delta(label, D_EMPTY)))
         return alg.zero()
     # a21 >= 1: peel one unit off the lower-left entry
-    up = _mk(a11, a12, a21 - 1, a22 + 1, delta)          # A'
-    over = _mk(a11 + 1, a12 - 1, a21 - 1, a22 + 1, delta)  # A''
+    up = decorated2(a11, a12, a21 - 1, a22 + 1, delta)            # A'
+    over = decorated2(a11 + 1, a12 - 1, a21 - 1, a22 + 1, delta)  # A''
     s = a11 + a21 - 1
     if delta == D_EMPTY:
         rest = scale(lab(over),
@@ -543,16 +520,16 @@ def _blm(alg, label):
                    v_power(2 * a21 + a11 - 2) * quantum_integer(a11 + 1))
         return scale(sub(cat(lab(up), alg.f(s)), add(r1, r2)), _unit(a21))
     if delta == D_21:
-        anchor = _mk(a11 + 1, a12, a21 - 1, a22, D_11)   # A'''
-        r1 = scale(lab(_mk(a11, a12, a21, a22, D_11)),
+        anchor = decorated2(a11 + 1, a12, a21 - 1, a22, D_11)  # A'''
+        r1 = scale(lab(_with_delta(label, D_11)),
                    v_power(a21 - 1) * quantum_integer(a21))
         r2 = scale(lab(_with_delta(over, D_11)),
                    v_power(2 * a21 + a22 - 2) * quantum_integer(a22 + 1))
         return sub(cat(alg.f(a11 + a12), lab(anchor)), add(r1, r2))
     if delta == D_1221:
         if a21 == 1:
-            anchor = _mk(a11 + 1, a12, 0, a22, D_12)     # A'''
-            r1 = lab(_mk(a11, a12, 1, a22, D_12))
+            anchor = decorated2(a11 + 1, a12, 0, a22, D_12)  # A'''
+            r1 = lab(_with_delta(label, D_12))
             r2 = scale(lab(_with_delta(over, D_12)),
                        v_power(a22) * quantum_integer(a22 + 1))
             r3 = lab(_with_delta(over, D_22))
@@ -565,9 +542,9 @@ def _blm(alg, label):
         return scale(sub(cat(lab(up), alg.f(s)), add(r1, r2)),
                      _unit(a21 - 1))
     # delta == D_22
-    lead = cat(alg.t22(a11 + a12), lab(_mk(a11, a12, a21, a22, D_EMPTY)))
-    return sub(lead, add(lab(_mk(a11, a12, a21, a22, D_21)),
-                         lab(_mk(a11, a12, a21, a22, D_1221))))
+    lead = cat(alg.t22(a11 + a12), lab(_with_delta(label, D_EMPTY)))
+    return sub(lead, add(lab(_with_delta(label, D_21)),
+                         lab(_with_delta(label, D_1221))))
 
 
 # the word reading ------------------------------------------------------------

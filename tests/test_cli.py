@@ -365,3 +365,59 @@ def test_verify_refuses_bad_sizes_at_once(capsys, argv):
     code, out, err = run(capsys, "verify", "--suite", *argv)
     assert code == 2 and "error:" in err and not out
     assert time.monotonic() - t0 < 1.0
+
+
+ID1 = json.dumps({"A": [[1]], "delta": []})
+ID3 = json.dumps({"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "delta": []})
+ONE2 = element(2, [[1, 0], [0, 1]])
+
+
+def element_with(terms):
+    return json.dumps({"d": 2, "terms": terms})
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--d", "1", "--primes", "2,3", "--lhs", ID1, "--rhs", ID1),
+    ("oracle", "--d", "3", "--primes",
+     ",".join(map(str, oracle.primes_list(10))),
+     "--lhs", ID3, "--rhs", ID3),
+    ("normalize", "--word", "(1/0) e"),
+    ("normalize", "--word", "((1)/(0)) e"),
+    ("rep", "--module", "L+(3,0)", "--matrix", "(1/0) e"),
+    ("mul", "--lhs", element_with([{"label": {"A": [[1, 0], [0, 1]],
+                                              "delta": []},
+                                    "coeff": "1/0"}]), "--rhs", ONE2),
+    ("mul", "--lhs", element_with(5), "--rhs", ONE2),
+    ("mul", "--lhs", element_with([5]), "--rhs", ONE2),
+    ("mul", "--lhs", element_with([{"label": {"A": 5, "delta": []},
+                                    "coeff": "1"}]), "--rhs", ONE2),
+    ("normalize", "--word", "e^99999999999"),
+    ("rep", "--module", "L+(3,0)", "--matrix", "e^99999999999"),
+    ("mul", "--lhs", element(130, [[0, 0], [130, 0]]),
+     "--rhs", element(130, [[130, 0], [0, 0]])),
+    ("mul", "--lhs", element(101, [[101, 0], [0, 0]]),
+     "--rhs", element(101, [[101, 0], [0, 0]])),
+], ids=["oracle-1x1", "oracle-3x3", "normalize-zero-den",
+        "normalize-zero-den-fraction", "rep-zero-den", "mul-zero-den",
+        "mul-terms-int", "mul-term-int", "mul-label-int", "normalize-huge-exp",
+        "rep-huge-exp", "mul-d130", "mul-d101"])
+def test_bad_inputs_are_usage_errors(capsys, argv):
+    # exit 1 means a failed verification, so bad input must never end in a
+    # traceback
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err and not out
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_mul_guard_admits_d_100(capsys):
+    x = element(100, [[100, 0], [0, 0]])
+    code, out, _ = run(capsys, "mul", "--lhs", x, "--rhs", x)
+    assert code == 0 and json.loads(out) == json.loads(x)
+
+
+def test_count_matches_mul_guard(capsys):
+    # the mul guard counts |Xi_{2,d}| as (d+1)^3
+    for d in range(11):
+        code, out, _ = run(capsys, "count", "--n", "2", "--d", str(d))
+        assert code == 0 and int(out) == (d + 1) ** 3

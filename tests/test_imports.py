@@ -1,13 +1,19 @@
-"""Every imported name is used, and every module-level private name of the
-package is read somewhere in it: dead-code checks with no linter."""
+"""Every imported name is used, every module-level private name of the
+package is read somewhere in it, and every public function, class and
+method of the package is read somewhere in the repository: dead-code checks
+with no linter."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for pattern in ("src/mirabolic/*.py", "tests/*.py")
                for p in ROOT.glob(pattern) if p.name != "__init__.py")
 SRC = sorted(ROOT.glob("src/mirabolic/*.py"))
+READERS = sorted(p for pattern in ("src/mirabolic/*.py", "tests/*.py",
+                                   "perfbench/*.py")
+                 for p in ROOT.glob(pattern))
 
 
 def unused_imports(source):
@@ -43,19 +49,25 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def dead_private_names(sources):
-    """(file, line, name) of each module-level `_name` (function, class or
-    constant) in sources, a {file: source} dict, that no source reads as a
-    name or an attribute."""
-    trees = {path: ast.parse(source) for path, source in sources.items()}
+def names_read(trees):
+    """Every name and attribute that the syntax trees read."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and \
                     isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def dead_private_names(sources):
+    """(file, line, name) of each module-level `_name` (function, class or
+    constant) in sources, a {file: source} dict, that no source reads as a
+    name or an attribute."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = names_read(trees.values())
     found = []
     for path, tree in trees.items():
         for node in tree.body:
@@ -74,6 +86,41 @@ def dead_private_names(sources):
     return sorted(found)
 
 
+def dead_public_names(sources, readers, also_read=()):
+    """(file, line, name) of each public module-level function or class and
+    each public method in sources, a {file: source} dict, that no source of
+    readers (another such dict) reads as a name or an attribute and that is
+    not in also_read.  Dunder methods are called by the language, so they
+    are not public names here."""
+    read = names_read(ast.parse(source) for source in readers.values())
+    read.update(also_read)
+    found = []
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [node]
+            if isinstance(node, ast.ClassDef):
+                defs += [m for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            found.extend((path, n.lineno, n.name) for n in defs
+                         if not n.name.startswith("_") and n.name not in read)
+    return sorted(found)
+
+
+def strings_in(source):
+    """Every string constant of the module source."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def entry_points():
+    """The function names that the console scripts of pyproject.toml call,
+    read from its "module:function" strings."""
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    return set(re.findall(r'"[\w.]+:(\w+)"', text))
+
+
 def test_checker_finds_dead_private_names():
     sources = {"a.py": ("_USED, _DEAD = 1, 2\n_ATTR = 3\n"
                         "def _f():\n    return _USED\n"
@@ -88,4 +135,30 @@ def test_no_dead_private_names():
     found = dead_private_names({p.relative_to(ROOT): p.read_text("utf-8")
                                 for p in SRC})
     assert not found, "private names nothing reads:\n" + "\n".join(
+        f"{path}:{line}: {name}" for path, line, name in found)
+
+
+def test_checker_finds_dead_public_names():
+    sources = {"a.py": ("def used():\n    pass\ndef dead():\n    pass\n"
+                        "def hooked():\n    pass\n"
+                        "class Kept:\n    def __init__(self):\n        pass\n"
+                        "    def method(self):\n        pass\n"
+                        "    def _private(self):\n        pass\n"
+                        "    def gone(self):\n        pass\n"
+                        "class Unused:\n    pass\n")}
+    readers = dict(sources, **{"b.py": "from a import Kept, used\n"
+                                       "used(Kept().method())\n"})
+    assert dead_public_names(sources, readers, {"hooked"}) == [
+        ("a.py", 3, "dead"), ("a.py", 14, "gone"), ("a.py", 16, "Unused")]
+
+
+def test_no_dead_public_names():
+    assert READERS
+    read = {p.relative_to(ROOT): p.read_text("utf-8") for p in READERS}
+    hooked = strings_in((ROOT / "perfbench" / "bench_trace.py")
+                        .read_text("utf-8"))
+    assert "apply_letter" in hooked and entry_points() == {"main"}
+    found = dead_public_names({p.relative_to(ROOT): p.read_text("utf-8")
+                               for p in SRC}, read, hooked | entry_points())
+    assert not found, "public names nothing reads:\n" + "\n".join(
         f"{path}:{line}: {name}" for path, line, name in found)

@@ -1,5 +1,7 @@
 """Convolution algebra on decorated 2x2 labels: products and generators."""
 
+import hashlib
+import json
 import random
 from functools import partial
 
@@ -7,10 +9,11 @@ import pytest
 
 from mirabolic import checks
 from mirabolic.decorated import decorated2, diag2, enumerate_xi, row_col_sums
+from mirabolic.pbw import GENERATORS
 from mirabolic.qv import (RF_ONE, RationalFunction, parse_coeff,
                           quantum_integer, rf_const, v_power)
 from mirabolic.schur_algebra import (GeneratorWord, SchurElement, apply_letter,
-                                     apply_word, chevalley, e_key,
+                                     apply_word, chevalley, e_key, f_key,
                                      eval_letters, express_in_generators,
                                      identity_element, left_mul_special,
                                      mul_general, one_key, star, t22_diagonal,
@@ -45,6 +48,24 @@ def test_special_products():
     assert got == basis(2, x_key(2, 1))
 
 
+def chevalley_closed_form(d, which):
+    """The five generators as sums of special elements, written out: the
+    reference for chevalley, which computes them as g * 1."""
+    if which == "e":
+        return {e_key(d, r): v_power(-r) for r in range(d)}
+    if which == "f":
+        return {f_key(d, r): v_power(1 + r - d) for r in range(d)}
+    if which == "k":
+        return {one_key(d, r): v_power(2 * r - d) for r in range(d + 1)}
+    if which == "k^-1":
+        return {one_key(d, r): v_power(d - 2 * r) for r in range(d + 1)}
+    terms = {one_key(d, 0): RF_ONE}
+    for r in range(1, d + 1):
+        terms[one_key(d, r)] = v_power(-2 * r)
+        terms[x_key(d, r)] = v_power(-2 * r)
+    return terms
+
+
 def test_chevalley_elements():
     k2 = chevalley(2, "k")
     assert k2.terms == {one_key(2, 0): v_power(-2),
@@ -56,6 +77,43 @@ def test_chevalley_elements():
     assert l1.terms == {one_key(1, 0): RF_ONE,
                         one_key(1, 1): v_power(-2),
                         x_key(1, 1): v_power(-2)}
+    for d in range(6):
+        for g in GENERATORS:
+            assert chevalley(d, g).terms == chevalley_closed_form(d, g), (d, g)
+    with pytest.raises(ValueError):
+        chevalley(2, "h")
+
+
+def digest(elements):
+    h = hashlib.sha256()
+    for x in elements:
+        h.update((json.dumps(x.to_json(), sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+def special_keys(d):
+    return ([e_key(d, r) for r in range(d)] + [f_key(d, r) for r in range(d)]
+            + [one_key(d, r) for r in range(d + 1)]
+            + [x_key(d, r) for r in range(1, d + 1)]
+            + [x22_key(d, r) for r in range(d)])
+
+
+# sha256 of every generator and every special element applied to every
+# basis element at d <= 4, recorded before letters and special elements
+# acted through one column function each
+def test_apply_letter_pinned():
+    assert digest(apply_letter(g, basis(d, b)) for d in range(5)
+                  for g in GENERATORS for b in enumerate_xi(2, d)) == \
+        "289a2b2bfe0c3d51d12f6dae3a20fe875487b51e505889e854d7489432d20d3d"
+    for x in (identity_element(2), SchurElement(2)):
+        with pytest.raises(ValueError):
+            apply_letter("h", x)
+
+
+def test_left_mul_special_pinned():
+    assert digest(left_mul_special(key, basis(d, b)) for d in range(5)
+                  for key in special_keys(d) for b in enumerate_xi(2, d)) == \
+        "9eaa89ceeefbcc789b526130eb6932e9b731d60cc10f2834ed256203d3464691"
 
 
 def test_apply_word_basics():
