@@ -49,17 +49,6 @@ def _check_module(dim):
     _check_size(5 * dim * dim, "matrix entries")
 
 
-def _check_oracle_size(d):
-    """Refuse an oracle sweep at d if the last of the d^2 + 1 primes that
-    interpolation needs has p^d > oracle.SIZE_GUARD; as p^d >= 2^d, a d
-    past the guard's bit length is refused without listing the primes."""
-    guard = oracle_mod.SIZE_GUARD
-    if d >= guard.bit_length() or \
-            oracle_mod.primes_list(d * d + 1)[-1] ** d > guard:
-        raise ValueError(f"the oracle at d={d} counts more than {guard} "
-                         f"points per prime")
-
-
 def _read_json_arg(text):
     """Accept either a path to a JSON file or an inline JSON object."""
     if text.lstrip().startswith("{"):
@@ -74,14 +63,15 @@ def _check_modules(n_max):
 
 
 # verify --suite: (checks, the size option they take, its default, the
-# guard that refuses a size before any work)
+# guard that refuses a size before any work; the oracle suite refuses its
+# own through oracle.interpolation_primes)
 _SUITES = {
     "relations": (checks.relations_suite, "d", 3, None),
     "pbw": (checks.pbw_suite, "d", 3, None),
     "casimir": (checks.casimir_suite, "n", 4, _check_modules),
     "reps": (checks.module_relations, "n", 4, _check_modules),
     "tensor": (checks.tensor_suite, "d", 4, _check_tensor_size),
-    "oracle": (checks.oracle_suite, "d", 2, _check_oracle_size),
+    "oracle": (checks.oracle_suite, "d", 2, None),
 }
 
 

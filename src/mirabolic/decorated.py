@@ -107,6 +107,11 @@ class MarkedSequence:
 
     @staticmethod
     def from_json(obj):
+        """Read the to_json form; any other JSON shape raises ValueError."""
+        if not (isinstance(obj, dict)
+                and _int_rows([obj.get("seq"), obj.get("marks")])):
+            raise ValueError(f'a label is {{"seq": [integers], "marks": '
+                             f'[integers]}}, got {obj!r:.80}')
         return MarkedSequence(tuple(obj["seq"]), frozenset(obj["marks"]))
 
     def __str__(self):

@@ -29,6 +29,21 @@ def bump(terms, key, c):
         del terms[key]
 
 
+def json_terms(obj, shape, strings, ints=()):
+    """The list obj["terms"] of a JSON element, after checking that obj is
+    a dict with an integer at each key of ints and that each term is a dict
+    with a string at each key of strings; any other shape raises ValueError
+    saying that an element is shape."""
+    terms = obj.get("terms") if isinstance(obj, dict) else None
+    if not (isinstance(terms, list)
+            and all(isinstance(obj.get(k), int) for k in ints)
+            and all(isinstance(t, dict)
+                    and all(isinstance(t.get(k), str) for k in strings)
+                    for t in terms)):
+        raise ValueError(f"an element is {shape}, got {obj!r:.80}")
+    return terms
+
+
 class Combination:
     """Finite linear combination {key: nonzero coefficient} of degree d.
 
@@ -107,13 +122,8 @@ class Combination:
         """Parse the to_json form.  Any other JSON shape raises ValueError,
         and so does a label that read_label finds invalid or of the wrong
         size."""
-        terms = obj.get("terms") if isinstance(obj, dict) else None
-        if not (isinstance(terms, list) and isinstance(obj.get("d"), int)
-                and all(isinstance(t, dict) and isinstance(t.get("coeff"), str)
-                        for t in terms)):
-            raise ValueError(f'an element is {{"d": integer, "terms": '
-                             f'[{{"label": ..., "coeff": string}}, ...]}}, '
-                             f'got {obj!r:.80}')
+        terms = json_terms(obj, '{"d": integer, "terms": [{"label": ..., '
+                           '"coeff": string}, ...]}', ("coeff",), ("d",))
         d = obj["d"]
         return cls(d, {cls.read_label(t["label"], d): parse_coeff(t["coeff"])
                        for t in terms})

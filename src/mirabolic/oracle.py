@@ -538,13 +538,46 @@ def _checked_primes(primes, d):
     return primes
 
 
-def structure_constants(left, right, primes):
-    """The product of two basis symbols recovered purely from point counts.
+def interpolation_primes(d):
+    """The d^2 + 1 primes that interpolation at d needs.  Raises ValueError
+    if the last of them has p^d > SIZE_GUARD; as p^d >= 2^d, a d past the
+    guard's bit length is refused without listing the primes."""
+    if d < SIZE_GUARD.bit_length():
+        primes = primes_list(d * d + 1)
+        if primes[-1] ** d <= SIZE_GUARD:
+            return primes
+    raise ValueError(f"the oracle at d={d} counts more than {SIZE_GUARD} "
+                     f"points per prime")
 
-    Counts at each prime are interpolated in q with degree bound d^2; if the
-    coefficients fail to interpolate (bound breach), the bound is doubled
-    once with automatically extended primes.
+
+def _interpolated(outs, primes, d, count):
+    """{out: nonzero coefficient} from the point counts count(out, p).
+
+    The counts at each prime are interpolated in q with degree bound d^2;
+    if an output's counts fail to interpolate (bound breach), the bound is
+    doubled once, with the primes extended to 2 d^2 + 1 of them and checked
+    again against the size guard.
     """
+    # prime by prime, so the tables of one prime share its point sets
+    counts = [[count(out, p) for out in outs] for p in primes]
+    terms = {}
+    for out, col in zip(outs, zip(*counts)):
+        try:
+            poly = lagrange_interpolate(list(zip(primes, col)), d * d)
+        except ValueError:
+            more = _checked_primes(primes + primes_list(
+                2 * d * d + 1 - len(primes), primes[-1] + 1), d)
+            poly = lagrange_interpolate([(p, count(out, p)) for p in more],
+                                        2 * d * d)
+        coeff = substitute_q(poly)
+        if coeff:
+            terms[out] = coeff
+    return terms
+
+
+def structure_constants(left, right, primes):
+    """The product of two basis symbols recovered purely from point counts
+    (interpolated by `_interpolated`)."""
     d = left.d
     if right.d != d:
         raise ValueError("mixed degrees")
@@ -553,30 +586,9 @@ def structure_constants(left, right, primes):
     ro_r, co_r = row_col_sums(right)
     if co_l != ro_r:
         return SchurElement(d)
-    outs = _candidate_outputs(d, ro_l, co_r)
-    # prime by prime, so the tables of one prime share its point sets
-    counts = [[_conv_table(d, out, ro_r[0], p).get((left, right), 0)
-               for out in outs] for p in primes]
-    terms = {}
-    for out, col in zip(outs, zip(*counts)):
-        pts = list(zip(primes, col))
-        try:
-            poly = lagrange_interpolate(pts, d * d)
-        except ValueError:
-            need = 2 * d * d + 1
-            extra = [n for n in primes]
-            n = max(primes) + 1
-            while len(extra) < need:
-                if is_prime(n):
-                    extra.append(n)
-                n += 1
-            pts = [(p, _conv_table(d, out, ro_r[0], p).get((left, right), 0))
-                   for p in extra]
-            poly = lagrange_interpolate(pts, 2 * d * d)
-        coeff = substitute_q(poly)
-        if coeff:
-            terms[out] = coeff
-    return SchurElement(d, terms)
+    return SchurElement(d, _interpolated(
+        _candidate_outputs(d, ro_l, co_r), primes, d, lambda out, p:
+        _conv_table(d, out, ro_r[0], p).get((left, right), 0)))
 
 
 # --- mixed orbits: two-step flag, complete flag, vector ---------------------
@@ -681,7 +693,8 @@ def _mixed_conv_table(d, out_ms, mid_dim, p):
 
 def tensor_action_constants(left, right_ms, primes):
     """Exact coefficients of (left basis symbol) acting on a marked-sequence
-    basis vector, interpolated from point counts: {output sequence: coeff}."""
+    basis vector, interpolated from point counts (by `_interpolated`):
+    {output sequence: coeff}."""
     d = left.d
     if right_ms.d != d:
         raise ValueError("mixed degrees")
@@ -690,16 +703,9 @@ def tensor_action_constants(left, right_ms, primes):
     ones = sum(1 for x in right_ms.seq if x == 1)
     if co_l != (ones, d - ones):
         return {}
-    out = {}
-    for cand in enumerate_xi(2, d, tensor=True):
-        ones_c = sum(1 for x in cand.seq if x == 1)
-        if (ones_c, d - ones_c) != ro_l:
-            continue
-        pts = [(p, _mixed_conv_table(d, cand, ones, p).get((left, right_ms), 0))
-               for p in primes]
-        poly = lagrange_interpolate(pts, d * d)
-        coeff = substitute_q(poly)
-        if coeff:
-            out[cand] = coeff
-    return out
+    cands = [cand for cand in enumerate_xi(2, d, tensor=True)
+             if (cand.seq.count(1), d - cand.seq.count(1)) == ro_l]
+    return _interpolated(
+        cands, primes, d, lambda out, p:
+        _mixed_conv_table(d, out, ones, p).get((left, right_ms), 0))
 

@@ -19,17 +19,18 @@ equal letters by the move-out identities
     e^a l e^b = (v^-b [a]/[a+b]) e^(a+b) l + (v^a [b]/[a+b]) l e^(a+b),
     f^a l f^b = (v^b [a]/[a+b]) f^(a+b) l + (v^-a [b]/[a+b]) l f^(a+b).
 
-Arbitrary products reduce to folds of single-generator multiplications, so
-normal forms are canonical by construction.  The finite-dimensional quotient
-map sends a normal form to its generator word evaluated in the convolution
-algebra.
+Left multiplication reads every coefficient from the straightening formula
+(`ef_straighten`) and from these two identities.  Arbitrary products reduce
+to folds of single-generator multiplications, so normal forms are canonical
+by construction.  The finite-dimensional quotient map sends a normal form to
+its generator word evaluated in the convolution algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Combination, bump
+from .linalg import Combination, bump, json_terms
 from .oracle import SIZE_GUARD
 from .qv import (RF_ONE, format_coeff, parse_coeff, quantum_integer, rf_const,
                  v_power)
@@ -127,11 +128,13 @@ class PbwElement(Combination):
 
     @staticmethod
     def from_json(obj):
-        """Read what `to_json` writes.  Each "monomial" must be the word of
-        one basis monomial; any other word raises ValueError rather than
-        being normalised into several terms."""
+        """Read what `to_json` writes; any other JSON shape raises
+        ValueError, and so does a "monomial" that is not the word of one
+        basis monomial, rather than being normalised into several terms."""
+        terms = json_terms(obj, '{"terms": [{"monomial": string, "coeff": '
+                           'string}, ...]}', ("monomial", "coeff"))
         out = PbwElement()
-        for item in obj["terms"]:
+        for item in terms:
             coeff, letters = parse_word(f"({item['coeff']}) {item['monomial']}")
             norm = normalize_word(letters)
             mono = next(iter(norm.terms), None)
@@ -220,23 +223,23 @@ def fe_straighten(a, b):
     return got
 
 
+def _split(a, b, sign):
+    """(hi, lo) with e^a l e^b = hi e^(a+b) l + lo l e^(a+b) for sign 1;
+    sign -1 swaps v and v^-1 and gives f^a l f^b in the same way."""
+    den = quantum_integer(a + b)
+    return (v_power(-sign * b) * quantum_integer(a) / den,
+            v_power(sign * a) * quantum_integer(b) / den)
+
+
 def move_out(side, a, b):
     """The basis expansion of e^a l e^b (side "e") or f^a l f^b (side "f")."""
     if a < 0 or b < 0 or a + b == 0:
         raise ValueError("need a, b >= 0 with a + b >= 1")
-    den = quantum_integer(a + b)
-    qa, qb = quantum_integer(a), quantum_integer(b)
-    if side == "e":
-        return PbwElement({
-            _mono(2, 0, a + b, 0): v_power(-b) * qa / den,
-            _mono(1, 0, a + b, 0): v_power(a) * qb / den,
-        })
-    if side == "f":
-        return PbwElement({
-            _mono(2, a + b, 0, 0): v_power(b) * qa / den,
-            _mono(1, a + b, 0, 0): v_power(-a) * qb / den,
-        })
-    raise ValueError(f"side must be 'e' or 'f', got {side!r}")
+    if side not in ("e", "f"):
+        raise ValueError(f"side must be 'e' or 'f', got {side!r}")
+    hi, lo = _split(a, b, 1 if side == "e" else -1)
+    r, s = (0, a + b) if side == "e" else (a + b, 0)
+    return PbwElement({_mono(2, r, s, 0): hi, _mono(1, r, s, 0): lo})
 
 
 # ---------------------------------------------------------------------------
@@ -268,33 +271,6 @@ def _append_ell(mono):
     return {mono: RF_ONE}
 
 
-def _e_times_b0(r, s):
-    """e * f^r e^s as {monomial: coeff} (trailing k-power handled by caller)."""
-    out = {PbwMonomial(0, r, s + 1, 0): RF_ONE}
-    if r >= 1:
-        cr = quantum_integer(r) / _VM
-        bump(out, PbwMonomial(0, r - 1, s, 1), cr * v_power(1 - r + 2 * s))
-        bump(out, PbwMonomial(0, r - 1, s, -1), -cr * v_power(r - 1 - 2 * s))
-    return out
-
-
-def _e_times_b1(r, s):
-    """e * l f^r e^s as {monomial: coeff}.
-
-    The f block first crosses the e block so the idempotent sees a pure
-    power of e on its right; then that sandwich splits by move-out and any
-    letters left in the wrong order are restraightened.
-    """
-    out = {}
-    for (b, a, c), coeff in fe_straighten(r, s).items():
-        den = quantum_integer(b + 1)
-        bump(out, _mono(5, a, b + 1, c), coeff * v_power(-b) / den)
-        c_in = coeff * v_power(1) * quantum_integer(b) / den
-        for (a2, b2, c2), coeff2 in ef_straighten(b + 1, a).items():
-            bump(out, _mono(1, a2, b2, c2 + c), c_in * coeff2)
-    return out
-
-
 def _mul_mono(g, mono):
     key = (g, mono)
     got = _MUL_CACHE.get(key)
@@ -319,55 +295,54 @@ def _mul_mono(g, mono):
             # classes 1, 3, 4 start with l (or reach it through k e^s)
             out[mono] = RF_ONE
     elif g == "e":
-        if cls == 0:
-            for m2, coeff in _e_times_b0(r, s).items():
-                bump(out, _shift(m2, t), coeff)
-        elif cls == 2:
-            for m2, coeff in _e_times_b0(r, s).items():
-                for m3, c3 in _append_ell(m2).items():
-                    bump(out, _shift(m3, t), coeff * c3)
-        elif cls == 4:
-            den = quantum_integer(s + 1)
-            bump(out, _mono(2, r, s + 1, t), v_power(-s) / den)
-            bump(out, _mono(4, r, s + 1, t),
-                  v_power(1) * quantum_integer(s) / den)
-            cr = quantum_integer(r) / _VM
-            bump(out, _mono(4, r - 1, s, t + 1), cr * v_power(1 - r + 2 * s))
-            bump(out, _mono(4, r - 1, s, t - 1), -cr * v_power(r - 1 - 2 * s))
-        elif cls == 5:
+        if cls == 5:
             out[PbwMonomial(5, r, s + 1, t)] = RF_ONE
-        else:
-            base = _e_times_b1(r, s)
-            if cls == 1:
-                for m2, coeff in base.items():
-                    bump(out, _shift(m2, t), coeff)
-            else:
-                for m2, coeff in base.items():
-                    for m3, c3 in _append_ell(m2).items():
-                        bump(out, _shift(m3, t), coeff * c3)
-    elif g == "f":
-        if cls == 0:
-            out[PbwMonomial(0, r + 1, s, t)] = RF_ONE
-        elif cls == 2:
-            out[PbwMonomial(2, r + 1, s, t)] = RF_ONE
-        elif cls == 4:
-            out[PbwMonomial(4, r + 1, s, t)] = RF_ONE
         elif cls in (1, 3):
-            den = quantum_integer(r + 1)
-            hi = v_power(r) / den
-            lo = v_power(-1) * quantum_integer(r) / den
-            bump(out, _mono(4, r + 1, s, t), hi)
-            bump(out, _mono(1 if cls == 1 else 3, r + 1, s, t), lo)
+            # the f block crosses the e block so that the idempotent sees a
+            # pure power of e on its right; that sandwich splits by move-out,
+            # and the letters left in the wrong order are restraightened
+            base = {}
+            for (b, a, c), coeff in fe_straighten(r, s).items():
+                hi, lo = _split(1, b, 1)
+                bump(base, _mono(5, a, b + 1, c), coeff * hi)
+                lo = coeff * lo
+                for (a2, b2, c2), coeff2 in ef_straighten(b + 1, a).items():
+                    bump(base, _mono(1, a2, b2, c2 + c), lo * coeff2)
+            base = PbwElement({_shift(m, t): x for m, x in base.items()})
+            out = (base.apply(_append_ell) if cls == 3 else base).terms
         else:
-            den = quantum_integer(r + 1)
-            hi = v_power(r) / den
-            lo = v_power(-1) * quantum_integer(r) / den
-            for (a, b, c), coeff in ef_straighten(s, r + 1).items():
-                bump(out, _mono(2, a, b, c + t), coeff * hi)
-            bump(out, PbwMonomial(5, r + 1, s, t), lo)
-            cs = quantum_integer(s) / _VM
-            bump(out, _mono(5, r, s - 1, t + 1), -cs * v_power(s - 1 - 2 * r))
-            bump(out, _mono(5, r, s - 1, t - 1), cs * v_power(1 - s + 2 * r))
+            # e f^r = sum f^a e^b k^c, and k^c crosses e^s at v^(2cs)
+            for (a, b, c), coeff in ef_straighten(1, r).items():
+                if c:
+                    coeff = coeff * v_power(2 * c * s)
+                if cls == 4 and b:
+                    # f^r (e l e^s) k^t: the sandwich splits by move-out
+                    hi, lo = _split(1, s, 1)
+                    bump(out, _mono(2, r, s + 1, t), coeff * hi)
+                    bump(out, _mono(4, r, s + 1, t), coeff * lo)
+                else:
+                    bump(out, _mono(cls, a, b + s, c + t), coeff)
+    elif g == "f":
+        if cls in (0, 2, 4):
+            out[PbwMonomial(cls, r + 1, s, t)] = RF_ONE
+        elif cls in (1, 3):
+            hi, lo = _split(1, r, -1)
+            bump(out, _mono(4, r + 1, s, t), hi)
+            bump(out, _mono(cls, r + 1, s, t), lo)
+        else:
+            # f e^s = sum e^b f^a k^c, and k^c crosses l f^r at v^(-2cr)
+            for (b, a, c), coeff in fe_straighten(1, s).items():
+                if c:
+                    coeff = coeff * v_power(-2 * c * r)
+                if a:
+                    # e^s (f l f^r) k^t: move out, restraighten e^s f^(r+1) l
+                    hi, lo = _split(1, r, -1)
+                    hi = coeff * hi
+                    for (a2, b2, c2), y in ef_straighten(s, r + 1).items():
+                        bump(out, _mono(2, a2, b2, c2 + t), hi * y)
+                    bump(out, PbwMonomial(5, r + 1, s, t), coeff * lo)
+                else:
+                    bump(out, _mono(5, r, b, c + t), coeff)
     else:
         raise ValueError(f"unknown generator {g!r}")
     _MUL_CACHE[key] = out

@@ -58,9 +58,6 @@ class LaurentPolynomial:
         self.c = c
         self._hash = None
 
-    def is_zero(self):
-        return not self.c
-
     def __bool__(self):
         return bool(self.c)
 
@@ -168,7 +165,8 @@ def _ip_prem(a, b):
     while len(a) - 1 >= db and a:
         da = len(a) - 1
         la = a[-1]
-        a = [x * lb for x in a]
+        if lb != 1:
+            a = [x * lb for x in a]
         for i in range(db + 1):
             a[da - db + i] -= la * b[i]
         _ip_trim(a)
@@ -269,9 +267,6 @@ class RationalFunction:
         out = RationalFunction.__new__(RationalFunction)
         out.num, out.den, out._hash = num, den, None
         return out
-
-    def is_zero(self):
-        return not self.num.c
 
     def __bool__(self):
         return bool(self.num.c)

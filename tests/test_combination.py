@@ -64,6 +64,29 @@ def test_tensor_json_example():
     assert TensorElement.from_json(obj) == x
 
 
+@pytest.mark.parametrize("obj", [
+    5, {"terms": 5}, {"terms": [5]},
+    {"terms": [{"monomial": "e", "coeff": 5}]},
+    {"terms": [{"monomial": 5, "coeff": "1"}]},
+    {"terms": [{"coeff": "1"}]},
+], ids=["number", "terms-number", "term-number", "coeff-number",
+        "monomial-number", "no-monomial"])
+def test_pbw_json_rejects_other_shapes(obj):
+    with pytest.raises(ValueError, match="an element is"):
+        pbw.PbwElement.from_json(obj)
+
+
+@pytest.mark.parametrize("label", [
+    5, {"seq": 5, "marks": []}, {"seq": [2, 1], "marks": 5},
+    {"seq": [2, "1"], "marks": []}, {"marks": []},
+], ids=["label-number", "seq-number", "marks-number", "seq-string",
+        "no-seq"])
+def test_tensor_json_rejects_other_label_shapes(label):
+    obj = {"d": 2, "terms": [{"label": label, "coeff": "1"}]}
+    with pytest.raises(ValueError, match="a label is"):
+        TensorElement.from_json(obj)
+
+
 def test_different_types_are_unequal():
     assert SchurElement(2) != TensorElement(2)
     assert SchurElement(2) == SchurElement(2)

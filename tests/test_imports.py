@@ -5,6 +5,7 @@ with no linter."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,6 +151,32 @@ def test_checker_finds_dead_public_names():
                                        "used(Kept().method())\n"})
     assert dead_public_names(sources, readers, {"hooked"}) == [
         ("a.py", 3, "dead"), ("a.py", 14, "gone"), ("a.py", 16, "Unused")]
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    """Every function, method and memo cache that the benchmark's tracer
+    wraps or counts exists in a fresh import of the package."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import bench_session
+    import bench_trace
+    saved = {n: m for n, m in sys.modules.items()
+             if n == "mirabolic" or n.startswith("mirabolic.")}
+    try:
+        s = bench_session.open_session()
+        missing = [f"{layer}.{attr}" for layer, attr, _ in bench_trace.FUNCTIONS
+                   if not hasattr(getattr(s, layer), attr)]
+        for layer, cls_name, methods in bench_trace.METHODS:
+            cls = getattr(getattr(s, layer), cls_name, None)
+            missing += [f"{layer}.{cls_name}.{meth}" for meth in methods
+                        if meth not in vars(cls or object)]
+        assert not missing, "names the tracer wraps are gone: " + \
+            ", ".join(missing)
+        assert all(n == 0 for n in bench_trace.cache_entries(s).values())
+    finally:
+        for name in [n for n in sys.modules
+                     if n == "mirabolic" or n.startswith("mirabolic.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def test_no_dead_public_names():

@@ -349,6 +349,33 @@ def test_constants_refuse_oversize_primes_at_once():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_interpolation_retries_at_twice_the_bound():
+    # at d = 1 the bound is q^1: counts q^2 at 2, 3, 5 break it, and the
+    # retry at degree 2 finds q^2 = v^4 on the same three primes
+    q2 = oracle._interpolated(["x"], [2, 3, 5], 1, lambda out, p: p ** 2)
+    assert q2 == {"x": v_power(4)}
+    # counts q^3 break degree 2 as well, which the fourth prime shows
+    with pytest.raises(ValueError):
+        oracle._interpolated(["x"], [2, 3, 5, 7], 1, lambda out, p: p ** 3)
+    # at d = 2, six primes check a fit of degree 4; the retry at degree 8
+    # extends them to the nine it needs
+    seen = set()
+    got = oracle._interpolated(["x"], oracle.primes_list(6), 2,
+                               lambda out, p: seen.add(p) or p ** 5)
+    assert got == {"x": v_power(10)} and seen == set(oracle.primes_list(9))
+
+
+def test_interpolation_primes():
+    assert oracle.interpolation_primes(1) == [2, 3]
+    assert oracle.interpolation_primes(3) == oracle.primes_list(10)
+    # the 17 primes of d = 4 end at 59, and 59^4 > SIZE_GUARD
+    for d in (4, oracle.SIZE_GUARD.bit_length(), 10 ** 6):
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="points per prime"):
+            oracle.interpolation_primes(d)
+        assert time.monotonic() - t0 < 1.0
+
+
 def _oracle_generator_action(d, gen, ms, primes):
     out = TensorElement(d)
     for lab, c in chevalley(d, gen).terms.items():

@@ -1,6 +1,8 @@
 """Normal-form engine for the abstract algebra on e, f, k, k^-1, l."""
 
+import hashlib
 import random
+import time
 import tracemalloc
 from functools import cache
 
@@ -8,7 +10,8 @@ import pytest
 
 from mirabolic import checks, pbw, schur_algebra
 from mirabolic.linalg import bump, rank_of_rows
-from mirabolic.qv import (RF_ONE, quantum_integer, rf_const, v_power)
+from mirabolic.qv import (RF_ONE, format_coeff, quantum_integer, rf_const,
+                          v_power)
 from mirabolic.schur_algebra import (SchurElement, apply_letter, chevalley,
                                      identity_element)
 
@@ -45,6 +48,23 @@ def test_left_mul_examples():
     # k e = v^2 e k
     got = pbw.left_mul_generator("k", nf("e k"))
     assert got == nf("e k k").scale(v_power(2))
+
+
+def test_left_mul_generator_pinned():
+    # sha256 of every generator times every monomial with r, s <= 4 and
+    # |t| <= 1, recorded before left multiplication read its coefficients
+    # from ef_straighten and the move-out identities
+    h = hashlib.sha256()
+    lines = 0
+    for m in pbw.enumerate_monomials(4, 4, 1):
+        for g in pbw.GENERATORS:
+            x = pbw.left_mul_generator(g, pbw.PbwElement.monomial(m))
+            for k, c in x.sorted_terms():
+                h.update(f"{g}|{m}|{k}|{format_coeff(c)}\n".encode())
+                lines += 1
+    assert lines == 3666
+    assert h.hexdigest() == ("939ee3579c0baaf452dcd57fbfa59a655d33dc4103babf"
+                             "d428c3e289cfc9700e")
 
 
 def test_move_out():
@@ -194,6 +214,21 @@ def test_long_blocks_straighten_without_recursion():
     assert got[pbw.PbwMonomial(1, 1, s, 0)] == RF_ONE
     assert got[pbw.PbwMonomial(1, 0, s - 1, 1)] == \
         -got[pbw.PbwMonomial(1, 0, s - 1, -1)] * v_power(2 * s - 2)
+
+
+def test_long_e_block_fold_matches_closed_form(monkeypatch):
+    # e^600 f folded one letter at a time against the closed commutation
+    # formula.  The fold's Q(v) sums reduce polynomials of degree about
+    # 1,200 by monic divisors: 1.1 s of CPU, against 5.3 s while each
+    # pseudo-remainder step still multiplied by the leading coefficient 1
+    monkeypatch.setattr(pbw, "_MUL_CACHE", {})
+    t0 = time.process_time()
+    got = pbw.normalize_word(("e",) * 600 + ("f",))
+    elapsed = time.process_time() - t0
+    want = {pbw.PbwMonomial(0, r, s, t): c
+            for (r, s, t), c in pbw.ef_straighten(600, 1).items()}
+    assert got.terms == want
+    assert elapsed < 2.5
 
 
 def test_independence_without_k_powers():
