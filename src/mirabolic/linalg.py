@@ -140,8 +140,10 @@ def _coeff_size(c):
 
 
 def reduce_row(row, pivots):
-    """Reduce a row against unit pivot rows; returns the residual dict."""
-    r = {col: c for col, c in row.items() if c}
+    """Reduce a row against unit pivot rows; returns the residual dict,
+    with int entries read as Fractions so that no division makes a float."""
+    r = {col: Fraction(c) if isinstance(c, int) else c
+         for col, c in row.items() if c}
     for col, prow in pivots:
         c = r.pop(col, None)
         if c is None:
@@ -166,8 +168,8 @@ def eliminate(rows):
         if not r:
             continue
         col = min(r, key=lambda k: _coeff_size(r[k]))
-        inv = r[col]
-        pivots.append((col, {c2: x2 / inv for c2, x2 in r.items()}))
+        inv = 1 / r[col]
+        pivots.append((col, {c2: x2 * inv for c2, x2 in r.items()}))
     return pivots
 
 
@@ -200,8 +202,8 @@ def solve_unique(equations, rhs):
         if not cols:
             raise ValueError("inconsistent linear system")
         col = min(cols, key=lambda k: _coeff_size(r[k]))
-        inv = r[col]
-        prow = {c2: x2 / inv for c2, x2 in r.items()}
+        inv = 1 / r[col]
+        prow = {c2: x2 * inv for c2, x2 in r.items()}
         # keep earlier pivot rows reduced against the new one
         for i, (c0, prow0) in enumerate(pivots):
             if col in prow0:

@@ -71,11 +71,16 @@ class LaurentPolynomial:
             self._hash = hash(frozenset(self.c.items()))
         return self._hash
 
-    def __neg__(self):
+    @staticmethod
+    def _raw(c):
+        """A polynomial over the dict c, which must already be normalised."""
         out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out.c = {k: -v for k, v in self.c.items()}
+        out.c = c
         out._hash = None
         return out
+
+    def __neg__(self):
+        return LaurentPolynomial._raw({k: -v for k, v in self.c.items()})
 
     def __add__(self, other):
         a, b = self.c, other.c
@@ -88,10 +93,7 @@ class LaurentPolynomial:
                 c[k] = _norm_rat(s)
             else:
                 c.pop(k, None)
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out.c = c
-        out._hash = None
-        return out
+        return LaurentPolynomial._raw(c)
 
     def __sub__(self, other):
         return self + (-other)
@@ -100,6 +102,9 @@ class LaurentPolynomial:
         a, b = self.c, other.c
         if not a or not b:
             return LP_ZERO
+        if len(a) == 1 or len(b) == 1:
+            (k, r), = (a if len(a) == 1 else b).items()
+            return (other if len(a) == 1 else self).shift(k, r)
         c = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
@@ -109,19 +114,21 @@ class LaurentPolynomial:
                     c[k] = s
                 else:
                     del c[k]
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out.c = {k: _norm_rat(v) for k, v in c.items()}
-        out._hash = None
-        return out
+        if not all(type(v) is int for v in c.values()):
+            c = {k: _norm_rat(v) for k, v in c.items()}
+        return LaurentPolynomial._raw(c)
+
+    def shift(self, n, r=1):
+        """self * r v^n for a nonzero rational r."""
+        if r == 1:
+            return LaurentPolynomial._raw(
+                {k + n: v for k, v in self.c.items()}) if n else self
+        return LaurentPolynomial._raw({k + n: _norm_rat(v * r)
+                                       for k, v in self.c.items()})
 
     def scale(self, r):
         r = _norm_rat(r)
-        if not r:
-            return LP_ZERO
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out.c = {k: _norm_rat(v * r) for k, v in self.c.items()}
-        out._hash = None
-        return out
+        return self.shift(0, r) if r else LP_ZERO
 
     def __repr__(self):
         return f"LaurentPolynomial({_format_laurent(self)})"
@@ -290,8 +297,8 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            if self.den == LP_ONE:
+        if self.den is other.den or self.den == other.den:
+            if self.den is LP_ONE or self.den == LP_ONE:
                 return RationalFunction._raw(self.num + other.num, LP_ONE)
             num = self.num + other.num
             if not num:
@@ -324,14 +331,15 @@ class RationalFunction:
             return NotImplemented
         if not self.num.c or not other.num.c:
             return RF_ZERO
-        if self.den == LP_ONE and other.den == LP_ONE:
-            return RationalFunction._raw(self.num * other.num, LP_ONE)
-        # a monomial factor is a unit, so the reduced form survives as is
-        if self.den == LP_ONE and len(self.num.c) == 1:
-            return RationalFunction._raw(self.num * other.num, other.den)
-        if other.den == LP_ONE and len(other.num.c) == 1:
-            return RationalFunction._raw(self.num * other.num, self.den)
-        n, d = _rf_canonical(self.num * other.num, self.den * other.den)
+        num = self.num * other.num
+        one = self.den is LP_ONE or self.den == LP_ONE
+        other_one = other.den is LP_ONE or other.den == LP_ONE
+        # a monomial factor over 1 is a unit, so the reduced form survives
+        if one and (other_one or len(self.num.c) == 1):
+            return RationalFunction._raw(num, other.den)
+        if other_one and len(other.num.c) == 1:
+            return RationalFunction._raw(num, self.den)
+        n, d = _rf_canonical(num, self.den * other.den)
         return RationalFunction._raw(n, d)
 
     __rmul__ = __mul__
@@ -382,8 +390,9 @@ def _rf_canonical(num, den):
         raise ZeroDivisionError("division by zero in Q(v)")
     if not num.c:
         return LP_ZERO, LP_ONE
-    if den.c == {0: 1}:
-        return num, LP_ONE
+    if len(den.c) == 1:     # a unit c v^a: the gcd path gives num v^-a / c
+        (a, c), = den.c.items()
+        return num.shift(-a, Fraction(1, c)), LP_ONE
     cn, sn, pn = _laurent_to_int_poly(num)
     cd, sd, pd = _laurent_to_int_poly(den)
     g = _ip_gcd(pn, pd)
@@ -413,7 +422,9 @@ RF_ONE = RationalFunction._raw(LP_ONE, LP_ONE)
 
 
 def rf_const(x):
-    """Constant rational function."""
+    """Constant rational function of an int or a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot read {x!r} as an exact constant")
     x = _norm_rat(x)
     if not x:
         return RF_ZERO
@@ -579,7 +590,7 @@ def _format_laurent(p):
 
 def format_coeff(x):
     """Canonical string form of a rational function."""
-    if x.den == LP_ONE:
+    if x.den is LP_ONE or x.den == LP_ONE:
         return _format_laurent(x.num)
     return f"({_format_laurent(x.num)})/({_format_laurent(x.den)})"
 

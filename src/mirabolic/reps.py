@@ -25,6 +25,7 @@ scalars returned by casimir_scalar_formula.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .qv import (RF_ONE, RF_ZERO, RationalFunction, quantum_integer, rf_const,
                  v_power)
@@ -41,7 +42,8 @@ class IrreducibleModule:
 
     action[g][j] = {i: coefficient} is the image of the j-th basis vector,
     so (g x)_i = sum_j action[g][j].get(i, 0) x_j.  basis holds (i, eps)
-    labels in column order.
+    labels in column order.  build_module hands out one shared instance
+    per (kind, sign, n), so a module and its columns are read-only.
     """
 
     __slots__ = ("kind", "sign", "n", "dim", "basis", "action")
@@ -81,6 +83,7 @@ def parse_module_name(text):
     return kind, sign, int(n_str)
 
 
+@lru_cache(maxsize=128)     # every simple that `verify` builds at n <= 16
 def build_module(kind, sign, n):
     if kind not in KINDS:
         raise ValueError(f"unknown module kind {kind!r}")
@@ -137,18 +140,12 @@ def build_module(kind, sign, n):
 def _coerce_vec(M, vec):
     if len(vec) != M.dim:
         raise ValueError(f"vector has length {len(vec)}, module has dim {M.dim}")
-    out = []
-    for x in vec:
-        if isinstance(x, RationalFunction):
-            out.append(x)
-        else:
-            out.append(rf_const(x))
-    return out
+    return [x if isinstance(x, RationalFunction) else rf_const(x) for x in vec]
 
 
-def act(w, M, vec):
-    """Apply a generator word or a normal-form element to a vector."""
-    x = Combination(M.dim, dict(enumerate(_coerce_vec(M, vec))))
+def _evaluate(w, M, x):
+    """w applied to x, a Combination keyed by (row, column): each letter
+    maps every row of every column at once."""
     if isinstance(w, GeneratorWord):
         words = [(w.scalar, w.letters)]
     elif isinstance(w, pbw.PbwElement):
@@ -159,19 +156,25 @@ def act(w, M, vec):
     for c, letters in words:
         y = x
         for g in reversed(letters):
-            y = y.apply(M.action[g].__getitem__)
-        total = total + y.scale(c)
-    return [total.terms.get(i, RF_ZERO) for i in range(M.dim)]
+            y = y.apply(lambda key, cols=M.action[g]: {
+                (i, key[1]): a for i, a in cols[key[0]].items()})
+        total = total + (y if c == RF_ONE else y.scale(c))
+    return total.terms
+
+
+def act(w, M, vec):
+    """Apply a generator word or a normal-form element to a vector."""
+    out = _evaluate(w, M, Combination(M.dim, {
+        (i, 0): c for i, c in enumerate(_coerce_vec(M, vec))}))
+    return [out.get((i, 0), RF_ZERO) for i in range(M.dim)]
 
 
 def action_matrix(w, M):
     """Matrix of a word or normal-form element in the module's basis."""
-    cols = []
-    for j in range(M.dim):
-        unit = [RF_ZERO] * M.dim
-        unit[j] = RF_ONE
-        cols.append(act(w, M, unit))
-    return [[cols[j][i] for j in range(M.dim)] for i in range(M.dim)]
+    out = _evaluate(w, M, Combination(M.dim, {(j, j): RF_ONE
+                                              for j in range(M.dim)}))
+    return [[out.get((i, j), RF_ZERO) for j in range(M.dim)]
+            for i in range(M.dim)]
 
 
 def _eigen_exponent(c):

@@ -26,8 +26,8 @@ from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
                         DecoratedMatrix, decorated2, diag2,
                         transpose_decorated, validate)
 from .linalg import Combination, bump
-from .qv import (RF_ONE, RationalFunction, format_coeff, q_bracket, q_power,
-                 quantum_factorial, quantum_integer, v_power)
+from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff, q_bracket,
+                 q_power, quantum_factorial, quantum_integer, v_power)
 
 
 class SchurElement(Combination):
@@ -303,10 +303,6 @@ def identity_element(d):
     return SchurElement(d, {one_key(d, r): RF_ONE for r in range(d + 1)})
 
 
-def _scaled(column, c):
-    return {label: c * coeff for label, coeff in column.items()}
-
-
 def apply_letter(letter, x):
     """Left-multiply by a generator.  With r the first row sum of a label A
     and d the degree, the generators act on T_A by
@@ -315,29 +311,34 @@ def apply_letter(letter, x):
         e:     v^-r E_r T_A, and 0 when r = d,
         f:     v^(r-d) F_(r-1) T_A, and 0 when r = 0,
         l:     T_A when r = 0, and v^-2r (T_A + X_r T_A) otherwise,
-    where E_r, F_(r-1) and X_r act by their case tables."""
-    if letter not in ("e", "f", "k", "k^-1", "l"):
-        raise ValueError(f"unknown generator {letter!r}")
+    where E_r, F_(r-1) and X_r act by their case tables.  Each input
+    coefficient takes its power of v once, before the unscaled table acts."""
     d = x.d
+    # the power of v on T_A is m r + b, and r = dead gives 0
+    m, b = {"k": (2, -d), "k^-1": (-2, d), "e": (-1, 0), "f": (1, -d),
+            "l": (-2, 0)}.get(letter, (None, None))
+    if m is None:
+        raise ValueError(f"unknown generator {letter!r}")
+    dead = {"e": d, "f": 0}.get(letter)
+    scaled = {}
+    for label, c in x.terms.items():
+        r = label.a[0][0] + label.a[0][1]
+        if r != dead:
+            p = m * r + b
+            scaled[label] = c * v_power(p) if p else c
+    y = x._like(scaled)
+    if letter in ("e", "f"):
+        return y.apply(partial(_special_column, letter))
+    if letter != "l":
+        return y
 
     def column(label):
-        r = label.a[0][0] + label.a[0][1]
-        if letter == "k":
-            return {label: v_power(2 * r - d)}
-        if letter == "k^-1":
-            return {label: v_power(d - 2 * r)}
-        if letter == "e":
-            return {} if r == d else _scaled(_special_column("e", label),
-                                             v_power(-r))
-        if letter == "f":
-            return {} if r == 0 else _scaled(_special_column("f", label),
-                                             v_power(r - d))
-        if r == 0:
+        if label.a[0][0] + label.a[0][1] == 0:
             return {label: RF_ONE}
         out = _special_column("x11", label)
         bump(out, label, RF_ONE)
-        return _scaled(out, v_power(-2 * r))
-    return x.apply(column)
+        return out
+    return y.apply(column)
 
 
 def chevalley(d, which):
@@ -400,14 +401,17 @@ def evaluate_words(d, words):
     groups = {}
     for w in words:
         acc = groups.setdefault(w.scalar.den, {})
+        unit = w.scalar == RF_ONE
         for lab, c in eval_letters(d, w.letters).terms.items():
-            num = w.scalar.num * c.num
+            num = c.num if unit else w.scalar.num * c.num
             prev = acc.get(lab)
             acc[lab] = num if prev is None else prev + num
     total = {}
     for den, acc in groups.items():
+        # over denominator 1 a numerator is already canonical
+        make = RationalFunction if den != LP_ONE else RationalFunction._raw
         for lab, num in acc.items():
-            rf = RationalFunction(num, den)
+            rf = make(num, den)
             prev = total.get(lab)
             rf = rf if prev is None else prev + rf
             total[lab] = rf

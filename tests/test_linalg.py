@@ -47,3 +47,13 @@ def test_solve_underdetermined():
     eqs = [{"a": Fraction(1), "b": Fraction(1)}]
     with pytest.raises(ValueError, match="underdetermined"):
         solve_unique(eqs, [Fraction(1)])
+
+
+def test_int_entries_stay_exact():
+    # ints are read as Fractions; true division of ints would make floats,
+    # and rounding made this rank-2 matrix look invertible
+    rows = [{0: 9, 1: -3, 2: 7}, {0: -5, 1: 0, 2: -5}, {0: -51, 1: 12, 2: -43}]
+    assert rank_of_rows(rows) == 2
+    sol = solve_unique([{"x": 3}], [1])
+    assert sol == {"x": Fraction(1, 3)}
+    assert isinstance(sol["x"], Fraction)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirabolic.qv import (LP_ONE, LP_ZERO, RF_ONE, RF_ZERO, format_coeff,
+from mirabolic.qv import (LP_ONE, LP_ZERO, RF_ONE, RF_ZERO, LaurentPolynomial,
+                          RationalFunction, format_coeff,
                           lagrange_interpolate, lp_v_power, parse_coeff,
                           q_bracket, q_power, quantum_factorial,
                           quantum_integer, rf_const, substitute_q, v_power)
@@ -19,6 +20,13 @@ def test_laurent_basics():
     assert a - a == LP_ZERO
     assert LP_ONE * a == a
     assert (a * a).c[0] == 2
+
+
+def test_products_store_integral_coefficients_as_ints():
+    half = LaurentPolynomial({1: Fraction(1, 2), 0: Fraction(1, 2)})
+    two = LaurentPolynomial({1: 2, 0: 2})
+    for p in (half * two, two * half, half * LaurentPolynomial({3: 2})):
+        assert all(type(c) is int for c in p.c.values()), p
 
 
 def test_rational_field_axioms():
@@ -206,3 +214,68 @@ def test_hashable():
     d = {quantum_integer(2): "two", v_power(0): "one"}
     assert d[v_power(1) + v_power(-1)] == "two"
     assert d[RF_ONE] == "one"
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        rf_const(0.1)
+    with pytest.raises(TypeError):
+        RF_ONE + 0.5
+
+
+FIELD = settings(max_examples=80, deadline=None, database=None,
+                 derandomize=True)
+SMALL_RATS = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+LAURENT = st.dictionaries(st.integers(-3, 3), SMALL_RATS.filter(bool),
+                          min_size=1, max_size=3).map(LaurentPolynomial)
+# a unit c v^a, the shape every fast path looks for
+MONOMIAL = st.builds(lambda a, c: LaurentPolynomial({a: c}),
+                     st.integers(-3, 3), SMALL_RATS.filter(bool))
+ELEMENTS = st.one_of(
+    st.builds(RationalFunction, MONOMIAL),
+    st.builds(RationalFunction, MONOMIAL, LAURENT),
+    st.builds(RationalFunction, LAURENT, MONOMIAL),
+    st.builds(RationalFunction, LAURENT, LAURENT),
+    st.just(RF_ZERO))
+
+
+def _pair(x):
+    """(num, den) with the type of every coefficient, so that an int and
+    an equal Fraction tell apart."""
+    return tuple(sorted((k, type(c), c) for k, c in p.c.items())
+                 for p in (x.num, x.den))
+
+
+def _assert_canonical(x):
+    assert _pair(x) == _pair(RationalFunction(x.num, x.den))
+    assert _pair(parse_coeff(format_coeff(x))) == _pair(x)
+
+
+@FIELD
+@given(ELEMENTS, ELEMENTS, ELEMENTS)
+def test_field_axioms_keep_canonical_pairs(x, y, z):
+    results = [x + y, (x + y) + z, x + (y + z), x * y, y * x, (x * y) * z,
+               x * (y * z), x * (y + z), x * y + x * z, x - x, -x]
+    assert results[1] == results[2]
+    assert results[3] == results[4]
+    assert results[5] == results[6]
+    assert results[7] == results[8]
+    assert results[9] == RF_ZERO
+    if x:
+        results += [x.inverse(), x * x.inverse(), y / x, (y / x) * x]
+        assert results[-3] == RF_ONE
+        assert results[-1] == y
+    for r in results:
+        _assert_canonical(r)
+
+
+@FIELD
+@given(LAURENT, MONOMIAL)
+def test_unit_denominator_agrees_with_the_gcd_path(num, unit):
+    # a common factor 1 + v makes the denominator a non-unit, so the
+    # second form is reduced by the polynomial gcd
+    p = LaurentPolynomial({0: 1, 1: 1})
+    assert _pair(RationalFunction(num, unit)) == \
+        _pair(RationalFunction(num * p, unit * p))
+    assert _pair(RationalFunction(unit).inverse()) == \
+        _pair(RationalFunction(LaurentPolynomial({0: 1}) * p, unit * p))

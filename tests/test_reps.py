@@ -216,3 +216,46 @@ def test_decompose_random_multisets():
             for w, m in reps.irreducible_weight_table(kind, sign, n).items():
                 total[w] = total.get(w, 0) + m * mult
         assert reps.decompose_weight_table(total) == picks
+
+
+def test_build_module_is_shared_and_bounded():
+    M = reps.build_module("L01", "-", 3)
+    assert reps.build_module("L01", "-", 3) is M
+    assert reps.build_module.cache_info().maxsize is not None
+
+
+def test_matrix_columns_are_actions():
+    rng = random.Random(11)
+    for M in checks.simple_modules(4):
+        for _ in range(3):
+            letters = tuple(rng.choice(pbw.GENERATORS)
+                            for _ in range(rng.randint(1, 5)))
+            for w in (GeneratorWord(RF_ONE, letters),
+                      GeneratorWord(quantum_integer(2), letters),
+                      pbw.normalize_word(letters)):
+                mat = reps.action_matrix(w, M)
+                for j in range(M.dim):
+                    assert [row[j] for row in mat] == \
+                        reps.act(w, M, unit_vec(M, j)), (M.name, letters, j)
+
+
+def _snapshot(M):
+    return {g: [{i: format_coeff(c) for i, c in col.items()} for col in cols]
+            for g, cols in M.action.items()}
+
+
+def test_queries_leave_the_shared_module_alone():
+    w = pbw.normalize_word(("e", "l", "f", "k^-1"))
+    for M in checks.simple_modules(3):
+        before = _snapshot(M)
+        reps.act(w, M, unit_vec(M, 0))
+        reps.action_matrix(w, M)
+        reps.weight_table(M)
+        reps.casimir_scalar(M)
+        assert _snapshot(M) == before, M.name
+
+
+def test_act_refuses_float_entries():
+    M = reps.build_module("L0", "+", 1)
+    with pytest.raises(TypeError):
+        reps.act(GeneratorWord(RF_ONE, ("e",)), M, [0.1, 1])
