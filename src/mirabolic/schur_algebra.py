@@ -430,9 +430,10 @@ def star(x):
 # the marked diagonal T22_r) minus lower terms.  The case analysis is written
 # once, against a "reading" that says what a special element is and how to
 # multiply, add and scale:
-#   _Words      a value is a combo {letters tuple: coefficient} over the
-#               generators; concatenation mirrors multiplication
-#               (express_in_generators);
+#   _Words      a value is a combo {(letters, r): coefficient}, each key the
+#               word in e, f, l times the idempotent 1_r; concatenation
+#               mirrors multiplication, and 1_r is written as a polynomial
+#               in k only in the output (express_in_generators);
 #   _Operators  a value is a map y -> (element) * y; special elements act by
 #               their case tables and composition mirrors multiplication
 #               (mul_general, t22_diagonal).
@@ -554,22 +555,27 @@ def _blm(alg, label):
 # the word reading ------------------------------------------------------------
 
 def _ccat(a, b):
-    """The word combo a * b: every word of a followed by every word of b."""
+    """The word combo a * b.  A key (letters, r) is letters * 1_r, and the
+    letters lead from 1_r to 1_(r + #e - #f); as 1_a 1_b = 0 for a != b,
+    a word of a takes a word of b only when its r is where b's word leads."""
     out = {}
-    for wa, sa in a.terms.items():
-        for wb, sb in b.terms.items():
-            bump(out, wa + wb, sa * sb)
+    for (wb, rb), sb in b.terms.items():
+        top = rb + wb.count("e") - wb.count("f")
+        for (wa, ra), sa in a.terms.items():
+            if ra == top:
+                bump(out, (wa + wb, rb), sa * sb)
     return a._like(out)
 
 
 class _Words:
-    """Special elements as combos of generator words; each combo is cached
-    per degree."""
+    """Special elements as one-term combos {(letters in e, f, l; r): coeff},
+    each key meaning letters * 1_r; basis elements are cached per label."""
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     scale = staticmethod(Combination.scale)
     cat = staticmethod(_ccat)
+    t22 = _t22
 
     def __init__(self, d):
         self.d = d
@@ -577,55 +583,47 @@ class _Words:
     def zero(self):
         return Combination(self.d)
 
-    def word(self, *letters):
-        return Combination(self.d, {letters: RF_ONE})
-
     def one(self, r):
-        d = self.d
-
-        def build():
-            # interpolate the idempotent from powers of k: the d+1
-            # eigenvalues of k are the v^(2j-d), and the one with index r is
-            # selected
-            num = self.word()
-            den = RF_ONE
-            lam_r = v_power(2 * r - d)
-            for j in range(d + 1):
-                if j == r:
-                    continue
-                lam = v_power(2 * j - d)
-                num = _ccat(num, self.word("k")) - num.scale(lam)
-                den = den * (lam_r - lam)
-            return num.scale(den.inverse())
-        return _cached((d, "one", r), build)
+        return Combination(self.d, {((), r): RF_ONE})
 
     def e(self, r):
-        return _cached((self.d, "e", r), lambda: _ccat(
-            self.word("e"), self.one(r)).scale(v_power(r)))
+        return Combination(self.d, {(("e",), r): v_power(r)})
 
     def f(self, r):
-        return _cached((self.d, "f", r), lambda: _ccat(
-            self.one(r), self.word("f")).scale(v_power(self.d - r - 1)))
+        return Combination(self.d, {(("f",), r + 1): v_power(self.d - r - 1)})
 
     def x(self, r):
-        return _cached((self.d, "x", r), lambda: _ccat(
-            self.word("l"), self.one(r)).scale(v_power(2 * r)) - self.one(r))
-
-    def t22(self, r):
-        return _cached((self.d, "t22", r), lambda: _t22(self, r))
+        return Combination(self.d, {(("l",), r): v_power(2 * r)}) - self.one(r)
 
     def label(self, label):
         return _cached((self.d, label), lambda: _blm(self, label))
 
 
-def express_in_generators(label):
-    """Generator words whose sum multiplies out to the basis element.
+def _idempotent_in_k(d, r):
+    """1_r as {("k",) * i: coefficient}: the Lagrange polynomial in k that
+    picks the eigenvalue v^(2r-d) of k out of the v^(2j-d), 0 <= j <= d."""
+    def build():
+        lam_r, poly, den = v_power(2 * r - d), [RF_ONE], RF_ONE
+        for j in range(d + 1):
+            if j != r:
+                lam = v_power(2 * j - d)
+                poly = [a - lam * b for a, b in zip([0] + poly, poly + [0])]
+                den = den * (lam_r - lam)
+        return {("k",) * i: c / den for i, c in enumerate(poly) if c}
+    return _cached((d, "one", r), build)
 
-    The result is cached per label; invalid labels raise.
-    """
+
+def express_in_generators(label):
+    """Generator words whose sum multiplies out to the basis element, each
+    a k-free word followed by at most d letters k that spell its 1_r.  The
+    k-free words of each label and each 1_r are cached; bad labels raise."""
     _require_label(label)
-    combo = _Words(label.d).label(label)
-    words = [GeneratorWord(s, w) for w, s in combo.terms.items()]
+    d = label.d
+    out = {}
+    for (letters, r), s in _Words(d).label(label).terms.items():
+        for ks, c in _idempotent_in_k(d, r).items():
+            bump(out, letters + ks, s * c)
+    words = [GeneratorWord(s, w) for w, s in out.items()]
     words.sort(key=lambda gw: (len(gw.letters), gw.letters))
     return tuple(words)
 

@@ -7,14 +7,15 @@ from functools import partial
 
 import pytest
 
-from mirabolic import checks
+from mirabolic import checks, schur_algebra
 from mirabolic.decorated import decorated2, diag2, enumerate_xi, row_col_sums
 from mirabolic.pbw import GENERATORS
-from mirabolic.qv import (RF_ONE, RationalFunction, parse_coeff,
+from mirabolic.qv import (LP_ONE, RF_ONE, parse_coeff,
                           quantum_integer, rf_const, v_power)
 from mirabolic.schur_algebra import (GeneratorWord, SchurElement, apply_letter,
                                      apply_word, chevalley, e_key, f_key,
-                                     eval_letters, express_in_generators,
+                                     eval_letters, evaluate_words,
+                                     express_in_generators,
                                      identity_element, left_mul_special,
                                      mul_general, one_key, star, t22_diagonal,
                                      x22_key, x_key)
@@ -230,6 +231,18 @@ def test_express_round_trip_small():
             assert got == basis(d, lab), lab
 
 
+def test_word_products_vanish_across_idempotents():
+    # a word key (letters, r) is letters * 1_r, and 1_a 1_b = 0 for a != b:
+    # E_r E_r = 0 while E_(r+1) E_r = v^(2r+1) e e 1_r
+    words = schur_algebra._Words(3)
+    assert not words.cat(words.e(1), words.e(1))
+    assert not words.cat(words.one(0), words.one(1))
+    assert words.cat(words.e(2), words.e(1)).terms == {
+        (("e", "e"), 1): v_power(3)}
+    assert words.cat(words.f(0), words.e(0)).terms == {
+        (("f", "e"), 0): v_power(2)}
+
+
 def test_t22_examples():
     assert t22_diagonal(2, 0) == basis(2, x22_key(2, 0))
     assert t22_diagonal(2, 1) == basis(2, x22_key(2, 1))
@@ -271,31 +284,22 @@ def test_associativity_exhaustive(d, n_triples):
     assert checked == n_triples
 
 
+def integral(c):
+    """Whether c lies in Z[v, v^-1]."""
+    return c.den == LP_ONE and all(type(n) is int for n in c.num.c.values())
+
+
 @pytest.mark.parametrize("d, n_pairs", [(1, 32), (2, 267), (3, 1168),
-                                        (4, 3629)])
+                                        (4, 3629), (5, 9120)])
 def test_star_anti_automorphism_exhaustive(d, n_pairs):
+    # every structure constant of the BLM integral form lies in Z[v, v^-1]
     pairs = compatible_pairs(d)
     assert len(pairs) == n_pairs
     for a, b in pairs:
         x, y = basis(d, a), basis(d, b)
-        assert star(mul_general(x, y)) == mul_general(star(y), star(x)), (a, b)
-
-
-def words_times(words, y):
-    """Sum of apply_word(w, y) over the words.  Words are applied with their
-    Laurent numerators and each group sharing a scalar denominator is
-    divided once, which keeps the exact sum cheap."""
-    by_den = {}
-    for w in words:
-        by_den.setdefault(w.scalar.den, []).append(
-            GeneratorWord(RationalFunction(w.scalar.num), w.letters))
-    total = SchurElement(y.d)
-    for den, group in by_den.items():
-        part = SchurElement(y.d)
-        for w in group:
-            part = part + apply_word(w, y)
-        total = total + part.scale(RF_ONE / RationalFunction(den))
-    return total
+        xy = mul_general(x, y)
+        assert all(integral(c) for c in xy.terms.values()), (a, b)
+        assert star(xy) == mul_general(star(y), star(x)), (a, b)
 
 
 def test_products_agree_with_word_expansion():
@@ -303,5 +307,21 @@ def test_products_agree_with_word_expansion():
     d = 2
     for a, b in compatible_pairs(d):
         y = basis(d, b)
-        assert mul_general(basis(d, a), y) == \
-            words_times(express_in_generators(a), y), (a, b)
+        got = SchurElement(d)
+        for w in express_in_generators(a):
+            got = got + apply_word(w, y)
+        assert mul_general(basis(d, a), y) == got, (a, b)
+
+
+@pytest.mark.parametrize("d, n_labels", [(4, 125), (5, 216)])
+def test_generation_theorem_at_degree_4_and_5(d, n_labels):
+    # each word is a k-free word times its idempotent 1_r, a polynomial of
+    # degree at most d in k
+    labels = enumerate_xi(2, d)
+    assert len(labels) == n_labels
+    for lab in labels:
+        words = express_in_generators(lab)
+        for w in words:
+            body = w.letters[:len(w.letters) - w.letters.count("k")]
+            assert "k" not in body and len(w.letters) - len(body) <= d, w
+        assert evaluate_words(d, words) == basis(d, lab), lab
