@@ -158,7 +158,8 @@ def _evaluate(w, M, x):
         for g in reversed(letters):
             y = y.apply(lambda key, cols=M.action[g]: {
                 (i, key[1]): a for i, a in cols[key[0]].items()})
-        total = total + (y if c == RF_ONE else y.scale(c))
+        y = y if c == RF_ONE else y.scale(c)
+        total = total + y if total else y
     return total.terms
 
 

@@ -390,14 +390,19 @@ def eval_letters(d, letters):
 
 
 def evaluate_words(d, words):
-    """Sum of scalar * (multiplied-out word) over a word list.
+    """Sum of scalar * (multiplied-out word) over an iterable of words.
 
-    Word evaluations carry Laurent coefficients: `eval_letters` starts from
-    the identity and every letter contributes powers of v or q-polynomial
-    table entries.  So contributions are accumulated as Laurent numerators
-    per scalar denominator, and each (label, denominator) cell is
-    canonicalized only once.
+    A lone word whose scalar has denominator 1 is read from the
+    `eval_letters` memo and scaled unless the scalar is 1, so the result
+    may be the shared memo, read-only like the modules of `reps.build_module`.
+    Otherwise contributions, which carry Laurent coefficients, are
+    accumulated as Laurent numerators per scalar denominator, and each
+    (label, denominator) cell is canonicalized only once.
     """
+    words = list(words)
+    if len(words) == 1 and words[0].scalar.den == LP_ONE:
+        x, c = eval_letters(d, words[0].letters), words[0].scalar
+        return x if c == RF_ONE else x.scale(c)
     groups = {}
     for w in words:
         acc = groups.setdefault(w.scalar.den, {})

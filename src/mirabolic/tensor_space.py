@@ -64,73 +64,75 @@ def k_action(x):
         lambda label: {label: v_power(2 * label.seq.count(1) - x.d)})
 
 
-def _ell_on_label(label):
-    """l . T_{i,J} as {label: coeff}, following the four mark cases."""
-    seq = label.seq
-    stats = sequence_stats(label)
-    ones = stats.ones
-    one_positions = [j for j, val in enumerate(seq, start=1) if val == 1]
-    marks = label.sorted_marks()
+def _ell_block(seq):
+    """{label: (coeff, vec)} over the block V_i of a sequence i, with
+    l . T_label = coeff * vec by the four mark cases (ones = ones(i)):
 
-    def w_vector():
-        out = {MarkedSequence(seq): RF_ONE}
-        for j in one_positions:
-            out[MarkedSequence(seq, frozenset({j}))] = RF_ONE
-        return out
+        no mark                      v^(-2 ones)                       w
+        mark j with i_j = 1          v^(-2 ones + 2 phi_j) (v^2 - 1)   w
+        mark j with i_j = 2          v^(-2 ones + 2 phi_j)             u(j)
+        marks j < m (an inversion)   v^(-2 ones + 2 phi_m) (v^2 - 1)   u(j)
 
-    def u_vector(j):
-        out = {MarkedSequence(seq, frozenset({j})): RF_ONE}
-        for m in one_positions:
-            if m > j:
-                out[MarkedSequence(seq, frozenset({j, m}))] = RF_ONE
-        return out
-
-    if not marks:
-        coeff = v_power(-2 * ones)
-        vec = w_vector()
-    elif len(marks) == 1:
-        j = marks[0]
-        phi = stats.phi[j - 1]
-        if seq[j - 1] == 1:
-            coeff = v_power(-2 * ones + 2 * phi) * (v_power(2) - RF_ONE)
-            vec = w_vector()
+    w = T_i + sum over i_m = 1 of T_{i,{m}}, and u(j) = T_{i,{j}} + sum
+    over m > j with i_m = 1 of T_{i,{j,m}}; each is one dict, built once
+    and shared by its labels.  Keys run in the order of `block_basis`.
+    """
+    seq = tuple(seq)
+    stats = sequence_stats(seq)
+    base = -2 * stats.ones
+    q = v_power(2) - RF_ONE
+    label = MarkedSequence(seq)
+    w = {label: RF_ONE}
+    out = {label: (v_power(base), w)}
+    u = {}
+    for j, val in enumerate(seq, start=1):
+        label = MarkedSequence(seq, frozenset({j}))
+        coeff = v_power(base + 2 * stats.phi[j - 1])
+        if val == 1:
+            w[label] = RF_ONE
+            out[label] = (coeff * q, w)
         else:
-            coeff = v_power(-2 * ones + 2 * phi)
-            vec = u_vector(j)
-    else:
-        j, m = marks
-        phi = stats.phi[m - 1]
-        coeff = v_power(-2 * ones + 2 * phi) * (v_power(2) - RF_ONE)
-        vec = u_vector(j)
-    return {lab: coeff * c for lab, c in vec.items()}
+            u[j] = {label: RF_ONE}
+            out[label] = (coeff, u[j])
+    for j, vec in u.items():
+        for m in range(j + 1, len(seq) + 1):
+            if seq[m - 1] == 1:
+                label = MarkedSequence(seq, frozenset({j, m}))
+                vec[label] = RF_ONE
+                out[label] = (v_power(base + 2 * stats.phi[m - 1]) * q, vec)
+    return out
 
 
 def ell_action(x):
-    return x.apply(_ell_on_label)
+    """l . x, building the l-table of each block that x meets once."""
+    table = {}
+    for seq in {label.seq for label in x.terms}:
+        table.update(_ell_block(seq))
+
+    def column(label):
+        coeff, vec = table[label]
+        return {lab: coeff * c for lab, c in vec.items()}
+
+    return x.apply(column)
 
 
 def block_basis(seq):
     """All valid mark sets over a fixed sequence: none, singletons, inversions."""
-    seq = tuple(seq)
-    d = len(seq)
-    out = [MarkedSequence(seq)]
-    for j in range(1, d + 1):
-        out.append(MarkedSequence(seq, frozenset({j})))
-    for j in range(1, d + 1):
-        for m in range(j + 1, d + 1):
-            if seq[j - 1] == 2 and seq[m - 1] == 1:
-                out.append(MarkedSequence(seq, frozenset({j, m})))
-    return out
+    return list(_ell_block(seq))
+
 
 def block_ell_rank(seq):
     """(dimension, rank of l) for the block of a fixed sequence.
 
-    The rank comes from exact elimination of the image vectors, not from
-    the closed form 1 + twos(seq); tests compare the two.
+    The rank comes from exact elimination (`rank_of_rows`), not from the
+    closed form 1 + twos(seq); tests compare the two.  Only the distinct
+    vectors vec of rows coeff * vec with coeff != 0 are eliminated, at most
+    1 + twos(seq) of them: c x with c != 0 spans the line of x, and a
+    repeated row adds nothing to the span, so the rank is that of all rows.
     """
-    basis = block_basis(seq)
-    rows = [_ell_on_label(label) for label in basis]
-    return len(basis), rank_of_rows(rows)
+    table = _ell_block(seq)
+    rows = {id(vec): vec for coeff, vec in table.values() if coeff}
+    return len(table), rank_of_rows(list(rows.values()))
 
 
 def _comb0(n, k):

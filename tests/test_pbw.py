@@ -7,11 +7,13 @@ import tracemalloc
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirabolic import checks, pbw, schur_algebra
 from mirabolic.linalg import bump, rank_of_rows
 from mirabolic.qv import (RF_ONE, format_coeff, quantum_integer, rf_const,
-                          v_power)
+                          rf_laurent, v_power)
 from mirabolic.schur_algebra import (SchurElement, apply_letter, chevalley,
                                      identity_element)
 
@@ -319,3 +321,21 @@ def test_project_long_k_power_memory_is_linear(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 20_000_000, peak
+
+
+# a nonzero coefficient: a Laurent polynomial, possibly over a quantum integer
+COEFFS = st.builds(
+    lambda poly, m: rf_laurent(poly) / quantum_integer(m),
+    st.dictionaries(st.integers(-3, 3), st.integers(-2, 2).filter(bool),
+                    min_size=1, max_size=2),
+    st.integers(1, 2))
+ELEMENTS = st.dictionaries(st.sampled_from(pbw.enumerate_monomials(2, 2, 1)),
+                           COEFFS, min_size=1, max_size=3).map(pbw.PbwElement)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(ELEMENTS, ELEMENTS)
+def test_antiautomorphism_is_an_involution_reversing_products(x, y):
+    anti = pbw.antiautomorphism
+    assert anti(anti(x)) == x
+    assert anti(pbw.multiply(x, y)) == pbw.multiply(anti(y), anti(x))

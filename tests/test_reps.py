@@ -5,10 +5,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirabolic import checks, pbw, reps
 from mirabolic.qv import (RF_ONE, RF_ZERO, format_coeff, quantum_integer,
-                          v_power)
+                          rf_const, v_power)
 from mirabolic.schur_algebra import GeneratorWord
 
 
@@ -259,3 +261,27 @@ def test_act_refuses_float_entries():
     M = reps.build_module("L0", "+", 1)
     with pytest.raises(TypeError):
         reps.act(GeneratorWord(RF_ONE, ("e",)), M, [0.1, 1])
+
+
+SCALARS = (RF_ONE, -v_power(3), v_power(1) + v_power(-1), rf_const(2),
+           RF_ONE / (v_power(2) - RF_ONE), RF_ZERO)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(SCALARS),
+       st.lists(st.sampled_from(pbw.GENERATORS), max_size=6))
+def test_lone_word_matrix_is_the_product_of_its_letters(scalar, letters):
+    # a lone word's matrix against the dense product of the generator
+    # matrices, on one simple module of each kind
+    for M in (reps.build_module("L0", "+", 3), reps.build_module("L1", "-", 2),
+              reps.build_module("L01", "+", 3)):
+        want = [[RF_ONE if i == j else RF_ZERO for j in range(M.dim)]
+                for i in range(M.dim)]
+        for g in reversed(letters):
+            cols = M.action[g]
+            want = [[sum((cols[p].get(i, RF_ZERO) * want[p][j]
+                          for p in range(M.dim)), RF_ZERO)
+                     for j in range(M.dim)] for i in range(M.dim)]
+        want = [[scalar * c for c in row] for row in want]
+        got = reps.action_matrix(GeneratorWord(scalar, tuple(letters)), M)
+        assert got == want, (M.kind, letters)

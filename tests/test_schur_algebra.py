@@ -6,12 +6,14 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirabolic import checks, schur_algebra
 from mirabolic.decorated import decorated2, diag2, enumerate_xi, row_col_sums
 from mirabolic.pbw import GENERATORS
-from mirabolic.qv import (LP_ONE, RF_ONE, parse_coeff,
-                          quantum_integer, rf_const, v_power)
+from mirabolic.qv import (LP_ONE, RF_ONE, RF_ZERO, parse_coeff,
+                          quantum_integer, rf_const, rf_laurent, v_power)
 from mirabolic.schur_algebra import (GeneratorWord, SchurElement, apply_letter,
                                      apply_word, chevalley, e_key, f_key,
                                      eval_letters, evaluate_words,
@@ -325,3 +327,46 @@ def test_generation_theorem_at_degree_4_and_5(d, n_labels):
             body = w.letters[:len(w.letters) - w.letters.count("k")]
             assert "k" not in body and len(w.letters) - len(body) <= d, w
         assert evaluate_words(d, words) == basis(d, lab), lab
+
+
+SCALARS = (RF_ONE, -v_power(3), v_power(1) + v_power(-1), rf_const(2),
+           RF_ONE / (v_power(2) - RF_ONE), RF_ZERO)
+LONE_WORDS = st.tuples(st.sampled_from((2, 3)), st.sampled_from(SCALARS),
+                       st.lists(st.sampled_from(GENERATORS), max_size=6))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(LONE_WORDS)
+def test_lone_word_is_its_memoised_value(case):
+    # one word against the general path, forced by a zero second word; the
+    # lone result may be the shared memo, so a later evaluation through its
+    # suffix must leave it unchanged
+    d, scalar, letters = case
+    w = GeneratorWord(scalar, tuple(letters))
+    got = evaluate_words(d, iter([w]))
+    kept = dict(got.terms)
+    assert got == evaluate_words(d, [w, GeneratorWord(RF_ZERO, ())])
+    if scalar == RF_ONE:
+        assert got is eval_letters(d, w.letters)
+    evaluate_words(d, [GeneratorWord(-scalar, ("e", "l") + w.letters)])
+    evaluate_words(d, [w, w])
+    assert got.terms == kept
+
+
+# a nonzero coefficient: a Laurent polynomial, possibly over a quantum integer
+COEFFS = st.builds(
+    lambda poly, m: rf_laurent(poly) / quantum_integer(m),
+    st.dictionaries(st.integers(-3, 3), st.integers(-2, 2).filter(bool),
+                    min_size=1, max_size=2),
+    st.integers(1, 2))
+PAIRS = st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.dictionaries(
+    st.sampled_from(enumerate_xi(2, d)), COEFFS, min_size=1, max_size=3).map(
+        partial(SchurElement, d))] * 2))
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(PAIRS)
+def test_star_is_an_involution_reversing_products(pair):
+    x, y = pair
+    assert star(star(x)) == x
+    assert star(mul_general(x, y)) == mul_general(star(y), star(x))

@@ -1,18 +1,21 @@
 """Mirabolic tensor space: k/l actions, weights, and decomposition reports."""
 
+from itertools import product
 from math import comb
 
 import pytest
 
 from mirabolic import checks
 from mirabolic.decorated import MarkedSequence, enumerate_xi
+from mirabolic.linalg import rank_of_rows
 from mirabolic.qv import RF_ONE, v_power
 from mirabolic.tensor_space import (BipartitionLabel, TensorElement,
-                                    bipartition_labels, block_basis,
-                                    block_ell_rank, check_left_module,
-                                    conjecture_table, ell_action,
-                                    inversion_sum, k_action, rhs_closed_form,
-                                    syt_count, weight_multiplicities)
+                                    _ell_block, bipartition_labels,
+                                    block_basis, block_ell_rank,
+                                    check_left_module, conjecture_table,
+                                    ell_action, inversion_sum, k_action,
+                                    rhs_closed_form, syt_count,
+                                    weight_multiplicities)
 
 
 def T(d, seq, marks=()):
@@ -49,7 +52,6 @@ def test_ell_idempotent_and_commutes_with_k():
 def test_blocks_partition_the_basis():
     for d in range(1, 5):
         seen = []
-        from itertools import product
         for seq in product((1, 2), repeat=d):
             block = block_basis(seq)
             assert all(ms.seq == seq for ms in block)
@@ -62,7 +64,6 @@ def test_blocks_partition_the_basis():
 def test_block_invariance():
     # ell maps each block into itself
     for d in range(1, 6):
-        from itertools import product
         for seq in product((1, 2), repeat=d):
             block = set(block_basis(seq))
             for ms in block:
@@ -72,7 +73,6 @@ def test_block_invariance():
 
 def test_block_rank_sums():
     for d in range(1, 9):
-        from itertools import product
         by_r = {}
         for seq in product((1, 2), repeat=d):
             dim, rank = block_ell_rank(seq)
@@ -132,6 +132,23 @@ def test_conjecture_table_d2():
     total = sum({"L0": n + 1, "L1": n + 1, "L01": 2 * n}[kind] * m
                 for (kind, _, n), m in t.items())
     assert total == 13
+
+
+def test_block_rank_is_the_rank_of_every_full_image():
+    # the distinct-vector rank equals the rank of the full images
+    # l . T_label, one row per label, and no row of the l-table is zero
+    for d in range(1, 7):
+        for seq in product((1, 2), repeat=d):
+            basis = block_basis(seq)
+            rows = [ell_action(TensorElement.basis(d, ms)).terms
+                    for ms in basis]
+            assert block_ell_rank(seq) == (len(basis), rank_of_rows(rows))
+            assert all(coeff for coeff, _ in _ell_block(seq).values()), seq
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 10])
+def test_check_left_module_matches_at_larger_d(d):
+    assert check_left_module(d)["conjecture_match"] is True
 
 
 def test_check_left_module_reports():
