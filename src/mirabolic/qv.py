@@ -39,11 +39,23 @@ def _norm_rat(x):
     return f
 
 
+def _exact(x):
+    """_norm_rat of an int (not a bool) or a Fraction; TypeError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot read {x!r} as an exact constant")
+    return _norm_rat(x)
+
+
 class LaurentPolynomial:
     """Sparse Laurent polynomial over Q: dict {exponent: coefficient}.
 
-    Zero coefficients are never stored, and integral coefficients are stored
-    as plain ints, so two equal polynomials always have identical dicts.
+    Coefficients must be ints or Fractions (never floats or bools).  Zero
+    coefficients are never stored, and integral coefficients are stored as
+    plain ints, so two equal polynomials always have identical dicts.
+
+    Instances are read-only: nothing writes `c` after construction.  The
+    memo of `_rf_reduce` keys on them and hands the same reduced instances
+    to every caller, so they are shared freely.
     """
 
     __slots__ = ("c", "_hash")
@@ -52,7 +64,7 @@ class LaurentPolynomial:
         c = {}
         if coeffs:
             for k, val in coeffs.items():
-                val = _norm_rat(val)
+                val = _exact(val)
                 if val:
                     c[int(k)] = val
         self.c = c
@@ -136,10 +148,11 @@ class LaurentPolynomial:
 
 LP_ZERO = LaurentPolynomial()
 LP_ONE = LaurentPolynomial({0: 1})
+_ONE = LP_ONE.c     # x.c == _ONE tests x == 1 without a method call
 
 
 def lp_v_power(n):
-    return LaurentPolynomial({n: 1})
+    return LaurentPolynomial._raw({int(n): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +253,8 @@ def _laurent_to_int_poly(p):
 
 
 def _int_poly_to_laurent(coeffs, shift=0):
-    return LaurentPolynomial({i + shift: c for i, c in enumerate(coeffs) if c})
+    return LaurentPolynomial._raw(
+        {i + shift: c for i, c in enumerate(coeffs) if c})
 
 
 class RationalFunction:
@@ -251,7 +265,27 @@ class RationalFunction:
     coefficient and coprime coefficient gcd; `num` is a Laurent polynomial
     sharing no nonconstant factor with `den` (pure v-power factors are kept in
     the numerator).  Zero is 0/1.  Under these constraints the pair (num, den)
-    is unique, so == on the pairs is equality in Q(v).
+    is unique, so == on the pairs is equality in Q(v), and a denominator of
+    one term is 1.
+
+    Each (num, den) pair of up to 512 terms is reduced at most once per
+    session while the memo holds it, and no gcd is taken where it is known
+    to be 1 (Henrici's cross-cancellation; Knuth, TAOCP vol. 2, 4.5.1):
+
+    - Memo: the gcd path of `_rf_canonical` (a denominator of two or more
+      terms) is an lru_cache of at most _REDUCE_MEMO_SIZE = 4096 pairs,
+      keyed on the two read-only Laurent polynomials.  A pair of more than
+      _REDUCE_MEMO_TERMS = 512 terms is reduced without it, so the memo's
+      memory stays bounded too.
+    - Products: a factor equal to 1 returns the other operand.  Otherwise
+      (n1/d1)(n2/d2) reduces n1/d2 to a/b and n2/d1 to c/e and returns
+      (ac)/(be) as it stands.  It is canonical: a | n1 and e | d1, c | n2 and
+      b | d2, so gcd(a, e) = gcd(c, b) = 1 and ac, be are coprime; by Gauss's
+      lemma be is primitive, with a positive leading coefficient and a
+      nonzero constant term.  A monomial n1 (or d2 = 1) shares no factor
+      with d2, so n1/d2 needs no reduction.
+    - Sums over a unit: n1/1 + n2/d2 = (n1 d2 + n2)/d2 with no gcd, since
+      gcd(n1 d2 + n2, d2) = gcd(n2, d2) = 1.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -279,9 +313,8 @@ class RationalFunction:
         return bool(self.num.c)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = rf_const(other)
-        if not isinstance(other, RationalFunction):
+        other = _coerce_rf(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -297,18 +330,20 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            if self.den is LP_ONE or self.den == LP_ONE:
-                return RationalFunction._raw(self.num + other.num, LP_ONE)
-            num = self.num + other.num
-            if not num:
-                return RF_ZERO
-            n, d = _rf_canonical(num, self.den)
-            return RationalFunction._raw(n, d)
-        num = self.num * other.den + other.num * self.den
-        if not num:
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if len(d1.c) == 1 and len(d2.c) == 1:
+            return RationalFunction._raw(n1 + n2, LP_ONE)
+        if len(d1.c) == 1 or len(d2.c) == 1:   # a sum over a unit: canonical
+            num, den = (n1 * d2 + n2, d2) if len(d1.c) == 1 else \
+                (n1 + n2 * d1, d1)
+            return RationalFunction._raw(num, den) if num.c else RF_ZERO
+        if d1 is d2 or d1 == d2:
+            num, den = n1 + n2, d1
+        else:
+            num, den = n1 * d2 + n2 * d1, d1 * d2
+        if not num.c:
             return RF_ZERO
-        n, d = _rf_canonical(num, self.den * other.den)
+        n, d = _rf_canonical(num, den)
         return RationalFunction._raw(n, d)
 
     __radd__ = __add__
@@ -329,18 +364,20 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num.c or not other.num.c:
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1.c or not n2.c:
             return RF_ZERO
-        num = self.num * other.num
-        one = self.den is LP_ONE or self.den == LP_ONE
-        other_one = other.den is LP_ONE or other.den == LP_ONE
-        # a monomial factor over 1 is a unit, so the reduced form survives
-        if one and (other_one or len(self.num.c) == 1):
-            return RationalFunction._raw(num, other.den)
-        if other_one and len(other.num.c) == 1:
-            return RationalFunction._raw(num, self.den)
-        n, d = _rf_canonical(num, self.den * other.den)
-        return RationalFunction._raw(n, d)
+        if n1.c == _ONE and len(d1.c) == 1:
+            return other
+        if n2.c == _ONE and len(d2.c) == 1:
+            return self
+        if len(d1.c) == 1 and len(d2.c) == 1:
+            return RationalFunction._raw(n1 * n2, LP_ONE)
+        a, b = (n1, d2) if len(n1.c) == 1 or len(d2.c) == 1 else \
+            _rf_canonical(n1, d2)
+        c, e = (n2, d1) if len(n2.c) == 1 or len(d1.c) == 1 else \
+            _rf_canonical(n2, d1)
+        return RationalFunction._raw(a * c, b * e)
 
     __rmul__ = __mul__
 
@@ -379,9 +416,19 @@ def _as_laurent(x):
 def _coerce_rf(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return rf_const(x)
     return NotImplemented
+
+
+# bounds of the gcd-path memo.  Pairs: over twice the 1,655 distinct pairs
+# that one pbw-modules benchmark batch reduces.  Terms of a pair (num and
+# den together): the products and sums of entries of the largest module the
+# CLI accepts, n = 228, stay under 512 and repeat, whereas folding e^1200 f
+# reduces 2,400 distinct sums, most of them larger, and holding them all
+# took 145 MiB.
+_REDUCE_MEMO_SIZE = 4096
+_REDUCE_MEMO_TERMS = 512
 
 
 def _rf_canonical(num, den):
@@ -393,6 +440,18 @@ def _rf_canonical(num, den):
     if len(den.c) == 1:     # a unit c v^a: the gcd path gives num v^-a / c
         (a, c), = den.c.items()
         return num.shift(-a, Fraction(1, c)), LP_ONE
+    if len(num.c) + len(den.c) > _REDUCE_MEMO_TERMS:
+        return _rf_reduce.__wrapped__(num, den)
+    return _rf_reduce(num, den)
+
+
+@lru_cache(maxsize=_REDUCE_MEMO_SIZE)
+def _rf_reduce(num, den):
+    """The gcd path of _rf_canonical: num nonzero, den of two or more terms.
+
+    The memo hands the same reduced pair to every caller; that is safe
+    because Laurent polynomials are read-only.
+    """
     cn, sn, pn = _laurent_to_int_poly(num)
     cd, sd, pd = _laurent_to_int_poly(den)
     g = _ip_gcd(pn, pd)
@@ -422,13 +481,11 @@ RF_ONE = RationalFunction._raw(LP_ONE, LP_ONE)
 
 
 def rf_const(x):
-    """Constant rational function of an int or a Fraction."""
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"cannot read {x!r} as an exact constant")
-    x = _norm_rat(x)
+    """Constant rational function of an int (not a bool) or a Fraction."""
+    x = _exact(x)
     if not x:
         return RF_ZERO
-    return RationalFunction._raw(LaurentPolynomial({0: x}), LP_ONE)
+    return RationalFunction._raw(LaurentPolynomial._raw({0: x}), LP_ONE)
 
 
 def v_power(n):

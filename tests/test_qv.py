@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirabolic import qv
 from mirabolic.qv import (LP_ONE, LP_ZERO, RF_ONE, RF_ZERO, LaurentPolynomial,
                           RationalFunction, format_coeff,
                           lagrange_interpolate, lp_v_power, parse_coeff,
                           q_bracket, q_power, quantum_factorial,
-                          quantum_integer, rf_const, substitute_q, v_power)
+                          quantum_integer, rf_const, rf_laurent,
+                          substitute_q, v_power)
 
 
 def test_laurent_basics():
@@ -217,10 +219,19 @@ def test_hashable():
 
 
 def test_floats_are_refused():
-    with pytest.raises(TypeError):
-        rf_const(0.1)
-    with pytest.raises(TypeError):
-        RF_ONE + 0.5
+    # only ints and Fractions enter Q(v): no floats, and no bools
+    for build in (lambda: rf_const(0.1),
+                  lambda: RF_ONE + 0.5,
+                  lambda: LaurentPolynomial({0: 0.1}),
+                  lambda: RationalFunction({0: 0.5}),
+                  lambda: rf_laurent({1: 0.25}),
+                  lambda: RationalFunction({0: True, 2: 1}),
+                  lambda: LaurentPolynomial({1: False}),
+                  lambda: rf_const(True),
+                  lambda: RF_ONE * True):
+        with pytest.raises(TypeError):
+            build()
+    assert RF_ONE != True  # noqa: E712
 
 
 FIELD = settings(max_examples=80, deadline=None, database=None,
@@ -246,9 +257,70 @@ def _pair(x):
                  for p in (x.num, x.den))
 
 
+def _reduced(x):
+    """x's pair reduced afresh, with the memo of the gcd path bypassed."""
+    if len(x.den.c) > 1 and x.num:
+        n, d = qv._rf_reduce.__wrapped__(x.num, x.den)
+    else:
+        n, d = qv._rf_canonical(x.num, x.den)
+    return RationalFunction._raw(n, d)
+
+
 def _assert_canonical(x):
-    assert _pair(x) == _pair(RationalFunction(x.num, x.den))
+    assert _pair(x) == _pair(_reduced(x))
     assert _pair(parse_coeff(format_coeff(x))) == _pair(x)
+
+
+def _ratio(a, b):
+    return RationalFunction(quantum_integer(a).num, quantum_integer(b).num)
+
+
+V2M1 = LaurentPolynomial({2: 1, 0: -1})
+Y = RationalFunction(LaurentPolynomial({1: Fraction(1, 2)}), V2M1)
+
+
+@pytest.mark.parametrize("build, text", [
+    # products cancel across the two fractions
+    (lambda: _ratio(2, 3) * _ratio(3, 2), "1"),
+    (lambda: _ratio(4, 3) * _ratio(3, 2), "v^2+v^-2"),
+    (lambda: _ratio(3, 2) * _ratio(4, 3), "v^2+v^-2"),
+    (lambda: RationalFunction(1, V2M1)
+     * RationalFunction(V2M1, LaurentPolynomial({2: 1, 0: 1})),
+     "(1)/(v^2+1)"),
+    # a factor 1 returns the other operand, typed pair and all
+    (lambda: RF_ONE * Y, "(1/2*v)/(v^2-1)"),
+    (lambda: Y * 1, "(1/2*v)/(v^2-1)"),
+    # sums over the unit denominator 1, in both orders
+    (lambda: quantum_integer(2) + Y, "(v^3+1/2*v-v^-1)/(v^2-1)"),
+    (lambda: Y + quantum_integer(2), "(v^3+1/2*v-v^-1)/(v^2-1)"),
+    (lambda: Y - v_power(2) + RF_ONE, "(-v^4+2*v^2+1/2*v-1)/(v^2-1)"),
+    # no denominator is 1 here: the general path
+    (lambda: RationalFunction(1, LaurentPolynomial({1: 1, 0: -1}))
+     + RationalFunction(1, LaurentPolynomial({1: 1, 0: 1})),
+     "(2*v)/(v^2-1)"),
+    # one numerator over two denominators: the memo keys on both
+    (lambda: RationalFunction(V2M1, LaurentPolynomial({1: 1, 0: 1}))
+     * RationalFunction(V2M1, LaurentPolynomial({1: 1, 0: -1})), "v^2-1"),
+], ids=["[2]/[3]*[3]/[2]", "[4]/[3]*[3]/[2]", "[3]/[2]*[4]/[3]",
+        "1/(v^2-1)*(v^2-1)/(v^2+1)", "1*y", "y*1", "[2]+y", "y+[2]",
+        "y-v^2+1", "1/(v-1)+1/(v+1)", "one-numerator-two-denominators"])
+def test_cross_cancelling_cases(build, text):
+    x = build()
+    assert format_coeff(x) == text
+    _assert_canonical(x)
+
+
+def test_memo_holds_pairs_of_at_most_512_terms():
+    info = qv._rf_reduce.cache_info
+    v_plus_1 = LaurentPolynomial({1: 1, 0: 1})
+    calls = info().hits + info().misses
+    # (v^600 - 1)/(v - 1) over v + 1, 602 terms, is (v^600 - 1)/(v^2 - 1)
+    x = RationalFunction(LaurentPolynomial({i: 1 for i in range(600)}),
+                         v_plus_1)
+    assert info().hits + info().misses == calls
+    assert x == rf_laurent({2 * j: 1 for j in range(300)})
+    RationalFunction(LaurentPolynomial({i: 1 for i in range(510)}), v_plus_1)
+    assert info().hits + info().misses == calls + 1
 
 
 @FIELD
