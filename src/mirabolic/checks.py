@@ -76,10 +76,10 @@ def casimir_scalars(n_max):
 
 
 def _module_word(M, letters):
-    """The matrix of a generator word on M, as a combination over (i, j)."""
-    mat = reps.action_matrix(GeneratorWord(RF_ONE, letters), M)
-    return Combination(M.dim, {(i, j): c for i, row in enumerate(mat)
-                               for j, c in enumerate(row)})
+    """The matrix of a generator word on M, as a sparse combination over
+    (i, j)."""
+    return reps._evaluate(GeneratorWord(RF_ONE, letters), M, Combination(
+        M.dim, {(j, j): RF_ONE for j in range(M.dim)}))
 
 
 def module_relations(n_max):

@@ -20,8 +20,9 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .decorated import (ALL_DELTAS, MarkedSequence, decorated2, enumerate_xi,
-                        row_col_sums, validate)
+from .decorated import (ALL_DELTAS, DecoratedMatrix, decorated2, enumerate_xi,
+                        matrix_to_sequence, row_col_sums, sequence_to_matrix,
+                        validate)
 from .qv import lagrange_interpolate, substitute_q
 from .schur_algebra import SchurElement
 
@@ -179,65 +180,86 @@ def enumerate_flags(d, p, kind):
 
 # --- orbit classification ---------------------------------------------------
 
-# every label the oracle emits is built once and then shared
+# every 2x2 label the counting kernel emits is built once and then shared
 _label = cache(decorated2)
 
 
-def _pair_matrix(f1, f2, d, p):
-    """2x2 dimension matrix of a pair of subspaces."""
-    i11 = f1.dim + f2.dim - fp_rank(f1.basis + f2.basis, p)
-    return (i11, f1.dim - i11, f2.dim - i11, d - f1.dim - f2.dim + i11)
+@cache
+def _classified(sizes, dims, c, m, tensor=False):
+    """The decorated 2 x N matrix of the orbit of a triple (F, C_1 < ...
+    < C_{N-1}, v), with C_0 = 0 and C_N the whole space, from sizes =
+    (dim C_r) and dims = (dim(F & C_r)), r = 0..N, and the jumps
+    c = min{r : v in F + C_r} <= m = min{r : v in C_r}.
 
-
-def _vector_zone(v, f1, f2, p):
-    """Which of the six membership cases the vector falls in, 0..5."""
-    if not any(v):
-        return 0
-    in1 = f1.contains(v)
-    in2 = f2.contains(v)
-    if in1 and in2:
-        return 1
-    if in1:
-        return 2
-    if in2:
-        return 3
-    if in_span(rref(f1.basis + f2.basis, p), v, p):
-        return 4
-    return 5
+    Row 1 of column j is dims_j - dims_{j-1}, and row 2 the rest of
+    dim C_j - dim C_{j-1}.  The marks are (1, m) if c < m and (2, c) if
+    c > 0, so v = 0 has none.  With tensor=True the result is the marked
+    sequence of the matrix.  Each distinct label is built and validated
+    once.
+    """
+    row1 = tuple(b - a for a, b in zip(dims, dims[1:]))
+    row2 = tuple(b - a - x for a, b, x in zip(sizes, sizes[1:], row1))
+    delta = {(1, m)} if c < m else set()
+    if c:
+        delta.add((2, c))
+    label = DecoratedMatrix((row1, row2), frozenset(delta))
+    ok, why = validate(label)
+    if not ok:
+        raise RuntimeError(f"classification inconsistency at {label}: {why}")
+    return matrix_to_sequence(label) if tensor else label
 
 
 def orbit_invariant(t):
-    """Decorated matrix classifying the orbit of a (2-step, 2-step, vector)
-    triple."""
-    f1, f2 = t.F[0], t.Fp[0]
-    p, d = t.p, t.d
-    a11, a12, a21, a22 = _pair_matrix(f1, f2, d, p)
-    delta = ALL_DELTAS[_vector_zone(t.v, f1, f2, p)]
-    return _label(a11, a12, a21, a22, delta)
+    """Decorated 2 x N matrix classifying the orbit of a triple t = (F,
+    chain, v) with F a two-step flag and chain = t.Fp: F' alone gives a
+    2x2 label, a complete flag the 2 x d matrix of a marked sequence (see
+    `_classified`)."""
+    f, p, d = t.F[0], t.p, t.d
+    chain = (PrimeFieldSubspace(p, d, ()),) + t.Fp      # C_0, ..., C_{N-1}
+    sums = [rref(f.basis + sub.basis, p) for sub in chain]  # the F + C_r
+    sizes = tuple(sub.dim for sub in chain) + (d,)
+    dims = tuple(f.dim + sub.dim - len(s) for sub, s in zip(chain, sums))
+    c = next((r for r, s in enumerate(sums) if in_span(s, t.v, p)),
+             len(chain))
+    m = next((r for r, sub in enumerate(chain) if sub.contains(t.v)),
+             len(chain))
+    return _classified(sizes, dims + (f.dim,), c, m)
 
 
 def canonical_representative(label, p):
-    """A distinguished triple in the orbit: coordinates are grouped in block
-    order (1,1), (1,2), (2,1), (2,2), the first flag spans the first two
-    blocks, the second flag the first and third, and the vector is the sum of
-    the first coordinate of each marked block."""
-    (a11, a12), (a21, a22) = label.a
+    """A distinguished triple (F, C_1 < ... < C_{N-1}, v) in the orbit of a
+    2 x N label: the coordinates go column by column, row 1 first; F spans
+    the row-1 coordinates, C_r the coordinates of the first r columns, and
+    v is the sum of the first coordinate of each marked block."""
     d = label.d
-    starts = {(1, 1): 0, (1, 2): a11, (2, 1): a11 + a12,
-              (2, 2): a11 + a12 + a21}
-    def unit(i):
-        row = [0] * d
-        row[i] = 1
-        return tuple(row)
-    f_rows = [unit(i) for i in range(a11 + a12)]
-    fp_rows = [unit(i) for i in range(a11)]
-    fp_rows += [unit(a11 + a12 + i) for i in range(a21)]
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    start, f_rows, ends = {}, [], []
+    i = 0
+    for j, (a1, a2) in enumerate(zip(*label.a), start=1):
+        start[1, j], start[2, j] = i, i + a1
+        f_rows += unit[i:i + a1]
+        i += a1 + a2
+        ends.append(i)
     v = [0] * d
     for pos in label.delta:
-        v[starts[pos]] = 1
-    return FlagTriple((PrimeFieldSubspace.from_rows(f_rows, d, p),),
-                      (PrimeFieldSubspace.from_rows(fp_rows, d, p),),
-                      tuple(v))
+        v[start[pos]] = 1
+    def span(rows):     # unit rows in order are already reduced
+        return PrimeFieldSubspace(p, d, tuple(rows))
+    return FlagTriple((span(f_rows),),
+                      tuple(span(unit[:e]) for e in ends[:-1]), tuple(v))
+
+
+def tensor_orbit_invariant(t):
+    """Marked sequence classifying a (two-step, complete, vector) triple:
+    that of its decorated 2 x d matrix."""
+    return matrix_to_sequence(orbit_invariant(t))
+
+
+def canonical_tensor_representative(ms, p):
+    """Distinguished (two-step, complete, vector) triple of a marked
+    sequence: that of its decorated 2 x d matrix, whose chain is the
+    standard coordinate flag."""
+    return canonical_representative(sequence_to_matrix(ms, 2), p)
 
 
 # --- the counting kernel -----------------------------------------------------
@@ -380,12 +402,12 @@ def _count(rep, mid_dim):
     and the complete flag (N = d) for a tensor triple; C_0 = 0 and
     C_N = F_p^d.  Every (H, u) pair is counted: (F, H, u) by its decorated
     matrix, and (H, chain, x = v - u) by dims = (dim(H & C_r), 0 < r < N)
-    and the jump pair c = #{r < N: x not in H + C_r}, m = #{r < N: x not
-    in C_r}.  So u runs over all points w of F_p^d, and the pair adds to
-    the code K zone(w) + (N + 1) c(v - w) + m(v - w), K = (N + 1)^2, where
-    zone(w) = 5 - [w in F+H] - 2[w in F] - [w in H] - [w = 0] is the
-    membership case of `_vector_zone`.  Split off what does not depend on
-    H, base(w) = (5 - 2[w in F]) K + N (N + 1) + m(v - w), whose histogram
+    and the jumps of `_classified`, c = #{r < N: x not in H + C_r} and
+    m = #{r < N: x not in C_r}.  So u runs over all points w of F_p^d, and
+    the pair adds to the code K zone(w) + (N + 1) c(v - w) + m(v - w),
+    K = (N + 1)^2, where zone(w) = 5 - [w in F+H] - 2[w in F] - [w in H]
+    - [w = 0] indexes the marks of (F, H, w) in ALL_DELTAS.  Split off
+    what does not depend on H, base(w) = (5 - 2[w in F]) K + N (N + 1) + m(v - w), whose histogram
     is taken once; the rest, K([w in F+H] + [w in H] + [w = 0])
     + (N + 1) sum_r [v - w in H + C_r], is zero outside H, F + H and the
     v - (H + C_r), and constant where a sum is the whole space, so only the
@@ -473,27 +495,38 @@ def _count(rep, mid_dim):
 
 
 _CONV_CACHE = {}
+_MIXED_CACHE = {}
 
-# the jump pair (c, m) of (H, F', x) -> the zone of `_vector_zone`
-_ZONES = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
+
+def _table(memo, key, tensor):
+    """Counts of the convolution sum at the canonical triple of the output
+    label of key = (d, output, dim H, p), for every pair of left and right
+    labels at once: each right triple (H, chain, x) of `_count` classified
+    by `_classified`, as a marked sequence when tensor is true.  Memoised
+    under key."""
+    got = memo.get(key)
+    if got is None:
+        _, out, mid_dim, p = key
+        rep = canonical_representative(
+            sequence_to_matrix(out, 2) if tensor else out, p)
+        sizes = (0, *(sub.dim for sub in rep.Fp), rep.d)
+        got = memo[key] = {
+            (left, _classified(sizes, (0, *dims, mid_dim), c, m, tensor)): n
+            for (left, dims, c, m), n in _count(rep, mid_dim).items()}
+    return got
 
 
 def _conv_table(d, out_label, mid_dim, p):
-    """Counts of the convolution sum at the canonical triple of out_label,
-    restricted to middle subspaces of the given dimension, for every pair of
-    (left, right) orbit labels at once (see `_count`)."""
-    key = (d, out_label, mid_dim, p)
-    got = _CONV_CACHE.get(key)
-    if got is not None:
-        return got
-    rep = canonical_representative(out_label, p)
-    fp1 = rep.Fp[0]
-    counts = {}
-    for (lab_l, (i11,), c, m), n in _count(rep, mid_dim).items():
-        ar = (i11, mid_dim - i11, fp1.dim - i11, d - mid_dim - fp1.dim + i11)
-        counts[lab_l, _label(*ar, ALL_DELTAS[_ZONES[c, m]])] = n
-    _CONV_CACHE[key] = counts
-    return counts
+    """Counts at the canonical triple of a 2x2 label, middle subspaces of
+    the given dimension: keys are (left label, right label)."""
+    return _table(_CONV_CACHE, (d, out_label, mid_dim, p), False)
+
+
+def _mixed_conv_table(d, out_ms, mid_dim, p):
+    """Counts at the canonical triple of a marked sequence, middle
+    subspaces of the given dimension: keys are (left label, right marked
+    sequence)."""
+    return _table(_MIXED_CACHE, (d, out_ms, mid_dim, p), True)
 
 
 def convolution_count(left, right, out, p):
@@ -589,106 +622,6 @@ def structure_constants(left, right, primes):
     return SchurElement(d, _interpolated(
         _candidate_outputs(d, ro_l, co_r), primes, d, lambda out, p:
         _conv_table(d, out, ro_r[0], p).get((left, right), 0)))
-
-
-# --- mixed orbits: two-step flag, complete flag, vector ---------------------
-
-def _chain_subspaces(t):
-    """Complete chain including the two trivial ends, dims 0..d."""
-    d = t.d
-    p = t.p
-    chain = [PrimeFieldSubspace(p, d, ())]
-    chain.extend(t.Fp)
-    full = rref(tuple(tuple(1 if i == j else 0 for j in range(d))
-                      for i in range(d)), p)
-    chain.append(PrimeFieldSubspace(p, d, full))
-    return chain
-
-
-def tensor_orbit_invariant(t):
-    """Marked sequence classifying a (two-step, complete, vector) triple.
-
-    The letter at position r records whether the intersection with the
-    two-step subspace grows at step r of the complete flag.  The marks come
-    from the two jump positions of the vector: the first step c at which v
-    falls into F_1 plus the partial flag, and the first step m at which v
-    falls into the partial flag itself; v = 0 gives no marks, c = 0 gives
-    {m}, c = m gives {c}, and c < m gives {c, m}.
-    """
-    f1 = t.F[0]
-    p, d = t.p, t.d
-    chain = _chain_subspaces(t)
-    seq = []
-    prev = 0
-    for r in range(1, d + 1):
-        inter = f1.dim + chain[r].dim - fp_rank(f1.basis + chain[r].basis, p)
-        seq.append(1 if inter > prev else 2)
-        prev = inter
-    if not any(t.v):
-        return MarkedSequence(tuple(seq), frozenset())
-    m = next(r for r in range(d + 1) if chain[r].contains(t.v))
-    c = next(r for r in range(d + 1)
-             if in_span(rref(f1.basis + chain[r].basis, p), t.v, p))
-    if c == 0:
-        marks = frozenset({m})
-    elif c == m:
-        marks = frozenset({c})
-    else:
-        marks = frozenset({c, m})
-    ms = MarkedSequence(tuple(seq), marks)
-    ok, why = validate(ms)
-    if not ok:
-        raise RuntimeError(f"classification inconsistency at {t}: {why}")
-    return ms
-
-
-def canonical_tensor_representative(ms, p):
-    """Distinguished mixed triple mapping to the marked sequence: the
-    complete flag is the standard coordinate flag, the two-step subspace is
-    spanned by the coordinates carrying letter 1, and the vector encodes the
-    marks."""
-    d = ms.d
-    def unit(i):
-        row = [0] * d
-        row[i] = 1
-        return tuple(row)
-    f_rows = [unit(r - 1) for r in range(1, d + 1) if ms.seq[r - 1] == 1]
-    chain = tuple(PrimeFieldSubspace.from_rows([unit(i) for i in range(r)],
-                                               d, p)
-                  for r in range(1, d))
-    v = [0] * d
-    for j in ms.marks:
-        v[j - 1] = 1
-    return FlagTriple((PrimeFieldSubspace.from_rows(f_rows, d, p),),
-                      chain, tuple(v))
-
-
-_MIXED_CACHE = {}
-
-
-def _mixed_conv_table(d, out_ms, mid_dim, p):
-    """Counts of the mixed convolution at the canonical triple of a marked
-    sequence, middle subspaces of fixed dimension: keys are (left decorated
-    matrix, right marked sequence).  The right sequence has a letter 1
-    where dim(H & C_r) grows and the marks {c, m} - {0} (see `_count`)."""
-    key = (d, out_ms, mid_dim, p)
-    got = _MIXED_CACHE.get(key)
-    if got is not None:
-        return got
-    counts = {}
-    for (lab_l, dims, c, m), n in _count(
-            canonical_tensor_representative(out_ms, p), mid_dim).items():
-        dims = (0, *dims, mid_dim)
-        ms_r = MarkedSequence(tuple(1 if b > a else 2
-                                    for a, b in zip(dims, dims[1:])),
-                              frozenset({c, m} - {0}))
-        ok, why = validate(ms_r)
-        if not ok:
-            raise RuntimeError(
-                f"classification inconsistency at {out_ms}: {why}")
-        counts[lab_l, ms_r] = n
-    _MIXED_CACHE[key] = counts
-    return counts
 
 
 def tensor_action_constants(left, right_ms, primes):

@@ -465,14 +465,8 @@ def _rf_reduce(num, den):
     if len(pd) == 1:
         scalar /= pd[0]
         return _int_poly_to_laurent(pn, sn - sd).scale(scalar), LP_ONE
-    # pull the remaining rational content of the denominator into num
-    from math import gcd
-    gd = 0
-    for x in pd:
-        gd = gcd(gd, abs(x))
-    if gd > 1:
-        pd = [x // gd for x in pd]
-        scalar /= gd
+    # pd is primitive: a primitive polynomial over a primitive divisor
+    # leaves a primitive quotient (Gauss's lemma)
     return _int_poly_to_laurent(pn, sn - sd).scale(scalar), _int_poly_to_laurent(pd)
 
 

@@ -144,8 +144,8 @@ def _coerce_vec(M, vec):
 
 
 def _evaluate(w, M, x):
-    """w applied to x, a Combination keyed by (row, column): each letter
-    maps every row of every column at once."""
+    """w applied to x, a Combination keyed by (row, column), as such a
+    Combination: each letter maps every row of every column at once."""
     if isinstance(w, GeneratorWord):
         words = [(w.scalar, w.letters)]
     elif isinstance(w, pbw.PbwElement):
@@ -160,20 +160,20 @@ def _evaluate(w, M, x):
                 (i, key[1]): a for i, a in cols[key[0]].items()})
         y = y if c == RF_ONE else y.scale(c)
         total = total + y if total else y
-    return total.terms
+    return total
 
 
 def act(w, M, vec):
     """Apply a generator word or a normal-form element to a vector."""
     out = _evaluate(w, M, Combination(M.dim, {
-        (i, 0): c for i, c in enumerate(_coerce_vec(M, vec))}))
+        (i, 0): c for i, c in enumerate(_coerce_vec(M, vec))})).terms
     return [out.get((i, 0), RF_ZERO) for i in range(M.dim)]
 
 
 def action_matrix(w, M):
     """Matrix of a word or normal-form element in the module's basis."""
     out = _evaluate(w, M, Combination(M.dim, {(j, j): RF_ONE
-                                              for j in range(M.dim)}))
+                                              for j in range(M.dim)})).terms
     return [[out.get((i, j), RF_ZERO) for j in range(M.dim)]
             for i in range(M.dim)]
 

@@ -1,7 +1,10 @@
 """Command-line interface: contracts, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
+import runpy
 import subprocess
 import sys
 import time
@@ -221,7 +224,31 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "8"
 
 
+def test_module_entry_point_in_process(capsys, monkeypatch):
+    # the same entry point, run in this process rather than a child one
+    monkeypatch.setattr(sys, "argv",
+                        ["mirabolic", "count", "--n", "2", "--d", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("mirabolic", run_name="__main__")
+    assert exc.value.code == 0 and capsys.readouterr().out.strip() == "8"
+
+
 X1 = json.dumps({"A": [[1, 0], [0, 1]], "delta": [[1, 1]]})
+
+
+def test_oracle_csv_on_stdout(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    code, out, _ = run(capsys, "oracle", "--d", "2", "--primes", "2,3,5,7,11",
+                       "--lhs", X1, "--rhs", X1, "--format", "csv",
+                       "--counts", str(counts))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["label", "p", "count"] and len(rows) == 36
+    with open(counts, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == rows
+    # the 35 counts of the README's oracle example, 7 labels at 5 primes
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f188f7d10d0a45f6592905abcb00d5499213115f54e965fcd021107f85722260"
 MUL_LHS = json.dumps({"d": 2, "terms": [
     {"label": {"A": [[0, 1], [1, 0]], "delta": [[1, 2], [2, 1]]}, "coeff": "v"},
     {"label": {"A": [[1, 0], [1, 0]], "delta": [[2, 1]]}, "coeff": "v^2-1"}]})
@@ -397,10 +424,11 @@ def element_with(terms):
      "--rhs", element(130, [[130, 0], [0, 0]])),
     ("mul", "--lhs", element(101, [[101, 0], [0, 0]]),
      "--rhs", element(101, [[101, 0], [0, 0]])),
+    ("mul", "--d", "3", "--lhs", ONE2, "--rhs", ONE2),
 ], ids=["oracle-1x1", "oracle-3x3", "normalize-zero-den",
         "normalize-zero-den-fraction", "rep-zero-den", "mul-zero-den",
         "mul-terms-int", "mul-term-int", "mul-label-int", "normalize-huge-exp",
-        "rep-huge-exp", "mul-d130", "mul-d101"])
+        "rep-huge-exp", "mul-d130", "mul-d101", "mul-d-mismatch"])
 def test_bad_inputs_are_usage_errors(capsys, argv):
     # exit 1 means a failed verification, so bad input must never end in a
     # traceback

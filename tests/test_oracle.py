@@ -4,6 +4,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from mirabolic import checks, oracle
@@ -229,6 +230,29 @@ def test_point_memo_stays_bounded(monkeypatch):
                         oracle._PointMemo(oracle.SIZE_GUARD))
     monkeypatch.setattr(oracle, "_CONV_CACHE", {})
     assert [oracle._conv_table(d, out, mid, 37) for out in outs] == tables
+
+
+def test_middle_chunks_resync_after_an_eviction(monkeypatch):
+    # the 871 lines of F_29^3 come in 21 chunks of 42 or fewer; a chunk
+    # dropped from the memo is rebuilt from the enumeration, which must
+    # then step over the chunks still kept, so that the next chunk it
+    # rebuilds holds the right subspaces
+    d, p, r = 3, 29, 1
+    size = oracle.SIZE_GUARD // p ** d
+    monkeypatch.setattr(oracle, "_POINTS",
+                        oracle._PointMemo(oracle.SIZE_GUARD))
+    first = list(oracle._middle_chunks(d, p, r))
+    assert len(first) == 21 and size == 42
+    bases = list(oracle._all_subspace_bases(d, p, r))
+    for evicted in ((0,), (3,), (0, 3)):
+        for i in evicted:
+            _, charged = oracle._POINTS.entries.pop(("middle", d, p, r,
+                                                     i * size))
+            oracle._POINTS.size -= charged
+        again = list(oracle._middle_chunks(d, p, r))
+        assert [b for part, _ in again for b in part] == bases, evicted
+        assert all(np.array_equal(pts, pts0) for (_, pts), (_, pts0)
+                   in zip(again, first, strict=True)), evicted
 
 
 def test_counts_are_nonnegative_integers():
