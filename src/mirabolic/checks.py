@@ -10,10 +10,7 @@ from operator import add
 
 from . import oracle, pbw, reps, tensor_space
 from .decorated import count_xi_tensor, enumerate_xi, row_col_sums
-from .linalg import Combination
-from .qv import RF_ONE
-from .schur_algebra import (GeneratorWord, SchurElement, apply_letter,
-                            eval_letters, mul_general)
+from .schur_algebra import SchurElement, apply_letter, eval_letters, mul_general
 
 
 def failures(checks):
@@ -75,17 +72,10 @@ def casimir_scalars(n_max):
             for M in simple_modules(n_max)]
 
 
-def _module_word(M, letters):
-    """The matrix of a generator word on M, as a sparse combination over
-    (i, j)."""
-    return reps._evaluate(GeneratorWord(RF_ONE, letters), M, Combination(
-        M.dim, {(j, j): RF_ONE for j in range(M.dim)}))
-
-
 def module_relations(n_max):
     """The ten relations as matrix identities on each simple with n <= n_max."""
     return [(f"relations on {M.name}",
-             not failures(relations(linear_side(partial(_module_word, M)))))
+             not failures(relations(linear_side(partial(reps.word_matrix, M)))))
             for M in simple_modules(n_max)]
 
 

@@ -2,14 +2,16 @@
 
 Sparse vectors are dicts mapping hashable keys to nonzero coefficients:
 `bump` adds into one entry, `Combination` is the vector type behind the
-algebra, PBW and tensor-space elements, and the elimination routines treat
-such dicts as matrix rows.  The coefficient type only needs +, -, *, / and
-truthiness, so the same code serves fractions.Fraction and the
-rational-function field.  No floating point anywhere; a reported rank or
-solution is exact.
+algebra, PBW, module and tensor-space elements, `fold_word` multiplies out
+a word on one through a bounded suffix memo (`LruMemo`), and elimination
+treats such dicts as matrix rows.  Coefficients need only +, -, *, / and
+truthiness (fractions.Fraction and the rational-function field alike); no
+floating point anywhere, so a reported rank or solution is exact.
 """
 
+from collections import OrderedDict
 from fractions import Fraction
+from itertools import count
 
 from .qv import format_coeff, parse_coeff
 
@@ -127,6 +129,73 @@ class Combination:
         d = obj["d"]
         return cls(d, {cls.read_label(t["label"], d): parse_coeff(t["coeff"])
                        for t in terms})
+
+
+class LruMemo:
+    """A memo charging each entry a size: past `limit` the least recently
+    used go, and a larger entry is handed back unstored.  Stored values are
+    shared, so read-only."""
+
+    def __init__(self, limit):
+        self.limit, self.size = limit, 0
+        self.entries = OrderedDict()    # key -> (value, size)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def get(self, key):
+        got = self.entries.get(key)
+        if got is not None:
+            self.entries.move_to_end(key)
+            return got[0]
+
+    def put(self, key, value, size):
+        if size > self.limit:
+            return value
+        while self.size + size > self.limit:
+            _, (_, old) = self.entries.popitem(last=False)
+            self.size -= old
+        self.entries[key] = (value, size)
+        self.size += size
+        return value
+
+
+# bound of a word memo (`fold_word`) in Laurent terms of the stored
+# coefficients: 35,000 in the MU_v(2,3) memo after a pbw-modules batch, at
+# most 80 per entry.  An entry over a 64th of it is not stored, or the forms
+# of e^a f, a <= 1200, would fill it, shared by no other word (+4.5 MiB RSS)
+FOLD_MEMO_TERMS = 1 << 16
+
+_NODE_IDS = count()
+
+
+def fold_word(memo, root_key, root, letters, step, alphabet):
+    """letters * root(), with step(letter, x) = letter * x, folded right to
+    left with no recursion; a letter outside alphabet raises ValueError
+    before any step.  With a memo, the empty word is stored under root_key
+    and each suffix as (id, value) under (id of the suffix one letter
+    shorter, its first letter), charged one plus the Laurent terms of its
+    coefficients, so words sharing a tail share its read-only value.  Ids
+    are never reused: a key left by an evicted suffix names no later one."""
+    for g in letters:
+        if g not in alphabet:
+            raise ValueError(f"unknown generator {g!r}")
+    if memo is None:
+        x = root()
+        for g in reversed(letters):
+            x = step(g, x)
+        return x
+    node = memo.get(root_key) or _stored(memo, root_key, root())
+    for g in reversed(letters):
+        key = (node[0], g)
+        node = memo.get(key) or _stored(memo, key, step(g, node[1]))
+    return node[1]
+
+
+def _stored(memo, key, x):
+    node = (next(_NODE_IDS), x)
+    size = 1 + sum(map(_coeff_size, x.terms.values()))
+    return memo.put(key, node, size) if size <= FOLD_MEMO_TERMS >> 6 else node
 
 
 def _coeff_size(c):

@@ -13,7 +13,6 @@ row-echelon bases.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, islice, product
@@ -23,6 +22,7 @@ import numpy as np
 from .decorated import (ALL_DELTAS, DecoratedMatrix, decorated2, enumerate_xi,
                         matrix_to_sequence, row_col_sums, sequence_to_matrix,
                         validate)
+from .linalg import LruMemo
 from .qv import lagrange_interpolate, substitute_q
 from .schur_algebra import SchurElement
 
@@ -264,37 +264,8 @@ def canonical_tensor_representative(ms, p):
 
 # --- the counting kernel -----------------------------------------------------
 
-class _PointMemo:
-    """Point sets and shift permutations shared by every table of one
-    (d, p), least recently used first out.
-
-    Each entry is charged its number of point indices, at most `limit`;
-    once the entries would hold more than `limit` of them the oldest are
-    dropped.
-    """
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.size = 0
-        self.entries = OrderedDict()    # key -> (value, size)
-
-    def get(self, key):
-        got = self.entries.get(key)
-        if got is None:
-            return None
-        self.entries.move_to_end(key)
-        return got[0]
-
-    def put(self, key, value, size):
-        while self.size + size > self.limit:
-            _, (_, old) = self.entries.popitem(last=False)
-            self.size -= old
-        self.entries[key] = (value, size)
-        self.size += size
-        return value
-
-
-_POINTS = _PointMemo(SIZE_GUARD)
+# point sets and shift permutations of one (d, p), charged in point indices
+_POINTS = LruMemo(SIZE_GUARD)
 
 
 def _frozen(values):

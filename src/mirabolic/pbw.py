@@ -29,8 +29,10 @@ its generator word evaluated in the convolution algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .linalg import Combination, bump, json_terms
+from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
+                     json_terms)
 from .oracle import SIZE_GUARD
 from .qv import (RF_ONE, format_coeff, parse_coeff, quantum_integer, rf_const,
                  v_power)
@@ -156,17 +158,8 @@ def unit():
 
 
 def generator(name):
-    if name == "e":
-        return PbwElement({PbwMonomial(0, 0, 1, 0): RF_ONE})
-    if name == "f":
-        return PbwElement({PbwMonomial(0, 1, 0, 0): RF_ONE})
-    if name == "k":
-        return PbwElement({PbwMonomial(0, 0, 0, 1): RF_ONE})
-    if name == "k^-1":
-        return PbwElement({PbwMonomial(0, 0, 0, -1): RF_ONE})
-    if name == "l":
-        return PbwElement({PbwMonomial(1, 0, 0, 0): RF_ONE})
-    raise ValueError(f"unknown generator {name!r}")
+    """The generator as a normal form, shared and read-only."""
+    return normalize_word((name,))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +354,14 @@ def _fold(letters, x):
     return x
 
 
+_NORMAL_FORMS = LruMemo(FOLD_MEMO_TERMS)
+
+
 def normalize_word(letters):
-    """Normal form of an arbitrary generator word."""
-    return _fold(tuple(letters), unit())
+    """Normal form of a generator word from the unit by `fold_word`, which
+    memoises every suffix: the result is shared and read-only."""
+    return fold_word(_NORMAL_FORMS, (), unit, tuple(letters),
+                     left_mul_generator, GENERATORS)
 
 
 def multiply(x, y):
@@ -407,9 +405,7 @@ def project_to_schur(d, x):
     return evaluate_words(d, words)
 
 
-_CASIMIR = None
-
-
+@cache
 def casimir_element():
     """The central element that separates the simple modules.
 
@@ -417,9 +413,6 @@ def casimir_element():
     by 1 - v^-2 and corrected by five l-terms so that it commutes with the
     idempotent as well.
     """
-    global _CASIMIR
-    if _CASIMIR is not None:
-        return _CASIMIR
     d2 = _VM * _VM
     a = RF_ONE - v_power(-2)
     terms = {
@@ -435,8 +428,7 @@ def casimir_element():
         PbwMonomial(1, 0, 0, -1):
             ((v_power(2) - rf_const(2)) * v_power(-1) + v_power(-1)) / d2,
     }
-    _CASIMIR = PbwElement(terms)
-    return _CASIMIR
+    return PbwElement(terms)
 
 
 def defining_relations():

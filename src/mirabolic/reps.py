@@ -25,12 +25,13 @@ scalars returned by casimir_scalar_formula.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .qv import (RF_ONE, RF_ZERO, RationalFunction, quantum_integer, rf_const,
                  v_power)
 from . import pbw
-from .linalg import Combination, solve_unique
+from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, fold_word,
+                     solve_unique)
 from .schur_algebra import GeneratorWord
 
 KINDS = ("L0", "L1", "L01")
@@ -94,88 +95,87 @@ def build_module(kind, sign, n):
         if n < 0:
             raise ValueError("n must be >= 0")
         basis = [(i, 0 if kind == "L0" else 1) for i in range(n + 1)]
-        dim = n + 1
-        mk, mki, ml, me, mf = ([{} for _ in range(dim)] for _ in range(5))
-        for i in range(dim):
-            mk[i][i] = sg * v_power(n - 2 * i)
-            mki[i][i] = sg * v_power(2 * i - n)
-            if kind == "L1":
-                ml[i][i] = RF_ONE
-            if i + 1 <= n:
-                mf[i][i + 1] = RF_ONE
-            if i >= 1:
-                me[i][i - 1] = sg * quantum_integer(i) * quantum_integer(n + 1 - i)
     else:
         if n < 1:
             raise ValueError("n must be >= 1 for L01")
         basis = [(i, 0) for i in range(n)] + [(j, 1) for j in range(1, n + 1)]
-        dim = 2 * n
-        idx = {lab: p for p, lab in enumerate(basis)}
-        mk, mki, ml, me, mf = ([{} for _ in range(dim)] for _ in range(5))
-        for p, (i, eps) in enumerate(basis):
-            mk[p][p] = sg * v_power(n - 2 * i)
-            mki[p][p] = sg * v_power(2 * i - n)
-            if eps:
-                ml[p][p] = RF_ONE
-            if eps == 0:
-                if (i + 1, 0) in idx:
-                    mf[p][idx[(i + 1, 0)]] = RF_ONE
-                mf[p][idx[(i + 1, 1)]] = v_power(i) / quantum_integer(i + 1)
-                if i >= 1:
-                    me[p][idx[(i - 1, 0)]] = (
-                        sg * v_power(1) * quantum_integer(i) * quantum_integer(n - i))
-            else:
-                if (i + 1, 1) in idx:
-                    mf[p][idx[(i + 1, 1)]] = (
-                        v_power(-1) * quantum_integer(i) / quantum_integer(i + 1))
-                if (i - 1, 1) in idx:
-                    me[p][idx[(i - 1, 1)]] = (
-                        sg * quantum_integer(i) * quantum_integer(n + 1 - i))
-                if (i - 1, 0) in idx:
-                    me[p][idx[(i - 1, 0)]] = sg * v_power(i - n) * quantum_integer(i)
+    idx = {lab: p for p, lab in enumerate(basis)}
+    mixed = kind == "L01"
+    mk, mki, ml, me, mf = ([{} for _ in basis] for _ in range(5))
+    for p, (i, eps) in enumerate(basis):
+        mk[p][p] = sg * v_power(n - 2 * i)
+        mki[p][p] = sg * v_power(2 * i - n)
+        if eps:
+            ml[p][p] = RF_ONE
+        up, down = idx.get((i + 1, eps)), idx.get((i - 1, eps))
+        if up is not None:
+            mf[p][up] = (v_power(-1) * quantum_integer(i) / quantum_integer(i + 1)
+                         if mixed and eps else RF_ONE)
+        if mixed and not eps:
+            mf[p][idx[(i + 1, 1)]] = v_power(i) / quantum_integer(i + 1)
+        if down is not None:
+            me[p][down] = sg * quantum_integer(i) * (
+                v_power(1) * quantum_integer(n - i) if mixed and not eps
+                else quantum_integer(n + 1 - i))
+        if mixed and eps and (i - 1, 0) in idx:
+            me[p][idx[(i - 1, 0)]] = sg * v_power(i - n) * quantum_integer(i)
     action = {"k": mk, "k^-1": mki, "l": ml, "e": me, "f": mf}
     return IrreducibleModule(kind, sign, n, basis, action)
 
 
-def _coerce_vec(M, vec):
-    if len(vec) != M.dim:
-        raise ValueError(f"vector has length {len(vec)}, module has dim {M.dim}")
-    return [x if isinstance(x, RationalFunction) else rf_const(x) for x in vec]
+def _letter(M, g, y):
+    """g applied to y keyed by (row, column): all its columns at once."""
+    cols = M.action[g]
+    return y.apply(lambda key: {(i, key[1]): a for i, a in cols[key[0]].items()})
 
 
-def _evaluate(w, M, x):
-    """w applied to x, a Combination keyed by (row, column), as such a
-    Combination: each letter maps every row of every column at once."""
+# an eighth: all word matrices of a pbw-modules batch took 5 MiB more RSS
+_WORD_MATRICES = LruMemo(FOLD_MEMO_TERMS // 8)
+
+
+def word_matrix(M, letters):
+    """The matrix of a letter word on M keyed by (row, column), from the
+    identity by `fold_word`, which memoises every suffix: shared, read-only."""
+    def identity():
+        return Combination(M.dim, {(j, j): RF_ONE for j in range(M.dim)})
+    return fold_word(_WORD_MATRICES, (M.kind, M.sign, M.n), identity,
+                     tuple(letters), partial(_letter, M), M.action)
+
+
+def _evaluate(w, word):
+    """w as sum c * word(letters) over its (c, letters) words."""
     if isinstance(w, GeneratorWord):
         words = [(w.scalar, w.letters)]
     elif isinstance(w, pbw.PbwElement):
         words = [(c, mono.letters()) for mono, c in w.terms.items()]
     else:
         raise TypeError(f"cannot act by {type(w).__name__}")
-    total = Combination(M.dim)
+    total = Combination(None)
     for c, letters in words:
-        y = x
-        for g in reversed(letters):
-            y = y.apply(lambda key, cols=M.action[g]: {
-                (i, key[1]): a for i, a in cols[key[0]].items()})
-        y = y if c == RF_ONE else y.scale(c)
+        y = word(letters) if c == RF_ONE else word(letters).scale(c)
         total = total + y if total else y
+        del y   # one word's matrix alive at a time
     return total
 
 
 def act(w, M, vec):
-    """Apply a generator word or a normal-form element to a vector."""
-    out = _evaluate(w, M, Combination(M.dim, {
-        (i, 0): c for i, c in enumerate(_coerce_vec(M, vec))})).terms
+    """Apply a generator word or a normal-form element to a vector, no matrix
+    built."""
+    if len(vec) != M.dim:
+        raise ValueError(f"vector has length {len(vec)}, module has dim {M.dim}")
+    x = Combination(M.dim, {(i, 0): c if isinstance(c, RationalFunction)
+                            else rf_const(c) for i, c in enumerate(vec)})
+    out = _evaluate(w, lambda letters: fold_word(
+        None, None, lambda: x, letters, partial(_letter, M), M.action)).terms
     return [out.get((i, 0), RF_ZERO) for i in range(M.dim)]
 
 
 def action_matrix(w, M):
     """Matrix of a word or normal-form element in the module's basis."""
-    out = _evaluate(w, M, Combination(M.dim, {(j, j): RF_ONE
-                                              for j in range(M.dim)})).terms
-    return [[out.get((i, j), RF_ZERO) for j in range(M.dim)]
-            for i in range(M.dim)]
+    rows = [[RF_ZERO] * M.dim for _ in range(M.dim)]
+    for (i, j), c in _evaluate(w, partial(word_matrix, M)).terms.items():
+        rows[i][j] = c
+    return rows
 
 
 def _eigen_exponent(c):
@@ -220,13 +220,10 @@ def weight_table(M):
 
 def casimir_scalar(M):
     """The scalar by which the central Casimir element acts."""
-    mat = action_matrix(pbw.casimir_element(), M)
-    c = mat[0][0]
-    for p in range(M.dim):
-        for q in range(M.dim):
-            want = c if p == q else RF_ZERO
-            if mat[p][q] != want:
-                raise ValueError("Casimir element does not act by a scalar")
+    terms = _evaluate(pbw.casimir_element(), partial(word_matrix, M)).terms
+    c = terms.get((0, 0), RF_ZERO)
+    if terms != {(p, p): c for p in range(M.dim) if c}:
+        raise ValueError("Casimir element does not act by a scalar")
     return c
 
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 
 from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
                         DecoratedMatrix, decorated2, diag2,
                         transpose_decorated, validate)
-from .linalg import Combination, bump
+from .linalg import FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word
 from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff, q_bracket,
                  q_power, quantum_factorial, quantum_integer, v_power)
 
@@ -303,6 +303,11 @@ def identity_element(d):
     return SchurElement(d, {one_key(d, r): RF_ONE for r in range(d + 1)})
 
 
+# the power of v on T_A is m r + c d, for r the first row sum of A
+_POWERS = {"k": (2, -1), "k^-1": (-2, 1), "e": (-1, 0), "f": (1, -1),
+           "l": (-2, 0)}
+
+
 def apply_letter(letter, x):
     """Left-multiply by a generator.  With r the first row sum of a label A
     and d the degree, the generators act on T_A by
@@ -311,34 +316,27 @@ def apply_letter(letter, x):
         e:     v^-r E_r T_A, and 0 when r = d,
         f:     v^(r-d) F_(r-1) T_A, and 0 when r = 0,
         l:     T_A when r = 0, and v^-2r (T_A + X_r T_A) otherwise,
-    where E_r, F_(r-1) and X_r act by their case tables.  Each input
-    coefficient takes its power of v once, before the unscaled table acts."""
-    d = x.d
-    # the power of v on T_A is m r + b, and r = dead gives 0
-    m, b = {"k": (2, -d), "k^-1": (-2, d), "e": (-1, 0), "f": (1, -d),
-            "l": (-2, 0)}.get(letter, (None, None))
-    if m is None:
+    where E_r, F_(r-1) and X_r act by their case tables.  Each label's
+    column, its power of v included, is built once."""
+    if letter not in _POWERS:
         raise ValueError(f"unknown generator {letter!r}")
-    dead = {"e": d, "f": 0}.get(letter)
-    scaled = {}
-    for label, c in x.terms.items():
-        r = label.a[0][0] + label.a[0][1]
-        if r != dead:
-            p = m * r + b
-            scaled[label] = c * v_power(p) if p else c
-    y = x._like(scaled)
-    if letter in ("e", "f"):
-        return y.apply(partial(_special_column, letter))
-    if letter != "l":
-        return y
+    return x.apply(partial(_letter_column, letter))
 
-    def column(label):
-        if label.a[0][0] + label.a[0][1] == 0:
-            return {label: RF_ONE}
+
+@lru_cache(maxsize=4096)    # 5 (d + 1)^3 columns at d: d <= 8 fit
+def _letter_column(letter, label):
+    """apply_letter(letter, T_label) as {label: coefficient}, read-only; the
+    e (f) table alone gives 0 when row 2 (row 1) is empty."""
+    r = label.a[0][0] + label.a[0][1]
+    if letter in ("e", "f"):
+        out = _special_column(letter, label)
+    elif letter == "l" and r:
         out = _special_column("x11", label)
         bump(out, label, RF_ONE)
-        return out
-    return y.apply(column)
+    else:
+        out = {label: RF_ONE}
+    m, c = _POWERS[letter]
+    return {lab: x * v_power(m * r + c * label.d) for lab, x in out.items()}
 
 
 def chevalley(d, which):
@@ -358,35 +356,18 @@ class GeneratorWord:
 
 
 def apply_word(word, x):
-    for letter in reversed(word.letters):
-        x = apply_letter(letter, x)
-    return x.scale(word.scalar)
+    return fold_word(None, None, lambda: x, word.letters, apply_letter,
+                     _POWERS).scale(word.scalar)
 
 
-_EVAL_CACHE = {}
+_EVAL_CACHE = LruMemo(FOLD_MEMO_TERMS)
 
 
 def eval_letters(d, letters):
-    """The element obtained by multiplying out a generator word.
-
-    Every suffix of the word is memoised, so words sharing a tail share its
-    evaluation.  A suffix is stored as (id, element) under the key (id of
-    the suffix one letter shorter, its first letter), with (d, None) for
-    the empty word, so the memo grows linearly in the word length.  The
-    loop applies the letters right to left, with no recursion, so the word
-    length is not bounded by the interpreter's stack.
-    """
-    node = _EVAL_CACHE.get((d, None))
-    if node is None:
-        node = _EVAL_CACHE[(d, None)] = (len(_EVAL_CACHE), identity_element(d))
-    for letter in reversed(letters):
-        key = (node[0], letter)
-        got = _EVAL_CACHE.get(key)
-        if got is None:
-            got = _EVAL_CACHE[key] = (len(_EVAL_CACHE),
-                                      apply_letter(letter, node[1]))
-        node = got
-    return node[1]
+    """A generator word multiplied out from the identity at d by `fold_word`,
+    which memoises every suffix: the result is shared and read-only."""
+    return fold_word(_EVAL_CACHE, d, partial(identity_element, d), letters,
+                     apply_letter, _POWERS)
 
 
 def evaluate_words(d, words):

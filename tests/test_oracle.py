@@ -10,6 +10,7 @@ import pytest
 from mirabolic import checks, oracle
 from mirabolic.decorated import (MarkedSequence, count_xi_tensor, decorated2,
                                  diag2, enumerate_xi, row_col_sums)
+from mirabolic.linalg import LruMemo
 from mirabolic.qv import RF_ONE, rf_const, v_power
 from mirabolic.schur_algebra import (SchurElement, chevalley, mul_general,
                                      one_key, x_key)
@@ -197,7 +198,7 @@ def test_mixed_conv_table_matches_literal_enumeration():
     assert tables == 246
 
 
-class _CheckedMemo(oracle._PointMemo):
+class _CheckedMemo(LruMemo):
     """The memo, checking its bound after every insertion."""
 
     def put(self, key, value, size):
@@ -227,7 +228,7 @@ def test_point_memo_stays_bounded(monkeypatch):
                 arr[0] = 0
     # a fresh session, with nothing cached, counts the same
     monkeypatch.setattr(oracle, "_POINTS",
-                        oracle._PointMemo(oracle.SIZE_GUARD))
+                        LruMemo(oracle.SIZE_GUARD))
     monkeypatch.setattr(oracle, "_CONV_CACHE", {})
     assert [oracle._conv_table(d, out, mid, 37) for out in outs] == tables
 
@@ -240,7 +241,7 @@ def test_middle_chunks_resync_after_an_eviction(monkeypatch):
     d, p, r = 3, 29, 1
     size = oracle.SIZE_GUARD // p ** d
     monkeypatch.setattr(oracle, "_POINTS",
-                        oracle._PointMemo(oracle.SIZE_GUARD))
+                        LruMemo(oracle.SIZE_GUARD))
     first = list(oracle._middle_chunks(d, p, r))
     assert len(first) == 21 and size == 42
     bases = list(oracle._all_subspace_bases(d, p, r))

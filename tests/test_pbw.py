@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirabolic import checks, pbw, schur_algebra
-from mirabolic.linalg import bump, rank_of_rows
+from mirabolic.linalg import FOLD_MEMO_TERMS, LruMemo, bump, rank_of_rows
 from mirabolic.qv import (RF_ONE, format_coeff, quantum_integer, rf_const,
                           rf_laurent, v_power)
 from mirabolic.schur_algebra import (SchurElement, apply_letter, chevalley,
@@ -223,7 +223,9 @@ def test_long_e_block_fold_matches_closed_form(monkeypatch):
     # formula.  The fold's Q(v) sums reduce polynomials of degree about
     # 1,200 by monic divisors: 1.1 s of CPU, against 5.3 s while each
     # pseudo-remainder step still multiplied by the leading coefficient 1
+    # fresh memos, so that a fold is timed and no earlier value is read back
     monkeypatch.setattr(pbw, "_MUL_CACHE", {})
+    monkeypatch.setattr(pbw, "_NORMAL_FORMS", LruMemo(FOLD_MEMO_TERMS))
     t0 = time.process_time()
     got = pbw.normalize_word(("e",) * 600 + ("f",))
     elapsed = time.process_time() - t0
@@ -299,7 +301,8 @@ def test_element_json_rejects_non_normal_words():
 def test_project_long_k_power(monkeypatch, n):
     # a word of n letters is evaluated without recursion; every suffix is
     # memoised, the empty word included (a fresh memo, freed afterwards)
-    monkeypatch.setattr(schur_algebra, "_EVAL_CACHE", {})
+    monkeypatch.setattr(schur_algebra, "_EVAL_CACHE",
+                        LruMemo(FOLD_MEMO_TERMS))
     got = pbw.project_to_schur(
         2, pbw.PbwElement.monomial(pbw.PbwMonomial(0, 0, 0, n)))
     # k acts on 1_(r, d-r) by v^(2r - d)
@@ -312,7 +315,8 @@ def test_project_long_k_power(monkeypatch, n):
 
 def test_project_long_k_power_memory_is_linear(monkeypatch):
     # the suffix memo holds one small key per letter, not every suffix
-    monkeypatch.setattr(schur_algebra, "_EVAL_CACHE", {})
+    monkeypatch.setattr(schur_algebra, "_EVAL_CACHE",
+                        LruMemo(FOLD_MEMO_TERMS))
     x = pbw.PbwElement.monomial(pbw.PbwMonomial(0, 0, 0, 5000))
     tracemalloc.start()
     try:

@@ -269,10 +269,10 @@ SCALARS = (RF_ONE, -v_power(3), v_power(1) + v_power(-1), rf_const(2),
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(st.sampled_from(SCALARS),
-       st.lists(st.sampled_from(pbw.GENERATORS), max_size=6))
+       st.lists(st.sampled_from(pbw.GENERATORS), max_size=8))
 def test_lone_word_matrix_is_the_product_of_its_letters(scalar, letters):
-    # a lone word's matrix against the dense product of the generator
-    # matrices, on one simple module of each kind
+    # a lone word's matrix, and its memoised word matrix, against the dense
+    # product of the generator matrices, on one simple module of each kind
     for M in (reps.build_module("L0", "+", 3), reps.build_module("L1", "-", 2),
               reps.build_module("L01", "+", 3)):
         want = [[RF_ONE if i == j else RF_ZERO for j in range(M.dim)]
@@ -282,6 +282,9 @@ def test_lone_word_matrix_is_the_product_of_its_letters(scalar, letters):
             want = [[sum((cols[p].get(i, RF_ZERO) * want[p][j]
                           for p in range(M.dim)), RF_ZERO)
                      for j in range(M.dim)] for i in range(M.dim)]
+        terms = reps.word_matrix(M, letters).terms
+        assert [[terms.get((i, j), RF_ZERO) for j in range(M.dim)]
+                for i in range(M.dim)] == want, (M.kind, letters)
         want = [[scalar * c for c in row] for row in want]
         got = reps.action_matrix(GeneratorWord(scalar, tuple(letters)), M)
         assert got == want, (M.kind, letters)
