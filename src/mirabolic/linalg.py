@@ -194,8 +194,14 @@ def fold_word(memo, root_key, root, letters, step, alphabet):
 
 def _stored(memo, key, x):
     node = (next(_NODE_IDS), x)
-    size = 1 + sum(map(_coeff_size, x.terms.values()))
+    size = stored_terms(x.terms.values())
     return memo.put(key, node, size) if size <= FOLD_MEMO_TERMS >> 6 else node
+
+
+def stored_terms(coeffs):
+    """The charge of a memo entry holding coeffs: one plus their Laurent
+    terms."""
+    return 1 + sum(map(_coeff_size, coeffs))
 
 
 def _coeff_size(c):

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
-                     json_terms)
+                     json_terms, stored_terms)
 from .oracle import SIZE_GUARD
 from .qv import (RF_ONE, format_coeff, parse_coeff, quantum_integer, rf_const,
                  v_power)
@@ -165,8 +166,15 @@ def generator(name):
 # ---------------------------------------------------------------------------
 # straightening of mixed e/f blocks
 
-_EF_CACHE = {}
-_FE_CACHE = {}
+# memos of the straightening forms, {(a, b): form}, each charged its stored
+# terms like the word memos (`linalg.stored_terms`)
+_EF_CACHE = LruMemo(FOLD_MEMO_TERMS)
+_FE_CACHE = LruMemo(FOLD_MEMO_TERMS)
+
+
+def _memo_put(memo, key, terms):
+    """Store the read-only {key: coeff} dict terms under key and return it."""
+    return memo.put(key, terms, stored_terms(terms.values()))
 
 
 def ef_straighten(a, b):
@@ -199,8 +207,7 @@ def ef_straighten(a, b):
             poly = nxt
         for t, x in poly.items():
             bump(out, (b - j, a - j, t), scale * x * v_power(2 * t * (a - j)))
-    _EF_CACHE[a, b] = out
-    return out
+    return _memo_put(_EF_CACHE, (a, b), out)
 
 
 def fe_straighten(a, b):
@@ -211,8 +218,8 @@ def fe_straighten(a, b):
     """
     got = _FE_CACHE.get((a, b))
     if got is None:
-        got = {(r, s, -t): c for (r, s, t), c in ef_straighten(a, b).items()}
-        _FE_CACHE[a, b] = got
+        got = _memo_put(_FE_CACHE, (a, b), {
+            (r, s, -t): c for (r, s, t), c in ef_straighten(a, b).items()})
     return got
 
 
@@ -238,7 +245,9 @@ def move_out(side, a, b):
 # ---------------------------------------------------------------------------
 # left multiplication by a generator
 
-_MUL_CACHE = {}
+# g * mono as {monomial: coeff} under (g, mono): one entry per power k^t
+# that a word passes through, so bounded like the word memos
+_MUL_CACHE = LruMemo(FOLD_MEMO_TERMS)
 
 
 def _shift(mono, t):
@@ -338,8 +347,7 @@ def _mul_mono(g, mono):
                     bump(out, _mono(5, r, b, c + t), coeff)
     else:
         raise ValueError(f"unknown generator {g!r}")
-    _MUL_CACHE[key] = out
-    return out
+    return _memo_put(_MUL_CACHE, key, out)
 
 
 def left_mul_generator(g, x):
@@ -399,10 +407,25 @@ def specialize_ell(eps, x):
     return x.apply(column)
 
 
+_PROJECTIONS = LruMemo(FOLD_MEMO_TERMS)
+
+
 def project_to_schur(d, x):
-    """Image in the d-th convolution quotient, as a SchurElement."""
-    words = [GeneratorWord(c, mono.letters()) for mono, c in x.sorted_terms()]
-    return evaluate_words(d, words)
+    """Image in the d-th convolution quotient, as a SchurElement.
+
+    Memoised under (d, the terms of x), so equal elements share one image
+    however they were built and an element changed by its caller is
+    projected afresh; an entry is charged the stored terms of its key and
+    image, and the result is shared and read-only."""
+    key = (d, frozenset(x.terms.items()))
+    got = _PROJECTIONS.get(key)
+    if got is None:
+        words = [GeneratorWord(c, mono.letters())
+                 for mono, c in x.sorted_terms()]
+        got = evaluate_words(d, words)
+        _PROJECTIONS.put(key, got, stored_terms(
+            chain(x.terms.values(), got.terms.values())))
+    return got
 
 
 @cache

@@ -233,6 +233,36 @@ def test_module_entry_point_in_process(capsys, monkeypatch):
     assert exc.value.code == 0 and capsys.readouterr().out.strip() == "8"
 
 
+# a child running the entry point and then writing its own peak RSS (KiB).
+# Linux carries the parent's peak into a child's ru_maxrss across fork and
+# exec (a child of this test process read 126 MiB), so the child reads the
+# high-water mark of its own address space, VmHWM, instead
+_PEAK_RSS_CHILD = """
+import runpy, sys
+sys.argv = ["mirabolic"] + sys.argv[1:]
+try:
+    runpy.run_module("mirabolic", run_name="__main__")
+finally:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        print(next(line.split()[1] for line in fh
+                   if line.startswith("VmHWM:")), file=sys.stderr)
+"""
+
+
+def test_long_k_block_normal_form_memory():
+    # k^200000 e f passes 200,000 powers of k through every PBW memo; with
+    # the product memo unbounded the process peaked at 353-358 MiB
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, "normalize",
+                           "--word", "k^200000 e f"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(proc.stderr.split()[-1])
+    assert peak_kib < 100 * 1024, peak_kib
+    # sha256 of the stdout, recorded while the memo was unbounded
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "7b348a4c3483d6ae764bdb0326592a384f9a3de2da21a7499c5ae8dde2b05660"
+
+
 X1 = json.dumps({"A": [[1, 0], [0, 1]], "delta": [[1, 1]]})
 
 

@@ -1,5 +1,7 @@
 """The memoised word fold behind `eval_letters`, `normalize_word` and the
-word matrices of the simple modules."""
+word matrices of the simple modules, and the bounded PBW memos around it:
+products by a generator, straightening forms and projections to
+MU_v(2,d)."""
 
 from itertools import product
 
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from mirabolic import pbw, reps, schur_algebra
 from mirabolic.linalg import FOLD_MEMO_TERMS, LruMemo
-from mirabolic.qv import RF_ONE
-from mirabolic.schur_algebra import GeneratorWord, eval_letters
+from mirabolic.qv import RF_ONE, quantum_integer, v_power
+from mirabolic.schur_algebra import GeneratorWord, eval_letters, evaluate_words
 
 L01 = reps.build_module("L01", "+", 3)
 
@@ -25,16 +27,16 @@ WORDS_8 = st.lists(st.sampled_from(pbw.GENERATORS), max_size=8).map(tuple)
 
 
 class _RecordingMemo(LruMemo):
-    """The memo, keeping the id of every node handed to it and counting the
-    entries small enough to be stored."""
+    """The memo, keeping every value handed to it and counting the entries
+    small enough to be stored."""
 
     def __init__(self, limit):
         super().__init__(limit)
-        self.ids = []
+        self.values = []
         self.kept = 0
 
     def put(self, key, value, size):
-        self.ids.append(value[0])
+        self.values.append(value)
         self.kept += size <= self.limit
         return super().put(key, value, size)
 
@@ -52,7 +54,8 @@ def test_eviction_keeps_every_word(monkeypatch, module, attr, evaluate):
     monkeypatch.setattr(module, attr, small)
     assert [evaluate(w) for w in WORDS_4] == want
     assert small.kept > len(small) + 100 and small.size <= small.limit
-    assert len(set(small.ids)) == len(small.ids)
+    ids = [node_id for node_id, _ in small.values]
+    assert len(set(ids)) == len(ids)
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -91,3 +94,95 @@ def test_unknown_letter_changes_no_memo(letters, at, bad):
         with pytest.raises(ValueError, match="unknown generator"):
             evaluate(word)
     assert [(len(m), m.size) for m in memos] == sizes
+
+
+def _fresh_pbw_memos(monkeypatch):
+    for attr in ("_PROJECTIONS", "_MUL_CACHE", "_EF_CACHE", "_FE_CACHE",
+                 "_NORMAL_FORMS"):
+        monkeypatch.setattr(pbw, attr, LruMemo(FOLD_MEMO_TERMS))
+
+
+@pytest.mark.parametrize("attr", ("_PROJECTIONS", "_MUL_CACHE"))
+def test_eviction_keeps_every_projection(monkeypatch, attr):
+    # the normal forms of every word of at most 4 letters, projected at
+    # d = 2 and 3, first with room to spare and then with the memo under
+    # test holding a few terms and dropping entries all the time; the
+    # normal forms are folded afresh both times, so products and
+    # straightening forms are asked for again
+    def images():
+        return [pbw.project_to_schur(d, pbw.normalize_word(w))
+                for d in (2, 3) for w in WORDS_4]
+
+    _fresh_pbw_memos(monkeypatch)
+    want = images()
+    _fresh_pbw_memos(monkeypatch)
+    small = _RecordingMemo(40)
+    monkeypatch.setattr(pbw, attr, small)
+    assert images() == want
+    assert small.kept > len(small) + 100 and small.size <= small.limit
+
+
+def _direct(d, x):
+    """The image of x in MU_v(2,d) with no projection memo."""
+    return evaluate_words(d, [GeneratorWord(c, mono.letters())
+                              for mono, c in x.sorted_terms()])
+
+
+SCALARS = st.sampled_from((RF_ONE, -RF_ONE, v_power(3), quantum_integer(2),
+                           RF_ONE / quantum_integer(3)))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 4), WORDS_8, WORDS_8, SCALARS, SCALARS)
+def test_projection_is_the_direct_image(d, u, w, a, b):
+    # random normal forms, their scalings and their sums (zero included)
+    x, y = pbw.normalize_word(u), pbw.normalize_word(w)
+    for z in (x, y.scale(b), x.scale(a) + y.scale(b), x - x):
+        want = _direct(d, z)
+        # computed, and then read back from the memo
+        assert pbw.project_to_schur(d, z) == want
+        assert pbw.project_to_schur(d, z) == want
+
+
+def test_equal_elements_share_one_image(monkeypatch):
+    # the memo is keyed on terms, not on the object: two elements with
+    # equal terms read one image, and an element its caller changes after
+    # projecting it reads the image of what it now holds
+    monkeypatch.setattr(pbw, "_PROJECTIONS", LruMemo(FOLD_MEMO_TERMS))
+    x = pbw.normalize_word(("e", "l", "f", "k"))
+    y = pbw.multiply(pbw.normalize_word(("e", "l")),
+                     pbw.normalize_word(("f", "k")))
+    assert y is not x and y == x
+    for d in (1, 2, 3):
+        got = pbw.project_to_schur(d, x)
+        assert pbw.project_to_schur(d, y) is got
+        assert pbw.project_to_schur(d, pbw.PbwElement(dict(x.terms))) is got
+    z = pbw.PbwElement(dict(x.terms))
+    before = pbw.project_to_schur(3, z)
+    z.terms[pbw.PbwMonomial(0, 1, 0, 0)] = v_power(2)
+    after = pbw.project_to_schur(3, z)
+    assert after == _direct(3, z) != before
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(WORDS_8, st.lists(WORDS_8, max_size=4), st.booleans())
+def test_projections_are_read_only(letters, others, tiny):
+    # a returned image may be the shared memo value, or the shared
+    # `eval_letters` value of a lone word, so later projections of its
+    # suffixes, of other words, of sums and scalings leave it unchanged,
+    # also while a tiny memo evicts it
+    memo = LruMemo(40 if tiny else FOLD_MEMO_TERMS)
+    saved, pbw._PROJECTIONS = pbw._PROJECTIONS, memo
+    try:
+        x = pbw.normalize_word(letters)
+        got = pbw.project_to_schur(3, x)
+        kept = dict(got.terms)
+        for w in others + [letters[i:]
+                           for i in range(len(letters) + 1)]:
+            y = pbw.normalize_word(w)
+            for z in (y, y + x, x.scale(v_power(1)), y.scale(-RF_ONE)):
+                pbw.project_to_schur(3, z)
+        assert got.terms == kept
+        assert pbw.project_to_schur(3, x) == got
+    finally:
+        pbw._PROJECTIONS = saved

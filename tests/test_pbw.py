@@ -224,7 +224,7 @@ def test_long_e_block_fold_matches_closed_form(monkeypatch):
     # 1,200 by monic divisors: 1.1 s of CPU, against 5.3 s while each
     # pseudo-remainder step still multiplied by the leading coefficient 1
     # fresh memos, so that a fold is timed and no earlier value is read back
-    monkeypatch.setattr(pbw, "_MUL_CACHE", {})
+    monkeypatch.setattr(pbw, "_MUL_CACHE", LruMemo(FOLD_MEMO_TERMS))
     monkeypatch.setattr(pbw, "_NORMAL_FORMS", LruMemo(FOLD_MEMO_TERMS))
     t0 = time.process_time()
     got = pbw.normalize_word(("e",) * 600 + ("f",))
@@ -300,9 +300,11 @@ def test_element_json_rejects_non_normal_words():
 @pytest.mark.parametrize("n", [1200, 5000])
 def test_project_long_k_power(monkeypatch, n):
     # a word of n letters is evaluated without recursion; every suffix is
-    # memoised, the empty word included (a fresh memo, freed afterwards)
+    # memoised, the empty word included (fresh memos, freed afterwards, so
+    # that no earlier projection is read back in place of the fold)
     monkeypatch.setattr(schur_algebra, "_EVAL_CACHE",
                         LruMemo(FOLD_MEMO_TERMS))
+    monkeypatch.setattr(pbw, "_PROJECTIONS", LruMemo(FOLD_MEMO_TERMS))
     got = pbw.project_to_schur(
         2, pbw.PbwElement.monomial(pbw.PbwMonomial(0, 0, 0, n)))
     # k acts on 1_(r, d-r) by v^(2r - d)
@@ -317,6 +319,7 @@ def test_project_long_k_power_memory_is_linear(monkeypatch):
     # the suffix memo holds one small key per letter, not every suffix
     monkeypatch.setattr(schur_algebra, "_EVAL_CACHE",
                         LruMemo(FOLD_MEMO_TERMS))
+    monkeypatch.setattr(pbw, "_PROJECTIONS", LruMemo(FOLD_MEMO_TERMS))
     x = pbw.PbwElement.monomial(pbw.PbwMonomial(0, 0, 0, 5000))
     tracemalloc.start()
     try:
