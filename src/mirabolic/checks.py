@@ -147,8 +147,10 @@ def tensor_suite(d_max):
 
 def oracle_suite(d, pairs):
     """Engine against oracle on a seeded sample of the pairs at d, with
-    the d^2 + 1 primes that the interpolation needs, refusing a d whose
-    primes exceed the size guard before any pair is listed."""
+    the pool of d^2 + 1 primes of `oracle.interpolation_primes` (each
+    entry is counted at the smallest D + 2 of them, D its degree bound),
+    refusing a d whose primes exceed the size guard before any pair is
+    listed."""
     primes = oracle.interpolation_primes(d)
     compat = compatible_pairs(d)
     sample = random.Random(97 + d).sample(compat, min(pairs, len(compat)))

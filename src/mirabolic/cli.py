@@ -171,24 +171,25 @@ def _cmd_oracle(args):
     left = SchurElement.read_label(_read_json_arg(args.lhs), args.d)
     right = SchurElement.read_label(_read_json_arg(args.rhs), args.d)
     product = oracle_mod.structure_constants(left, right, primes)
-
-    rows = []
-    ro_l, co_l = row_col_sums(left)
-    ro_r, co_r = row_col_sums(right)
-    if co_l == ro_r:
-        outs = oracle_mod._candidate_outputs(args.d, ro_l, co_r)
-        for out in sorted(outs, key=lambda lab: lab.sort_key()):
-            for p in primes:
-                n = oracle_mod.convolution_count(left, right, out, p)
-                rows.append((str(out), p, n))
-
-    if args.counts:
-        with open(args.counts, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([("label", "p", "count")] + rows)
-    if args.format == "csv":
-        csv.writer(sys.stdout).writerows([("label", "p", "count")] + rows)
-    else:
-        _emit(product.to_json())
+    if args.format == "csv" or args.counts:
+        # a row per candidate output and supplied prime, so these tables are
+        # counted at every prime and not only at the interpolation nodes
+        rows = [("label", "p", "count")]
+        ro_l, co_l = row_col_sums(left)
+        ro_r, co_r = row_col_sums(right)
+        if co_l == ro_r:
+            outs = oracle_mod._candidate_outputs(args.d, ro_l, co_r)
+            for out in sorted(outs, key=lambda lab: lab.sort_key()):
+                for p in primes:
+                    n = oracle_mod.convolution_count(left, right, out, p)
+                    rows.append((str(out), p, n))
+        if args.counts:
+            with open(args.counts, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+        if args.format == "csv":
+            csv.writer(sys.stdout).writerows(rows)
+            return 0
+    _emit(product.to_json())
     return 0
 
 

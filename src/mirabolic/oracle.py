@@ -40,6 +40,12 @@ def is_prime(n):
     return True
 
 
+def _guard(p, d):
+    """Raise ValueError if F_p^d has more than SIZE_GUARD points."""
+    if p ** d > SIZE_GUARD:
+        raise ValueError(f"p^d = {p**d} exceeds the enumeration guard")
+
+
 def primes_list(count, start=2):
     out = []
     n = start
@@ -158,8 +164,7 @@ def enumerate_flags(d, p, kind):
     flag 0 <= F_1 <= F_p^d with dim F_1 = r.  The full space is implicit, so a
     two-step flag is returned as a single subspace and a complete flag as the
     chain of dimensions 1..d-1."""
-    if p ** d > SIZE_GUARD:
-        raise ValueError(f"p^d = {p**d} exceeds the enumeration guard")
+    _guard(p, d)
     if kind == "complete":
         chains = [()]
         for r in range(1, d):
@@ -389,8 +394,7 @@ def _count(rep, mid_dim):
     group: they share their labels and which sums are full.
     """
     f, v, d, p = rep.F[0], rep.v, rep.d, rep.p
-    if p ** d > SIZE_GUARD:
-        raise ValueError(f"p^d = {p**d} exceeds the enumeration guard")
+    _guard(p, d)
     chain = (PrimeFieldSubspace(p, d, ()),) + rep.Fp
     n, big_n = p ** d, len(chain)
     k = (big_n + 1) ** 2
@@ -529,23 +533,24 @@ def _candidate_outputs(d, ro, co):
 def _checked_primes(primes, d):
     """The distinct primes, sorted; raises ValueError unless they are all
     prime, there are at least d^2 + 1 of them and the largest has
-    p^d <= SIZE_GUARD."""
+    p^d <= SIZE_GUARD.  They are a pool: `_nodes` picks from it the primes
+    each call counts at."""
     primes = sorted(set(primes))
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     if len(primes) < d * d + 1:
         raise ValueError(f"need at least {d*d + 1} primes, got {len(primes)}")
-    if primes[-1] ** d > SIZE_GUARD:    # refused before any table is built
-        raise ValueError(f"p^d = {primes[-1]**d} exceeds the enumeration "
-                         f"guard")
+    _guard(primes[-1], d)   # refused before any table is built
     return primes
 
 
 def interpolation_primes(d):
-    """The d^2 + 1 primes that interpolation at d needs.  Raises ValueError
-    if the last of them has p^d > SIZE_GUARD; as p^d >= 2^d, a d past the
-    guard's bit length is refused without listing the primes."""
+    """The pool of d^2 + 1 primes that `_checked_primes` asks for at d; an
+    entry is counted only at the smallest D + 2 of them (see `_nodes`).
+    Raises ValueError if the last of them has p^d > SIZE_GUARD; as
+    p^d >= 2^d, a d past the guard's bit length is refused without listing
+    the primes."""
     if d < SIZE_GUARD.bit_length():
         primes = primes_list(d * d + 1)
         if primes[-1] ** d <= SIZE_GUARD:
@@ -554,25 +559,45 @@ def interpolation_primes(d):
                      f"points per prime")
 
 
-def _interpolated(outs, primes, d, count):
+def _nodes(pool, d, mid_dim):
+    """(D, nodes): the degree bound D = mid (d - mid) + d of every entry at
+    middle dimension mid, and the smallest min(D + 2, len(pool)) primes of
+    the sorted pool.
+
+    An entry counts pairs (H, u) with H in Gr(mid, d)(F_q) and u in F_q^d,
+    so 0 <= N(q) <= |Gr(mid, d)(F_q)| q^d at every prime q.  The Gaussian
+    binomial |Gr(mid, d)(F_q)| is a polynomial of degree mid (d - mid), so
+    the polynomial N has degree at most D.  D + 1 nodes fix the fit and the
+    last one checks it.  As D <= d^2, a pool of d^2 + 1 primes always holds
+    D + 1 nodes; only at d = 1 (D = 1, two primes) is none left to check.
+    """
+    bound = mid_dim * (d - mid_dim) + d
+    return bound, pool[:bound + 2]
+
+
+def _interpolated(outs, primes, d, count, bound=None):
     """{out: nonzero coefficient} from the point counts count(out, p).
 
-    The counts at each prime are interpolated in q with degree bound d^2;
-    if an output's counts fail to interpolate (bound breach), the bound is
-    doubled once, with the primes extended to 2 d^2 + 1 of them and checked
-    again against the size guard.
+    The counts at the given primes are interpolated in q with degree bound
+    `bound` (d^2 if None); the primes past the first bound + 1 check the
+    fit.  If an output's counts fail to interpolate (bound breach, or a
+    check off the fit), the bound is doubled once, with the primes extended
+    to 2 bound + 1 of them and checked again against the size guard.
     """
+    if bound is None:
+        bound = d * d
     # prime by prime, so the tables of one prime share its point sets
     counts = [[count(out, p) for out in outs] for p in primes]
     terms = {}
     for out, col in zip(outs, zip(*counts)):
         try:
-            poly = lagrange_interpolate(list(zip(primes, col)), d * d)
+            poly = lagrange_interpolate(list(zip(primes, col)), bound)
         except ValueError:
-            more = _checked_primes(primes + primes_list(
-                2 * d * d + 1 - len(primes), primes[-1] + 1), d)
+            more = primes + primes_list(2 * bound + 1 - len(primes),
+                                        primes[-1] + 1)
+            _guard(more[-1], d)
             poly = lagrange_interpolate([(p, count(out, p)) for p in more],
-                                        2 * d * d)
+                                        2 * bound)
         coeff = substitute_q(poly)
         if coeff:
             terms[out] = coeff
@@ -580,8 +605,12 @@ def _interpolated(outs, primes, d, count):
 
 
 def structure_constants(left, right, primes):
-    """The product of two basis symbols recovered purely from point counts
-    (interpolated by `_interpolated`)."""
+    """The product of two basis symbols recovered purely from point counts.
+    `primes` is a pool of at least d^2 + 1 primes (`_checked_primes`); every
+    candidate output has the middle dimension mid = ro_r[0] of the right
+    factor, and each is interpolated by `_interpolated` at the degree bound
+    D = mid (d - mid) + d through the smallest D + 2 primes of the pool
+    (`_nodes` gives the proof)."""
     d = left.d
     if right.d != d:
         raise ValueError("mixed degrees")
@@ -590,15 +619,19 @@ def structure_constants(left, right, primes):
     ro_r, co_r = row_col_sums(right)
     if co_l != ro_r:
         return SchurElement(d)
+    bound, nodes = _nodes(primes, d, ro_r[0])
     return SchurElement(d, _interpolated(
-        _candidate_outputs(d, ro_l, co_r), primes, d, lambda out, p:
-        _conv_table(d, out, ro_r[0], p).get((left, right), 0)))
+        _candidate_outputs(d, ro_l, co_r), nodes, d, lambda out, p:
+        _conv_table(d, out, ro_r[0], p).get((left, right), 0), bound=bound))
 
 
 def tensor_action_constants(left, right_ms, primes):
     """Exact coefficients of (left basis symbol) acting on a marked-sequence
-    basis vector, interpolated from point counts (by `_interpolated`):
-    {output sequence: coeff}."""
+    basis vector, interpolated from point counts: {output sequence: coeff}.
+    As in `structure_constants`, `primes` is a pool; the middle dimension
+    mid is the number of 1s of the sequence, and each output is
+    interpolated at D = mid (d - mid) + d through the smallest D + 2 primes
+    of the pool."""
     d = left.d
     if right_ms.d != d:
         raise ValueError("mixed degrees")
@@ -609,7 +642,8 @@ def tensor_action_constants(left, right_ms, primes):
         return {}
     cands = [cand for cand in enumerate_xi(2, d, tensor=True)
              if (cand.seq.count(1), d - cand.seq.count(1)) == ro_l]
+    bound, nodes = _nodes(primes, d, ones)
     return _interpolated(
-        cands, primes, d, lambda out, p:
-        _mixed_conv_table(d, out, ones, p).get((left, right_ms), 0))
-
+        cands, nodes, d, lambda out, p:
+        _mixed_conv_table(d, out, ones, p).get((left, right_ms), 0),
+        bound=bound)

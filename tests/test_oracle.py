@@ -11,7 +11,7 @@ from mirabolic import checks, oracle
 from mirabolic.decorated import (MarkedSequence, count_xi_tensor, decorated2,
                                  diag2, enumerate_xi, row_col_sums)
 from mirabolic.linalg import LruMemo
-from mirabolic.qv import RF_ONE, rf_const, v_power
+from mirabolic.qv import RF_ONE, lagrange_interpolate, rf_const, v_power
 from mirabolic.schur_algebra import (SchurElement, chevalley, mul_general,
                                      one_key, x_key)
 from mirabolic.tensor_space import TensorElement, ell_action, k_action
@@ -390,6 +390,85 @@ def test_interpolation_retries_at_twice_the_bound():
     assert got == {"x": v_power(10)} and seen == set(oracle.primes_list(9))
 
 
+def _counted_primes(monkeypatch):
+    """Record (middle dimension, p) of every table counted from here on,
+    starting from empty table memos."""
+    seen = set()
+    count = oracle._count
+
+    def counting(rep, mid_dim):
+        seen.add((mid_dim, rep.p))
+        return count(rep, mid_dim)
+    monkeypatch.setattr(oracle, "_count", counting)
+    monkeypatch.setattr(oracle, "_CONV_CACHE", {})
+    monkeypatch.setattr(oracle, "_MIXED_CACHE", {})
+    return seen
+
+
+def test_entries_are_counted_at_their_degree_bound(monkeypatch):
+    # at d = 3 an entry at middle dimension mid has degree at most
+    # mid (3 - mid) + 3: 5 at mid 1 and 2, 3 at mid 0 and 3, so of the
+    # 10-prime pool only the 7 or the 5 smallest are counted
+    d, pool = 3, oracle.primes_list(10)
+    want = {0: pool[:5], 1: pool[:7], 2: pool[:7], 3: pool[:5]}
+    labels = enumerate_xi(2, d)
+    for mid, nodes in want.items():
+        seen = _counted_primes(monkeypatch)
+        left, right = next((a, b) for a, b in checks.compatible_pairs(d)
+                           if row_col_sums(b)[0][0] == mid
+                           and a.a[0][1] + a.a[1][0])
+        assert oracle.structure_constants(left, right, pool) == \
+            mul_general(SchurElement.basis(d, left),
+                        SchurElement.basis(d, right)), mid
+        assert seen == {(mid, p) for p in nodes}, mid
+        seen = _counted_primes(monkeypatch)
+        ms = next(m for m in enumerate_xi(2, d, tensor=True)
+                  if m.seq.count(1) == mid)
+        left = next(lab for lab in labels
+                    if row_col_sums(lab)[1] == (mid, d - mid)
+                    and lab.a[0][1] + lab.a[1][0])
+        oracle.tensor_action_constants(left, ms, pool)
+        assert seen == {(mid, p) for p in nodes}, mid
+
+
+def test_two_prime_pool_at_d1_is_used_whole(monkeypatch):
+    # D = 1 at d = 1, so the two primes fix the fit and none is spare
+    for right in enumerate_xi(2, 1):
+        left = diag2(*row_col_sums(right)[0])
+        seen = _counted_primes(monkeypatch)
+        assert oracle.structure_constants(left, right, [2, 3]) == \
+            SchurElement.basis(1, right)
+        assert {p for _, p in seen} == {2, 3}
+    seen = _counted_primes(monkeypatch)
+    assert oracle.tensor_action_constants(
+        diag2(1, 0), MarkedSequence((1,)), [2, 3]) == \
+        {MarkedSequence((1,)): RF_ONE}
+    assert {p for _, p in seen} == {2, 3}
+
+
+def test_spare_node_catches_a_count_past_the_bound():
+    # counts of degree D + 1 on D + 2 nodes: the first D + 1 alone fit the
+    # wrong degree-D polynomial q^(D+1) - prod(q - p), which the spare node
+    # refutes; the retry at degree 2D then finds q^(D+1) = v^(2D+2)
+    for d, bound in ((1, 1), (2, 3), (3, 3), (3, 5)):
+        nodes = oracle.primes_list(bound + 2)
+        pts = [(p, p ** (bound + 1)) for p in nodes]
+        assert lagrange_interpolate(pts[:-1], bound) != \
+            [0] * (bound + 1) + [1]
+        seen = set()
+        got = oracle._interpolated(
+            ["x"], nodes, d, lambda out, p: seen.add(p) or p ** (bound + 1),
+            bound=bound)
+        assert got == {"x": v_power(2 * bound + 2)}, (d, bound)
+        assert seen == set(oracle.primes_list(max(bound + 2, 2 * bound + 1)))
+        # a count within the bound is fitted on the nodes, with no retry
+        seen.clear()
+        got = oracle._interpolated(
+            ["x"], nodes, d, lambda out, p: seen.add(p) or p ** bound,
+            bound=bound)
+        assert got == {"x": v_power(2 * bound)} and seen == set(nodes)
+
+
 def test_interpolation_primes():
     assert oracle.interpolation_primes(1) == [2, 3]
     assert oracle.interpolation_primes(3) == oracle.primes_list(10)
@@ -410,10 +489,21 @@ def _oracle_generator_action(d, gen, ms, primes):
     return out
 
 
-def test_oracle_tensor_action_matches_closed_forms():
+def test_oracle_tensor_action_matches_closed_forms(monkeypatch):
     # k and l actions recovered by point counting equal the formulas; at
-    # d = 3 the primes run up to 29, so the mixed tables of the lines and
-    # planes of F_p^3 take several chunks each
+    # d = 3 the lines and planes are counted at the primes up to 17, and
+    # the 307 lines (or planes) of F_17^3 take two chunks of 213
+    chunks = []
+    middle_chunks = oracle._middle_chunks
+
+    def counted(d, p, r):
+        n = 0
+        for part in middle_chunks(d, p, r):
+            n += 1
+            yield part
+        chunks.append(n)
+    monkeypatch.setattr(oracle, "_middle_chunks", counted)
+    monkeypatch.setattr(oracle, "_MIXED_CACHE", {})
     for d in (2, 3):
         primes = oracle.primes_list(d * d + 1)
         for ms in enumerate_xi(2, d, tensor=True):
@@ -422,6 +512,7 @@ def test_oracle_tensor_action_matches_closed_forms():
                 k_action(x)
             assert _oracle_generator_action(d, "l", ms, primes) == \
                 ell_action(x)
+    assert max(chunks) >= 2
 
 
 def test_oracle_tensor_ef_relation():

@@ -270,7 +270,8 @@ def compatible_pairs(d):
     return [(a, b) for a in labels for b in labels if sums[a][1] == sums[b][0]]
 
 
-@pytest.mark.parametrize("d, n_triples", [(2, 2667), (3, 21568)])
+@pytest.mark.parametrize("d, n_triples",
+                         [(2, 2667), (3, 21568), (4, 106637)])
 def test_associativity_exhaustive(d, n_triples):
     pairs = compatible_pairs(d)
     prod = {(a, b): mul_general(basis(d, a), basis(d, b)) for a, b in pairs}
