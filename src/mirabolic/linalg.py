@@ -143,6 +143,10 @@ class LruMemo:
     def __len__(self):
         return len(self.entries)
 
+    def __contains__(self, key):
+        """Membership without marking the entry as used."""
+        return key in self.entries
+
     def get(self, key):
         got = self.entries.get(key)
         if got is not None:

@@ -343,39 +343,34 @@ def _shift_perm(v, d, p):
     return got
 
 
-def _sums_in_chunk(a, meets, h_bases, h_pts, offs, shift):
-    """The points of A + H for each middle subspace H of a chunk where that
-    sum is a proper subspace.  `meets` holds dim(A & H) and `h_pts` the
-    points of each H; every point is mapped through `shift` when that is
-    given (the caller maps `h_pts`), then offset by p^d times the row of its
-    H in the chunk."""
+def _sums_in_chunk(a, meets, h_bases, h_pts, offs):
+    """The proper sums A + H over the middle subspaces H of a chunk, given
+    `meets` = dim(A & H), the points `h_pts` and the offsets `offs` of each
+    H: (the points of every proper sum, in order, and their offsets)."""
     d, p, mid_dim = a.d, a.p, len(h_bases[0])
-    full = a.dim + mid_dim - meets == d
-    a_in_h = ~full & (meets == a.dim)               # A + H = H
-    h_in_a = ~full & ~a_in_h & (meets == mid_dim)   # A + H = A
-    rest = np.flatnonzero(~(full | a_in_h | h_in_a))
-    in_a = _span_indices(a.basis, d, p)
-    if shift is not None:
-        in_a = shift[in_a]
-    parts = [(h_pts[a_in_h] + offs[a_in_h, None]).ravel(),
-             (in_a + offs[h_in_a, None]).ravel()]
-    if len(rest):
-        sums = [_span_indices(rref(a.basis + h_bases[i], p), d, p)
-                for i in rest.tolist()]
-        flat = np.concatenate(sums)
-        if shift is not None:
-            flat = shift[flat]
-        parts.append(flat + np.repeat(offs[rest], [len(x) for x in sums]))
-    return np.concatenate(parts)
+    sums, lens = [np.empty(0, dtype=np.intp)], []
+    for i, meet in enumerate(meets):
+        if a.dim + mid_dim - meet == d:         # the whole space
+            lens.append(0)
+            continue
+        if meet == a.dim:                       # A + H = H
+            sums.append(h_pts[i])
+        elif meet == mid_dim:                   # A + H = A
+            sums.append(_span_indices(a.basis, d, p))
+        else:
+            sums.append(_span_indices(rref(a.basis + h_bases[i], p), d, p))
+        lens.append(len(sums[-1]))
+    return np.concatenate(sums), np.repeat(offs, lens)
 
 
-def _count(rep, mid_dim):
-    """Counts of the convolution sum at the triple rep = (F, chain, v) over
-    the middle subspaces H of one dimension, in the sense of Beilinson,
-    Lusztig and MacPherson: {(left label, dims, c, m): number of (H, u)}.
+def _count(reps, mid_dim):
+    """Counts of the convolution sum, in the sense of Beilinson, Lusztig and
+    MacPherson, at each triple rep = (F, chain, v) of a class sharing one
+    chain, over the middle subspaces H of one dimension: per rep,
+    {(left label, dims, c, m): number of (H, u)}.
 
-    The chain C_1 < ... < C_{N-1} is F' alone (N = 2) for a two-step triple
-    and the complete flag (N = d) for a tensor triple; C_0 = 0 and
+    The chain C_1 < ... < C_{N-1} is F' alone (N = 2) for two-step triples
+    and the complete flag (N = d) for tensor triples; C_0 = 0 and
     C_N = F_p^d.  Every (H, u) pair is counted: (F, H, u) by its decorated
     matrix, and (H, chain, x = v - u) by dims = (dim(H & C_r), 0 < r < N)
     and the jumps of `_classified`, c = #{r < N: x not in H + C_r} and
@@ -383,111 +378,139 @@ def _count(rep, mid_dim):
     the pair adds to the code K zone(w) + (N + 1) c(v - w) + m(v - w),
     K = (N + 1)^2, where zone(w) = 5 - [w in F+H] - 2[w in F] - [w in H]
     - [w = 0] indexes the marks of (F, H, w) in ALL_DELTAS.  Split off
-    what does not depend on H, base(w) = (5 - 2[w in F]) K + N (N + 1) + m(v - w), whose histogram
-    is taken once; the rest, K([w in F+H] + [w in H] + [w = 0])
-    + (N + 1) sum_r [v - w in H + C_r], is zero outside H, F + H and the
-    v - (H + C_r), and constant where a sum is the whole space, so only the
-    points of the proper sums are reclassified.  The middle subspaces go in
-    chunks (`_middle_chunks`), each H with its points offset by p^d times
-    its row in the chunk, so one pass of array operations reclassifies a
-    whole chunk.  The subspaces H with the same dim(F & H) and dims form a
-    group: they share their labels and which sums are full.
+    what does not depend on H, base(w) = (5 - 2[w in F]) K + N (N + 1)
+    + m(v - w), whose histogram is taken once per rep; the rest is zero
+    outside H, F + H and the v - (H + C_r), and constant where a sum is the
+    whole space, so only the points of the proper sums are reclassified.
+    A slice of middle subspaces has a row of p^d points per (H, rep), at
+    most SIZE_GUARD points (or reps go in batches): dim(H & C_r) and
+    H + C_r are found once per slice, dim(F & H) and F + H once per
+    distinct F, and one bincount takes every row.  The rows with the same
+    rep, dim(F & H) and dims share their labels and which sums are full.
     """
-    f, v, d, p = rep.F[0], rep.v, rep.d, rep.p
+    d, p, outs = reps[0].d, reps[0].p, len(reps)
     _guard(p, d)
-    chain = (PrimeFieldSubspace(p, d, ()),) + rep.Fp
-    n, big_n = p ** d, len(chain)
-    k = (big_n + 1) ** 2
-    perm = _shift_perm(v, d, p)
-    # base(w), with m(v - w) = N - #{r < N: w in v - C_r}
-    base = np.full(n, 5 * k + big_n * (big_n + 2), dtype=np.int64)
-    base[_span_indices(f.basis, d, p)] -= 2 * k
-    for c in chain:
-        base[perm[_span_indices(c.basis, d, p)]] -= 1
-    base_hist = np.bincount(base, minlength=6 * k)
-    masks = [_span_mask(a.basis, d, p) for a in (f,) + chain[1:]]
+    n = p ** d
+    batch = SIZE_GUARD // n
+    if outs > batch:
+        return [got for lo in range(0, outs, batch)
+                for got in _count(reps[lo:lo + batch], mid_dim)]
+    chain = (PrimeFieldSubspace(p, d, ()),) + reps[0].Fp
+    big_n, k = len(chain), (len(chain) + 1) ** 2
+    fs = list(dict.fromkeys(rep.F[0] for rep in reps))     # the distinct F
+    f_of = [fs.index(rep.F[0]) for rep in reps]
+    masks = np.array([_span_mask(a.basis, d, p) for a in fs + [*chain[1:]]])
+    perms = np.stack([_shift_perm(rep.v, d, p) for rep in reps])
+    # base(w), with m(v - w) = N - #{r < N: v - w in C_r}
+    depth = masks[len(fs):].sum(axis=0, dtype=np.int8)
+    depth[0] += 1
+    base = np.subtract(5 * k + big_n * (big_n + 2), depth[perms],
+                       dtype=np.intp)
+    base[masks[f_of]] -= 2 * k
+    base_hist = np.bincount((base + 6 * k * np.arange(outs)[:, None]).ravel(),
+                            minlength=outs * 6 * k).reshape(outs, -1)
     powers = p ** np.arange(d + 1)
-    totals = {}     # group -> [subspaces H, histogram corrections]
-    moved = None
-    for h_bases, chunk_h in _middle_chunks(d, p, mid_dim):
-        rows = len(h_bases)
-        offs = np.arange(rows) * n
-        # dim(F & H) and dim(H & C_r), 0 < r < N, from the points of H they
-        # contain; together they are the group of H
-        meet_l, *meets = [np.searchsorted(powers, mask[chunk_h].sum(axis=1))
-                          for mask in masks]
-        slots = {}
-        group = np.array([slots.setdefault(g, len(slots)) for g in zip(
-            meet_l.tolist(), *[meet.tolist() for meet in meets])])
-        if moved is None:   # the first chunk is the largest
-            moved = np.zeros(rows * n, dtype=np.min_scalar_type(
-                3 * k + big_n * (big_n + 1)))
-        moved[(chunk_h + offs[:, None]).ravel()] = k        # w in H
-        moved[offs] += k                                    # w = 0
-        sum_l = _sums_in_chunk(f, meet_l, h_bases, chunk_h, offs, None)
-        moved[sum_l] += k                                   # w in F + H
-        # the points moved so far: F + H, which contains H, or H where
-        # F + H is the whole space
-        full = f.dim + mid_dim - meet_l == d
-        pts = [(chunk_h[full] + offs[full, None]).ravel(), sum_l]
-        # w in v - (H + C_r), where that is proper; H + C_0 = H
-        chunk_vh = perm[chunk_h]
-        right = [_sums_in_chunk(c, meet, h_bases, chunk_vh, offs, perm)
-                 for c, meet in zip(chain[1:], meets)]
-        if mid_dim < d:
-            right.append((chunk_vh + offs[:, None]).ravel())
-        for where in right:
-            # moved is nonzero exactly on the points listed so far
-            was = moved[where]
-            pts.append(where[was == 0])
-            moved[where] = was + (big_n + 1)
-        pts = np.concatenate(pts)
-        row = pts // n
-        old = base[pts - row * n] + (6 * k * group)[row]
-        size = len(slots) * 6 * k
-        fix = (np.bincount(old - moved[pts], minlength=size)
-               - np.bincount(old, minlength=size)).reshape(len(slots), -1)
-        n_h = np.bincount(group, minlength=len(slots))
-        for g, count, corr in zip(slots, n_h.tolist(), fix):
-            acc = totals.setdefault(g, [0, 0])
-            acc[0] += count
-            acc[1] += corr
-        moved[pts] = 0
-    counts = {}
-    for (i11, *dims), (n_h, fix) in totals.items():
-        al = (i11, f.dim - i11, mid_dim - i11, d - f.dim - mid_dim + i11)
-        # a full sum lowers the code of every point by K (left) or N + 1
-        shift = k * (al[3] == 0) + (big_n + 1) * sum(
+    most = max(1, SIZE_GUARD // (n * outs))     # H per slice
+    totals = {}     # group -> its histogram
+    moved = np.zeros(min(most, _subspace_count(d, mid_dim, p)) * outs * n,
+                     dtype=np.min_scalar_type(3 * k + big_n * (big_n + 1)))
+    for all_bases, all_h in _middle_chunks(d, p, mid_dim):
+        for lo in range(0, len(all_bases), most):
+            h_bases, chunk_h = all_bases[lo:lo + most], all_h[lo:lo + most]
+            rows = len(h_bases)
+            # row h outs + i holds the points of the h-th H for rep i
+            offs = np.arange(rows) * (outs * n)
+            blocks = np.arange(outs)[:, None] * n
+            # dim(F & H) per F and dim(H & C_r), 0 < r < N, from the points
+            # of H they contain; with the rep they are the group of a row
+            meets = np.searchsorted(powers, np.take(masks, chunk_h, axis=1)
+                                    .sum(axis=2))
+            meet_f, meet_c = meets[:len(fs)].tolist(), meets[len(fs):]
+            slots = {}
+            group = np.array([
+                slots.setdefault((i, meet_f[f][h], *dim), len(slots))
+                for h, dim in enumerate(map(tuple, meet_c.T.tolist()))
+                for i, f in enumerate(f_of)])
+            pts = [(chunk_h + offs[:, None] + blocks[:, :, None]).ravel()]
+            moved[pts[0]] = k                                   # w in H
+            moved[(offs + blocks).ravel()] += k                 # w = 0
+            # w in F + H and v - w in H + C_r, where those are proper
+            left = [np.add(*_sums_in_chunk(f, meet, h_bases, chunk_h, offs))
+                    for f, meet in zip(fs, meet_f)]
+            sums = [(np.concatenate([left[f] for f in f_of])
+                     + np.repeat(blocks, [len(left[f]) for f in f_of]), k)]
+            right = [_sums_in_chunk(c, meet, h_bases, chunk_h, offs)
+                     for c, meet in zip(chain[1:], meet_c.tolist())]
+            if mid_dim < d:     # H + C_0 = H
+                right.append((chunk_h.ravel(),
+                              np.repeat(offs, chunk_h.shape[1])))
+            for at, off in right:
+                sums.append(((np.take(perms, at, axis=1) + off + blocks)
+                             .ravel(), big_n + 1))
+            for where, step in sums:
+                # moved is nonzero exactly on the points listed so far
+                was = moved[where]
+                pts.append(where[was == 0])
+                moved[where] = was + step
+            pts = np.concatenate(pts)
+            old = np.take(base, pts % (outs * n)) + (6 * k * group)[pts // n]
+            size = len(slots) * 6 * k
+            hist = (np.bincount(old - moved[pts], minlength=size)
+                    - np.bincount(old, minlength=size)).reshape(len(slots), -1)
+            hist += (np.bincount(group, minlength=len(slots))[:, None]
+                     * base_hist[[i for i, *_ in slots]])
+            for key, part in zip(slots, hist):
+                totals[key] = totals.get(key, 0) + part
+            moved[pts] = 0
+    # each group's histogram is shifted down where a sum is full: that
+    # lowers the code of every point by K (left) or N + 1
+    hist = np.array(list(totals.values()))
+    heads, shifts = [], []
+    for i, i11, *dims in totals:
+        f_dim = fs[f_of[i]].dim
+        al = (i11, f_dim - i11, mid_dim - i11, d - f_dim - mid_dim + i11)
+        heads.append((i, al, tuple(dims)))
+        shifts.append(k * (al[3] == 0) + (big_n + 1) * sum(
             mid_dim + sub.dim - meet == d
-            for sub, meet in zip(chain, [0] + dims))
-        cnt = (n_h * base_hist + fix)[shift:]
-        for code in np.flatnonzero(cnt).tolist():
-            zone, rest = divmod(code, k)
-            c, m = divmod(rest, big_n + 1)
-            counts[_label(*al, ALL_DELTAS[zone]), tuple(dims), c, m] = \
-                int(cnt[code])
+            for sub, meet in zip(chain, [0] + dims)))
+    group, at = np.nonzero(hist)
+    counts = [{} for _ in reps]
+    for g, code, n_pairs in zip(group.tolist(), (at - np.array(shifts)[group])
+                                .tolist(), hist[group, at].tolist()):
+        i, al, dims = heads[g]
+        zone, rest = divmod(code, k)
+        c, m = divmod(rest, big_n + 1)
+        counts[i][_label(*al, ALL_DELTAS[zone]), dims, c, m] = n_pairs
     return counts
 
 
-_CONV_CACHE = {}
-_MIXED_CACHE = {}
+# tables of one (d, output, dim H, p), charged in entries
+_CONV_CACHE = LruMemo(SIZE_GUARD)
+_MIXED_CACHE = LruMemo(SIZE_GUARD)
 
 
 def _table(memo, key, tensor):
     """Counts of the convolution sum at the canonical triple of the output
     label of key = (d, output, dim H, p), for every pair of left and right
     labels at once: each right triple (H, chain, x) of `_count` classified
-    by `_classified`, as a marked sequence when tensor is true.  Memoised
-    under key."""
+    by `_classified`, as a marked sequence when tensor is true.  A miss
+    counts the output's whole class in one pass of `_count` and stores
+    every table of the class under its own key."""
     got = memo.get(key)
     if got is None:
-        _, out, mid_dim, p = key
-        rep = canonical_representative(
-            sequence_to_matrix(out, 2) if tensor else out, p)
-        sizes = (0, *(sub.dim for sub in rep.Fp), rep.d)
-        got = memo[key] = {
-            (left, _classified(sizes, (0, *dims, mid_dim), c, m, tensor)): n
-            for (left, dims, c, m), n in _count(rep, mid_dim).items()}
+        d, out, mid_dim, p = key
+        outs = (_tensor_outputs(d, out.seq.count(1)) if tensor
+                else _candidate_outputs(d, *row_col_sums(out)))
+        reps = [canonical_representative(
+            sequence_to_matrix(lab, 2) if tensor else lab, p) for lab in outs]
+        sizes = (0, *(sub.dim for sub in reps[0].Fp), d)
+        for lab, counts in zip(outs, _count(reps, mid_dim)):
+            table = {(left, _classified(sizes, (0, *dims, mid_dim), c, m,
+                                        tensor)): n
+                     for (left, dims, c, m), n in counts.items()}
+            memo.put((d, lab, mid_dim, p), table, len(table))
+            if lab == out:
+                got = table
     return got
 
 
@@ -515,7 +538,10 @@ def convolution_count(left, right, out, p):
     return table.get((left, right), 0)
 
 
+@cache
 def _candidate_outputs(d, ro, co):
+    """The class of the outputs of a product: the 2x2 labels with row sums
+    ro and column sums co, whose chains F' are one.  A shared tuple."""
     outs = []
     lo = max(0, ro[0] - co[1])
     hi = min(ro[0], co[0])
@@ -527,7 +553,15 @@ def _candidate_outputs(d, ro, co):
             lab = _label(a11, a12, a21, a22, delta)
             if validate(lab)[0]:
                 outs.append(lab)
-    return outs
+    return tuple(outs)
+
+
+@cache
+def _tensor_outputs(d, ones):
+    """The class of the outputs of a tensor action: the marked sequences
+    with `ones` 1s, in enumeration order.  A shared tuple."""
+    return tuple(ms for ms in enumerate_xi(2, d, tensor=True)
+                 if ms.seq.count(1) == ones)
 
 
 def _checked_primes(primes, d):
@@ -578,22 +612,23 @@ def _nodes(pool, d, mid_dim):
 def _interpolated(outs, primes, d, count, bound=None):
     """{out: nonzero coefficient} from the point counts count(out, p).
 
-    The counts at the given primes are interpolated in q with degree bound
-    `bound` (d^2 if None); the primes past the first bound + 1 check the
-    fit.  If an output's counts fail to interpolate (bound breach, or a
-    check off the fit), the bound is doubled once, with the primes extended
-    to 2 bound + 1 of them and checked again against the size guard.
+    The counts are taken prime by prime: the first output's table builds
+    those of its whole class (`_table`).  They are interpolated in q with
+    degree bound `bound` (d^2 if None); the primes past the first bound + 1
+    check the fit.  If an output's counts fail to interpolate (bound
+    breach, or a check off the fit), the bound is doubled once, with the
+    primes extended to 2 bound + 2 of them, so that one checks the new fit,
+    and the largest checked again against the size guard.
     """
     if bound is None:
         bound = d * d
-    # prime by prime, so the tables of one prime share its point sets
     counts = [[count(out, p) for out in outs] for p in primes]
     terms = {}
     for out, col in zip(outs, zip(*counts)):
         try:
             poly = lagrange_interpolate(list(zip(primes, col)), bound)
         except ValueError:
-            more = primes + primes_list(2 * bound + 1 - len(primes),
+            more = primes + primes_list(2 * bound + 2 - len(primes),
                                         primes[-1] + 1)
             _guard(more[-1], d)
             poly = lagrange_interpolate([(p, count(out, p)) for p in more],
@@ -640,10 +675,8 @@ def tensor_action_constants(left, right_ms, primes):
     ones = sum(1 for x in right_ms.seq if x == 1)
     if co_l != (ones, d - ones):
         return {}
-    cands = [cand for cand in enumerate_xi(2, d, tensor=True)
-             if (cand.seq.count(1), d - cand.seq.count(1)) == ro_l]
     bound, nodes = _nodes(primes, d, ones)
     return _interpolated(
-        cands, nodes, d, lambda out, p:
+        _tensor_outputs(d, ro_l[0]), nodes, d, lambda out, p:
         _mixed_conv_table(d, out, ones, p).get((left, right_ms), 0),
         bound=bound)

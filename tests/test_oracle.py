@@ -1,5 +1,6 @@
 """Finite-field brute force: orbit classification and interpolated products."""
 
+import json
 import random
 import time
 from itertools import product
@@ -11,7 +12,8 @@ from mirabolic import checks, oracle
 from mirabolic.decorated import (MarkedSequence, count_xi_tensor, decorated2,
                                  diag2, enumerate_xi, row_col_sums)
 from mirabolic.linalg import LruMemo
-from mirabolic.qv import RF_ONE, lagrange_interpolate, rf_const, v_power
+from mirabolic.qv import (RF_ONE, lagrange_interpolate, rf_const,
+                          substitute_q, v_power)
 from mirabolic.schur_algebra import (SchurElement, chevalley, mul_general,
                                      one_key, x_key)
 from mirabolic.tensor_space import TensorElement, ell_action, k_action
@@ -216,7 +218,7 @@ def test_point_memo_stays_bounded(monkeypatch):
     outs = [decorated2(0, 1, 1, 1), decorated2(1, 1, 1, 0, {(2, 1)}),
             decorated2(0, 1, 2, 0, {(1, 2), (2, 1)})]
     monkeypatch.setattr(oracle, "_POINTS", _CheckedMemo(oracle.SIZE_GUARD))
-    monkeypatch.setattr(oracle, "_CONV_CACHE", {})
+    monkeypatch.setattr(oracle, "_CONV_CACHE", LruMemo(oracle.SIZE_GUARD))
     for out in outs:
         oracle._conv_table(d, out, mid, 31)
     tables = [oracle._conv_table(d, out, mid, 37) for out in outs]
@@ -229,7 +231,7 @@ def test_point_memo_stays_bounded(monkeypatch):
     # a fresh session, with nothing cached, counts the same
     monkeypatch.setattr(oracle, "_POINTS",
                         LruMemo(oracle.SIZE_GUARD))
-    monkeypatch.setattr(oracle, "_CONV_CACHE", {})
+    monkeypatch.setattr(oracle, "_CONV_CACHE", LruMemo(oracle.SIZE_GUARD))
     assert [oracle._conv_table(d, out, mid, 37) for out in outs] == tables
 
 
@@ -376,33 +378,38 @@ def test_constants_refuse_oversize_primes_at_once():
 
 def test_interpolation_retries_at_twice_the_bound():
     # at d = 1 the bound is q^1: counts q^2 at 2, 3, 5 break it, and the
-    # retry at degree 2 finds q^2 = v^4 on the same three primes
-    q2 = oracle._interpolated(["x"], [2, 3, 5], 1, lambda out, p: p ** 2)
-    assert q2 == {"x": v_power(4)}
-    # counts q^3 break degree 2 as well, which the fourth prime shows
-    with pytest.raises(ValueError):
-        oracle._interpolated(["x"], [2, 3, 5, 7], 1, lambda out, p: p ** 3)
+    # retry at degree 2 finds q^2 = v^4 on 2, 3, 5 and checks it at 7
+    seen = set()
+    q2 = oracle._interpolated(["x"], [2, 3, 5], 1,
+                              lambda out, p: seen.add(p) or p ** 2)
+    assert q2 == {"x": v_power(4)} and seen == {2, 3, 5, 7}
+    # counts q^3 break degree 2 as well, which the fourth prime shows, also
+    # when the caller gave only three
+    for primes in ([2, 3, 5, 7], [2, 3, 5]):
+        with pytest.raises(ValueError):
+            oracle._interpolated(["x"], primes, 1, lambda out, p: p ** 3,
+                                 bound=1)
     # at d = 2, six primes check a fit of degree 4; the retry at degree 8
-    # extends them to the nine it needs
+    # extends them to the nine it needs and a tenth that checks it
     seen = set()
     got = oracle._interpolated(["x"], oracle.primes_list(6), 2,
                                lambda out, p: seen.add(p) or p ** 5)
-    assert got == {"x": v_power(10)} and seen == set(oracle.primes_list(9))
+    assert got == {"x": v_power(10)} and seen == set(oracle.primes_list(10))
 
 
-def _counted_primes(monkeypatch):
-    """Record (middle dimension, p) of every table counted from here on,
-    starting from empty table memos."""
-    seen = set()
+def _kernel_passes(monkeypatch):
+    """Record (middle dimension, p, number of triples) of every pass of the
+    counting kernel from here on, starting from empty table memos."""
+    passes = []
     count = oracle._count
 
-    def counting(rep, mid_dim):
-        seen.add((mid_dim, rep.p))
-        return count(rep, mid_dim)
+    def counting(reps, mid_dim):
+        passes.append((mid_dim, reps[0].p, len(reps)))
+        return count(reps, mid_dim)
     monkeypatch.setattr(oracle, "_count", counting)
-    monkeypatch.setattr(oracle, "_CONV_CACHE", {})
-    monkeypatch.setattr(oracle, "_MIXED_CACHE", {})
-    return seen
+    for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
+        monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
+    return passes
 
 
 def test_entries_are_counted_at_their_degree_bound(monkeypatch):
@@ -413,37 +420,176 @@ def test_entries_are_counted_at_their_degree_bound(monkeypatch):
     want = {0: pool[:5], 1: pool[:7], 2: pool[:7], 3: pool[:5]}
     labels = enumerate_xi(2, d)
     for mid, nodes in want.items():
-        seen = _counted_primes(monkeypatch)
+        passes = _kernel_passes(monkeypatch)
         left, right = next((a, b) for a, b in checks.compatible_pairs(d)
                            if row_col_sums(b)[0][0] == mid
                            and a.a[0][1] + a.a[1][0])
         assert oracle.structure_constants(left, right, pool) == \
             mul_general(SchurElement.basis(d, left),
                         SchurElement.basis(d, right)), mid
-        assert seen == {(mid, p) for p in nodes}, mid
-        seen = _counted_primes(monkeypatch)
+        assert [(m, p) for m, p, _ in passes] == \
+            [(mid, p) for p in nodes], mid
+        passes = _kernel_passes(monkeypatch)
         ms = next(m for m in enumerate_xi(2, d, tensor=True)
                   if m.seq.count(1) == mid)
         left = next(lab for lab in labels
                     if row_col_sums(lab)[1] == (mid, d - mid)
                     and lab.a[0][1] + lab.a[1][0])
         oracle.tensor_action_constants(left, ms, pool)
-        assert seen == {(mid, p) for p in nodes}, mid
+        assert [(m, p) for m, p, _ in passes] == \
+            [(mid, p) for p in nodes], mid
 
 
 def test_two_prime_pool_at_d1_is_used_whole(monkeypatch):
     # D = 1 at d = 1, so the two primes fix the fit and none is spare
     for right in enumerate_xi(2, 1):
         left = diag2(*row_col_sums(right)[0])
-        seen = _counted_primes(monkeypatch)
+        passes = _kernel_passes(monkeypatch)
         assert oracle.structure_constants(left, right, [2, 3]) == \
             SchurElement.basis(1, right)
-        assert {p for _, p in seen} == {2, 3}
-    seen = _counted_primes(monkeypatch)
+        assert [p for _, p, _ in passes] == [2, 3]
+    passes = _kernel_passes(monkeypatch)
     assert oracle.tensor_action_constants(
         diag2(1, 0), MarkedSequence((1,)), [2, 3]) == \
         {MarkedSequence((1,)): RF_ONE}
-    assert {p for _, p in seen} == {2, 3}
+    assert [p for _, p, _ in passes] == [2, 3]
+
+
+def _pair_of_class(d, ro, mid, co):
+    """The first compatible pair with left row sums ro, middle sum mid and
+    right column sums co."""
+    return next((a, b) for a, b in checks.compatible_pairs(d)
+                if row_col_sums(a)[0] == ro and row_col_sums(b)[1] == co
+                and row_col_sums(b)[0][0] == mid)
+
+
+def test_one_kernel_pass_per_node_for_a_whole_class(monkeypatch):
+    # every candidate output of a product (or of a tensor action) is
+    # counted in the same pass, once per interpolation node
+    d, pool = 3, oracle.primes_list(10)
+    for kind, ro, mid, co, size in (("trivial", (1, 2), 0, (2, 1), 8),
+                                    ("trivial", (2, 1), 3, (1, 2), 8),
+                                    ("edge", (3, 0), 1, (0, 3), 2),
+                                    ("wide", (1, 2), 2, (2, 1), 8)):
+        left, right = _pair_of_class(d, ro, mid, co)
+        passes = _kernel_passes(monkeypatch)
+        assert oracle.structure_constants(left, right, pool) == \
+            mul_general(SchurElement.basis(d, left),
+                        SchurElement.basis(d, right)), kind
+        _, nodes = oracle._nodes(pool, d, mid)
+        assert passes == [(mid, p, size) for p in nodes], kind
+        assert len(oracle._candidate_outputs(d, ro, co)) == size
+    passes = _kernel_passes(monkeypatch)
+    ms = MarkedSequence((1, 2, 2))
+    left = next(lab for lab in enumerate_xi(2, d)
+                if row_col_sums(lab) == ((2, 1), (1, 2)))
+    got = oracle.tensor_action_constants(left, ms, pool)
+    assert got and set(got) <= set(oracle._tensor_outputs(d, 2))
+    _, nodes = oracle._nodes(pool, d, 1)
+    assert passes == [(1, p, len(oracle._tensor_outputs(d, 2)))
+                      for p in nodes]
+
+
+def test_class_tables_with_several_f_match_literal_enumeration(monkeypatch):
+    # in each class below the outputs have two values of a11, hence two
+    # different F (and the marked sequences several): every table of the
+    # class, built in one pass, is the literal count
+    d, p = 3, 3
+    for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
+        monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
+    for mid, (ro, co) in enumerate((((1, 2), (2, 1)), ((1, 2), (1, 2)),
+                                    ((2, 1), (2, 1)), ((2, 1), (1, 2)))):
+        outs = oracle._candidate_outputs(d, ro, co)
+        assert len({out.a[0][0] for out in outs}) == 2
+        for out in outs:
+            assert oracle._conv_table(d, out, mid, p) == \
+                _literal_conv_table(out, mid, p), (mid, out)
+        for ms in oracle._tensor_outputs(d, 1 + mid % 2):
+            assert oracle._mixed_conv_table(d, ms, mid, p) == \
+                _literal_mixed_table(ms, mid, p), (mid, ms)
+
+
+def test_class_over_several_chunks_fits_the_interpolated_constants(
+        monkeypatch):
+    # a wide class of 8 outputs at mid 1: at p <= 7 all its (output, line)
+    # rows fit one slice, at p = 17 and 19 a slice holds 26 and 19 of the
+    # 307 and 381 lines (which at 19 come in three chunks); every entry of
+    # every table of the class lies on the polynomial fitted at 2, ..., 13,
+    # and that is the engine's constant
+    d, ro, mid, co = 3, (1, 2), 1, (1, 2)
+    primes = oracle.primes_list(8)
+    outs = oracle._candidate_outputs(d, ro, co)
+    for p in (7, 17, 19):
+        most = oracle.SIZE_GUARD // (p ** d * len(outs))    # lines per slice
+        assert (most >= oracle._subspace_count(d, mid, p)) == (p == 7), p
+    for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
+        monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
+    for out in outs:
+        tables = [oracle._conv_table(d, out, mid, p) for p in primes]
+        for left, right in set().union(*tables):
+            counts = [(p, t.get((left, right), 0))
+                      for p, t in zip(primes, tables)]
+            poly = lagrange_interpolate(counts, mid * (d - mid) + d)
+            want = mul_general(SchurElement.basis(d, left),
+                               SchurElement.basis(d, right))
+            assert substitute_q(poly) == want.terms.get(out, 0), \
+                (out, left, right)
+
+
+class _RecordingMemo(LruMemo):
+    """The memo, counting the entries small enough to be stored."""
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.kept = 0
+
+    def put(self, key, value, size):
+        self.kept += size <= self.limit
+        return super().put(key, value, size)
+
+
+@pytest.mark.parametrize("limit", (1, 300))
+def test_table_memo_eviction_keeps_every_answer(monkeypatch, limit):
+    # samples of d = 2 and d = 3 products and of d = 2 tensor actions,
+    # with room for every table and then with memos that store no table
+    # (none has a single entry) or a few and drop them all the time: a miss
+    # recounts the whole class, and the JSON answers are the same bytes
+    rng = random.Random(23)
+    pairs = (rng.sample(checks.compatible_pairs(2), 40)
+             + rng.sample(checks.compatible_pairs(3), 4))
+    actions = rng.sample([(lab, ms) for ms in enumerate_xi(2, 2, tensor=True)
+                          for lab in enumerate_xi(2, 2)
+                          if row_col_sums(lab)[1][0] == ms.seq.count(1)], 30)
+
+    def answers():
+        products = [oracle.structure_constants(
+            a, b, oracle.interpolation_primes(a.d)).to_json()
+            for a, b in pairs]
+        tensor = [TensorElement(2, oracle.tensor_action_constants(
+            lab, ms, oracle.interpolation_primes(2))).to_json()
+            for lab, ms in actions]
+        return json.dumps([products, tensor], sort_keys=True)
+
+    for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
+        monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
+    want = answers()
+    small = {memo: _RecordingMemo(limit)
+             for memo in ("_CONV_CACHE", "_MIXED_CACHE")}
+    for memo, table_memo in small.items():
+        monkeypatch.setattr(oracle, memo, table_memo)
+    assert answers() == want
+    for table_memo in small.values():
+        assert table_memo.size <= limit
+        assert (table_memo.kept > len(table_memo) + 20) == (limit > 1)
+
+
+def test_lru_memo_membership_keeps_the_order():
+    memo = LruMemo(10)
+    for key in "abc":
+        memo.put(key, key, 3)
+    assert "a" in memo and "z" not in memo
+    memo.put("d", "d", 3)       # drops the least recently used: still "a"
+    assert "a" not in memo and list(memo.entries) == ["b", "c", "d"]
 
 
 def test_spare_node_catches_a_count_past_the_bound():
@@ -460,7 +606,7 @@ def test_spare_node_catches_a_count_past_the_bound():
             ["x"], nodes, d, lambda out, p: seen.add(p) or p ** (bound + 1),
             bound=bound)
         assert got == {"x": v_power(2 * bound + 2)}, (d, bound)
-        assert seen == set(oracle.primes_list(max(bound + 2, 2 * bound + 1)))
+        assert seen == set(oracle.primes_list(2 * bound + 2))
         # a count within the bound is fitted on the nodes, with no retry
         seen.clear()
         got = oracle._interpolated(
@@ -503,7 +649,7 @@ def test_oracle_tensor_action_matches_closed_forms(monkeypatch):
             yield part
         chunks.append(n)
     monkeypatch.setattr(oracle, "_middle_chunks", counted)
-    monkeypatch.setattr(oracle, "_MIXED_CACHE", {})
+    monkeypatch.setattr(oracle, "_MIXED_CACHE", LruMemo(oracle.SIZE_GUARD))
     for d in (2, 3):
         primes = oracle.primes_list(d * d + 1)
         for ms in enumerate_xi(2, d, tensor=True):
