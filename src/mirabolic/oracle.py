@@ -383,18 +383,14 @@ def _count(reps, mid_dim):
     outside H, F + H and the v - (H + C_r), and constant where a sum is the
     whole space, so only the points of the proper sums are reclassified.
     A slice of middle subspaces has a row of p^d points per (H, rep), at
-    most SIZE_GUARD points (or reps go in batches): dim(H & C_r) and
-    H + C_r are found once per slice, dim(F & H) and F + H once per
-    distinct F, and one bincount takes every row.  The rows with the same
+    most SIZE_GUARD points (callers pass at most SIZE_GUARD / p^d reps):
+    dim(H & C_r) and H + C_r are found once per slice, dim(F & H) and
+    F + H once per distinct F, and one bincount takes every row.  The rows with the same
     rep, dim(F & H) and dims share their labels and which sums are full.
     """
     d, p, outs = reps[0].d, reps[0].p, len(reps)
     _guard(p, d)
     n = p ** d
-    batch = SIZE_GUARD // n
-    if outs > batch:
-        return [got for lo in range(0, outs, batch)
-                for got in _count(reps[lo:lo + batch], mid_dim)]
     chain = (PrimeFieldSubspace(p, d, ()),) + reps[0].Fp
     big_n, k = len(chain), (len(chain) + 1) ** 2
     fs = list(dict.fromkeys(rep.F[0] for rep in reps))     # the distinct F
@@ -494,13 +490,16 @@ def _table(memo, key, tensor):
     label of key = (d, output, dim H, p), for every pair of left and right
     labels at once: each right triple (H, chain, x) of `_count` classified
     by `_classified`, as a marked sequence when tensor is true.  A miss
-    counts the output's whole class in one pass of `_count` and stores
-    every table of the class under its own key."""
+    counts the output's whole class in one pass of `_count`, or the output
+    alone where the class's rows of one H, p^d points per output, pass
+    SIZE_GUARD, and stores every table counted under its own key."""
     got = memo.get(key)
     if got is None:
         d, out, mid_dim, p = key
         outs = (_tensor_outputs(d, out.seq.count(1)) if tensor
                 else _candidate_outputs(d, *row_col_sums(out)))
+        if len(outs) * p ** d > SIZE_GUARD:
+            outs = (out,)
         reps = [canonical_representative(
             sequence_to_matrix(lab, 2) if tensor else lab, p) for lab in outs]
         sizes = (0, *(sub.dim for sub in reps[0].Fp), d)

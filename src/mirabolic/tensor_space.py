@@ -22,7 +22,7 @@ from math import comb, factorial
 
 from .decorated import (MarkedSequence, count_xi_tensor, sequence_stats,
                         validate)
-from .linalg import Combination, rank_of_rows
+from .linalg import FOLD_MEMO_TERMS, Combination, LruMemo, rank_of_rows
 from .qv import RF_ONE, format_coeff, v_power
 from .reps import decompose_weight_table, format_module_name
 
@@ -64,8 +64,14 @@ def k_action(x):
         lambda label: {label: v_power(2 * label.seq.count(1) - x.d)})
 
 
+# the record (l-table, l-rank) of each block V_i, keyed by i and charged in
+# labels: room for every block at d <= 7 (2,815 labels)
+_BLOCKS = LruMemo(FOLD_MEMO_TERMS >> 4)
+
+
 def _ell_block(seq):
-    """{label: (coeff, vec)} over the block V_i of a sequence i, with
+    """The memoised record (table, rank) of the block V_i of a sequence i,
+    shared and read-only.  table is {label: (coeff, vec)} with
     l . T_label = coeff * vec by the four mark cases (ones = ones(i)):
 
         no mark                      v^(-2 ones)                       w
@@ -76,8 +82,13 @@ def _ell_block(seq):
     w = T_i + sum over i_m = 1 of T_{i,{m}}, and u(j) = T_{i,{j}} + sum
     over m > j with i_m = 1 of T_{i,{j,m}}; each is one dict, built once
     and shared by its labels.  Keys run in the order of `block_basis`.
+    rank is the rank of l on V_i by exact elimination (`rank_of_rows`), not
+    the closed form 1 + twos(i), which tests compare it with.
     """
     seq = tuple(seq)
+    got = _BLOCKS.get(seq)
+    if got is not None:
+        return got
     stats = sequence_stats(seq)
     base = -2 * stats.ones
     q = v_power(2) - RF_ONE
@@ -100,17 +111,18 @@ def _ell_block(seq):
                 label = MarkedSequence(seq, frozenset({j, m}))
                 vec[label] = RF_ONE
                 out[label] = (v_power(base + 2 * stats.phi[m - 1]) * q, vec)
-    return out
+    # c x with c != 0 spans the line of x, and a repeated row adds nothing
+    # to the span: only the distinct vectors of nonzero rows, at most
+    # 1 + twos(i) of them, are eliminated
+    rows = {id(vec): vec for coeff, vec in out.values() if coeff}
+    return _BLOCKS.put(seq, (out, rank_of_rows(list(rows.values()))),
+                       len(out))
 
 
 def ell_action(x):
-    """l . x, building the l-table of each block that x meets once."""
-    table = {}
-    for seq in {label.seq for label in x.terms}:
-        table.update(_ell_block(seq))
-
+    """l . x, each label's column read from its block's record."""
     def column(label):
-        coeff, vec = table[label]
+        coeff, vec = _ell_block(label.seq)[0][label]
         return {lab: coeff * c for lab, c in vec.items()}
 
     return x.apply(column)
@@ -118,21 +130,14 @@ def ell_action(x):
 
 def block_basis(seq):
     """All valid mark sets over a fixed sequence: none, singletons, inversions."""
-    return list(_ell_block(seq))
+    return list(_ell_block(seq)[0])
 
 
 def block_ell_rank(seq):
-    """(dimension, rank of l) for the block of a fixed sequence.
-
-    The rank comes from exact elimination (`rank_of_rows`), not from the
-    closed form 1 + twos(seq); tests compare the two.  Only the distinct
-    vectors vec of rows coeff * vec with coeff != 0 are eliminated, at most
-    1 + twos(seq) of them: c x with c != 0 spans the line of x, and a
-    repeated row adds nothing to the span, so the rank is that of all rows.
-    """
-    table = _ell_block(seq)
-    rows = {id(vec): vec for coeff, vec in table.values() if coeff}
-    return len(table), rank_of_rows(list(rows.values()))
+    """(dimension, rank of l) for the block of a fixed sequence, read from
+    its record: the rank is exact elimination, not the closed form."""
+    table, rank = _ell_block(seq)
+    return len(table), rank
 
 
 def _comb0(n, k):

@@ -263,6 +263,20 @@ def test_long_k_block_normal_form_memory():
         "7b348a4c3483d6ae764bdb0326592a384f9a3de2da21a7499c5ae8dde2b05660"
 
 
+def test_sw_check_block_memo_memory():
+    # sw-check --d 12 reads each of its 4,096 blocks once through the block
+    # memo; it peaks at about 35 MiB, and at 92-93 MiB with the memo's bound
+    # raised to FOLD_MEMO_TERMS labels
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, "sw-check",
+                           "--d", "12"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(proc.stderr.split()[-1])
+    assert peak_kib < 60 * 1024, peak_kib
+    # sha256 of the stdout, recorded before the blocks were memoised
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "eac8390cc91dd7ae88d310d911311bb4f829b65474e3c72d9478fcc0d70a687d"
+
+
 X1 = json.dumps({"A": [[1, 0], [0, 1]], "delta": [[1, 1]]})
 
 

@@ -1,18 +1,25 @@
 """The memoised word fold behind `eval_letters`, `normalize_word` and the
-word matrices of the simple modules, and the bounded PBW memos around it:
-products by a generator, straightening forms and projections to
-MU_v(2,d)."""
+word matrices of the simple modules, the bounded PBW memos around it
+(products by a generator, straightening forms and projections to
+MU_v(2,d)), the memo of basis products and word combos of
+`schur_algebra`, and the block memo of the tensor space."""
 
+import json
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirabolic import pbw, reps, schur_algebra
+from mirabolic import checks, pbw, reps, schur_algebra, tensor_space
+from mirabolic.decorated import enumerate_xi
 from mirabolic.linalg import FOLD_MEMO_TERMS, LruMemo
 from mirabolic.qv import RF_ONE, quantum_integer, v_power
-from mirabolic.schur_algebra import GeneratorWord, eval_letters, evaluate_words
+from mirabolic.schur_algebra import (GeneratorWord, SchurElement,
+                                     eval_letters, evaluate_words,
+                                     express_in_generators, mul_general)
+from mirabolic.tensor_space import TensorElement, ell_action, k_action
 
 L01 = reps.build_module("L01", "+", 3)
 
@@ -186,3 +193,81 @@ def test_projections_are_read_only(letters, others, tiny):
         assert pbw.project_to_schur(3, x) == got
     finally:
         pbw._PROJECTIONS = saved
+
+
+def _products(pairs):
+    """The JSON bytes of every basis product, and of the generator words
+    of every label at d <= 2."""
+    out = [json.dumps(mul_general(SchurElement.basis(a.d, a),
+                                  SchurElement.basis(b.d, b)).to_json())
+           for a, b in pairs]
+    return out + [str(express_in_generators(label))
+                  for d in (1, 2) for label in enumerate_xi(2, d)]
+
+
+def test_product_memo_eviction_keeps_every_product(monkeypatch):
+    # every compatible pair at d <= 2 and a seeded sample at d = 3, with
+    # room for every product and word combo and then in a memo of a few
+    # terms that drops entries all the time: the same bytes
+    pairs = [pair for d in (1, 2) for pair in checks.compatible_pairs(d)]
+    pairs += random.Random(11).sample(checks.compatible_pairs(3), 60)
+    monkeypatch.setattr(schur_algebra, "_COMBO_CACHE",
+                        LruMemo(FOLD_MEMO_TERMS << 2))
+    want = _products(pairs)
+    small = _RecordingMemo(40)
+    monkeypatch.setattr(schur_algebra, "_COMBO_CACHE", small)
+    assert _products(pairs) == want
+    assert small.kept > len(small) + 100 and small.size <= small.limit
+
+
+def _tensor_answers(d):
+    """Everything the tensor space reads from its block memo at d."""
+    labels = enumerate_xi(2, d, tensor=True)
+    xs = [TensorElement.basis(d, label) for label in labels]
+    return (tensor_space.weight_multiplicities(d),
+            tensor_space.check_left_module(d),
+            [tensor_space.block_basis(seq)
+             for seq in product((1, 2), repeat=d)],
+            [ell_action(x) for x in xs], ell_action(sum(xs[1:], xs[0])),
+            checks.tensor(d))
+
+
+def test_block_memo_eviction_keeps_every_answer(monkeypatch):
+    # weights, reports, bases, l-actions and checks for every d <= 6, with
+    # room for every block and then with a memo of 8 labels that stores
+    # only the small blocks and drops them all the time
+    monkeypatch.setattr(tensor_space, "_BLOCKS", LruMemo(FOLD_MEMO_TERMS))
+    want = [_tensor_answers(d) for d in range(1, 7)]
+    small = _RecordingMemo(8)
+    monkeypatch.setattr(tensor_space, "_BLOCKS", small)
+    assert [_tensor_answers(d) for d in range(1, 7)] == want
+    assert small.kept > len(small) + 100 and small.size <= small.limit
+
+
+def _snapshot(table):
+    return {label: (coeff, dict(vec)) for label, (coeff, vec) in table.items()}
+
+
+def test_block_records_are_read_only(monkeypatch):
+    # a block's record is shared: asked for again it is the same object,
+    # and what callers do with l- and k-images leaves its table unchanged
+    monkeypatch.setattr(tensor_space, "_BLOCKS", LruMemo(FOLD_MEMO_TERMS))
+    d = 4
+    seqs = list(product((1, 2), repeat=d))
+    records = [tensor_space._ell_block(seq) for seq in seqs]
+    kept = [_snapshot(table) for table, _ in records]
+    xs = [TensorElement.basis(d, label)
+          for label in enumerate_xi(2, d, tensor=True)]
+    for x in xs:
+        for y in (ell_action(x), k_action(ell_action(x)),
+                  ell_action(k_action(x))):
+            z = (y + y).scale(v_power(3)) - ell_action(y)
+            for got in (y, z):
+                for label in list(got.terms):
+                    got.terms[label] = got.terms[label] * v_power(1)
+                got.terms.clear()
+    tensor_space.block_basis(seqs[0]).clear()
+    assert [tensor_space._ell_block(seq) for seq in seqs] == records
+    assert all(tensor_space._ell_block(seq) is record
+               for seq, record in zip(seqs, records))
+    assert [_snapshot(table) for table, _ in records] == kept

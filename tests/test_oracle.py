@@ -490,6 +490,29 @@ def test_one_kernel_pass_per_node_for_a_whole_class(monkeypatch):
                       for p in nodes]
 
 
+def test_class_past_the_guard_counts_the_output_alone(monkeypatch):
+    # with room for the p^d points of one output but not for the rows of
+    # its whole class, a table miss counts the output asked for alone, and
+    # each table equals the one counted with its class under the real guard;
+    # the chunks of middle subspaces are memoised at the size the guard
+    # gives them, so the smaller guard starts from an empty point memo
+    d, p, mid = 2, 5, 1
+    for outs, table in ((oracle._candidate_outputs(d, (1, 1), (1, 1)),
+                         lambda out: oracle._conv_table(d, out, mid, p)),
+                        (oracle._tensor_outputs(d, 1),
+                         lambda ms: oracle._mixed_conv_table(d, ms, mid, p))):
+        assert len(outs) == 7
+        passes = _kernel_passes(monkeypatch)
+        want = [table(out) for out in outs]
+        assert passes == [(mid, p, len(outs))]
+        passes = _kernel_passes(monkeypatch)
+        monkeypatch.setattr(oracle, "SIZE_GUARD", p ** d)
+        monkeypatch.setattr(oracle, "_POINTS", LruMemo(p ** d))
+        assert [table(out) for out in outs] == want
+        assert passes == [(mid, p, 1)] * len(outs)
+        monkeypatch.undo()
+
+
 def test_class_tables_with_several_f_match_literal_enumeration(monkeypatch):
     # in each class below the outputs have two values of a11, hence two
     # different F (and the marked sequences several): every table of the
