@@ -76,11 +76,11 @@ class DecoratedMatrix:
 
 
 def _int_rows(obj, width=None):
-    """Whether obj is a JSON list of lists of integers, each of the given
-    width if there is one."""
+    """Whether obj is a JSON list of lists of integers (not booleans), each
+    of the given width if there is one."""
     return isinstance(obj, list) and all(
         isinstance(row, list) and width in (None, len(row))
-        and all(isinstance(x, int) for x in row) for row in obj)
+        and all(type(x) is int for x in row) for row in obj)
 
 
 @dataclass(frozen=True)
@@ -183,19 +183,15 @@ D_22 = frozenset({(2, 2)})
 ALL_DELTAS = (D_EMPTY, D_11, D_12, D_21, D_1221, D_22)
 
 
-def _antichains(cells):
-    """All subsets of the (i, j) cells forming an antichain."""
-    cells = sorted(cells)
-    out = [[]]
-    for c in cells:
-        i, j = c
-        new = []
-        for ac in out:
-            ok = all(i != i2 and j != j2 and (i - i2) * (j - j2) < 0
-                     for i2, j2 in ac)
-            if ok:
-                new.append(ac + [c])
-        out.extend(new)
+def decorations(a):
+    """Every decoration of the matrix a, the empty one first: the antichains
+    of its positive entries, grown by rows: last mark lowest, leftmost."""
+    out = [()]
+    for i, row in enumerate(a, start=1):
+        for j, x in enumerate(row, start=1):
+            if x > 0:
+                out += [ac + ((i, j),) for ac in out
+                        if not ac or (ac[-1][0] < i and j < ac[-1][1])]
     return [frozenset(ac) for ac in out]
 
 
@@ -235,9 +231,7 @@ def enumerate_xi(n, d, tensor=False):
     out = []
     for flat in _compositions(d, n * n):
         a = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-        support = [(i + 1, j + 1) for i in range(n) for j in range(n)
-                   if a[i][j] > 0]
-        for delta in _antichains(support):
+        for delta in decorations(a):
             out.append(DecoratedMatrix(a, delta))
     out.sort(key=DecoratedMatrix.sort_key)
     return out
@@ -253,27 +247,17 @@ class SequenceStats(NamedTuple):
     ones: int
     twos: int
     inversions: int
-    phi: tuple
 
 
 def sequence_stats(ms):
-    """Letter counts, inversion number and the prefix table of a sequence.
-
-    phi[j-1] counts the letters equal to 1 strictly before position j.
-    Inversions are pairs p < q with i_p > i_q.
-    """
+    """Letter counts and inversion number of a sequence.  Inversions are
+    pairs p < q with i_p > i_q."""
     seq = ms.seq if isinstance(ms, MarkedSequence) else tuple(ms)
     ones = sum(1 for x in seq if x == 1)
     twos = sum(1 for x in seq if x == 2)
     inv = sum(1 for p in range(len(seq)) for q in range(p + 1, len(seq))
               if seq[p] > seq[q])
-    phi = []
-    seen_ones = 0
-    for x in seq:
-        phi.append(seen_ones)
-        if x == 1:
-            seen_ones += 1
-    return SequenceStats(ones, twos, inv, tuple(phi))
+    return SequenceStats(ones, twos, inv)
 
 
 def sequence_to_matrix(ms, n=None):

@@ -33,12 +33,12 @@ def bump(terms, key, c):
 
 def json_terms(obj, shape, strings, ints=()):
     """The list obj["terms"] of a JSON element, after checking that obj is
-    a dict with an integer at each key of ints and that each term is a dict
-    with a string at each key of strings; any other shape raises ValueError
-    saying that an element is shape."""
+    a dict with an integer (not a boolean) at each key of ints and that
+    each term is a dict with a string at each key of strings; any other
+    shape raises ValueError saying that an element is shape."""
     terms = obj.get("terms") if isinstance(obj, dict) else None
     if not (isinstance(terms, list)
-            and all(isinstance(obj.get(k), int) for k in ints)
+            and all(type(obj.get(k)) is int for k in ints)
             and all(isinstance(t, dict)
                     and all(isinstance(t.get(k), str) for k in strings)
                     for t in terms)):
@@ -203,9 +203,9 @@ def _stored(memo, key, x):
 
 
 def stored_terms(coeffs):
-    """The charge of a memo entry holding coeffs: one plus their Laurent
-    terms."""
-    return 1 + sum(map(_coeff_size, coeffs))
+    """The charge of a memo entry holding Q(v) coeffs: one plus their
+    Laurent terms."""
+    return 1 + sum(len(c.num.c) + len(c.den.c) for c in coeffs)
 
 
 def _coeff_size(c):

@@ -562,10 +562,10 @@ def parse_word(text):
     for tok in text.split():
         if tok == "1":
             continue
-        base, _, exp = tok.partition("^")
+        base, caret, exp = tok.partition("^")
         if base not in ("e", "f", "k", "l"):
             raise ValueError(f"unknown generator {base!r}")
-        n = int(exp) if exp else 1
+        n = int(exp) if caret else 1    # so "e^" is refused like "e^x"
         if n < 0 and base != "k":
             raise ValueError(f"negative power of {base}")
         blocks.append(("k^-1" if n < 0 else base, abs(n)))

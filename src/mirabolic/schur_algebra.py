@@ -23,12 +23,13 @@ from functools import lru_cache, partial
 from math import comb
 
 from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
-                        DecoratedMatrix, decorated2, diag2,
+                        DecoratedMatrix, decorated2, decorations, diag2,
                         transpose_decorated, validate)
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
                      stored_terms)
 from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff, q_bracket,
-                 q_power, quantum_factorial, quantum_integer, v_power)
+                 q_power, quantum_factorial, quantum_integer, rf_laurent,
+                 v_power)
 
 
 class SchurElement(Combination):
@@ -143,12 +144,11 @@ def classify_special(key):
 
 # Case tables.  Each entry: (entry shift, output decoration, coefficient).
 # Shifts: P moves a unit from the lower-left to the upper-left entry, Q from
-# the lower-right to the upper-right, R and S are their transposes, Z stays.
+# the lower-right to the upper-right, R and S are their transposes.
 _P = (1, 0, -1, 0)
 _Q = (0, 1, 0, -1)
 _R = (-1, 0, 1, 0)
 _S = (0, -1, 0, 1)
-_Z = (0, 0, 0, 0)
 
 
 def _expand_e(a, delta):
@@ -213,71 +213,17 @@ def _expand_f(a, delta):
     raise AssertionError(delta)
 
 
-def _expand_x11(a, delta):
-    (a11, a12), (a21, a22) = a
-    one = RF_ONE
-    if delta == D_EMPTY:
-        return ((_Z, D_11, one), (_Z, D_12, one))
-    if delta == D_11:
-        c = q_power(a11)
-        return ((_Z, D_EMPTY, c - 1), (_Z, D_11, c - 2), (_Z, D_12, c - 1))
-    if delta == D_12:
-        c = q_power(a11) * (q_power(a12) - 1)
-        return ((_Z, D_EMPTY, c), (_Z, D_11, c), (_Z, D_12, c - 1))
-    if delta == D_21:
-        c = q_power(a11)
-        return ((_Z, D_21, c - 1), (_Z, D_1221, c))
-    if delta == D_1221:
-        c = q_power(a11) * (q_power(a12) - 1)
-        return ((_Z, D_21, c), (_Z, D_1221, c - 1))
-    if delta == D_22:
-        return ((_Z, D_22, q_power(a11 + a12) - 1),)
-    raise AssertionError(delta)
-
-
-def _expand_x22(a, delta):
-    (a11, a12), (a21, a22) = a
-    if delta == D_EMPTY:
-        return ((_Z, D_21, RF_ONE), (_Z, D_1221, RF_ONE), (_Z, D_22, RF_ONE))
-    if delta == D_11:
-        c = q_power(a11) - 1
-        return ((_Z, D_21, c), (_Z, D_1221, c), (_Z, D_22, c))
-    if delta == D_12:
-        c = q_power(a11) * (q_power(a12) - 1)
-        return ((_Z, D_21, c), (_Z, D_1221, c), (_Z, D_22, c))
-    if delta == D_21:
-        base = q_power(a11)
-        c1 = base * (q_power(a21) - 1)
-        c2 = base * (q_power(a21) - 2)
-        return ((_Z, D_EMPTY, c1), (_Z, D_11, c1), (_Z, D_12, c1),
-                (_Z, D_22, c1), (_Z, D_21, c2), (_Z, D_1221, c2))
-    if delta == D_1221:
-        base = q_power(a11) * (q_power(a12) - 1)
-        c1 = base * (q_power(a21) - 1)
-        c2 = base * (q_power(a21) - 2)
-        return ((_Z, D_EMPTY, c1), (_Z, D_11, c1), (_Z, D_12, c1),
-                (_Z, D_22, c1), (_Z, D_21, c2), (_Z, D_1221, c2))
-    if delta == D_22:
-        base = q_power(a11 + a12 + a21)
-        c1 = base * (q_power(a22) - 1)
-        # the translate of the first subspace by the output vector sits
-        # entirely outside the span, so a full q^{a11+a12} drops out
-        c2 = c1 - q_power(a11 + a12)
-        return ((_Z, D_EMPTY, c1), (_Z, D_11, c1), (_Z, D_12, c1),
-                (_Z, D_21, c1), (_Z, D_1221, c1), (_Z, D_22, c2))
-    raise AssertionError(delta)
-
-
-_EXPANDERS = {"e": _expand_e, "f": _expand_f,
-              "x11": _expand_x11, "x22": _expand_x22}
+_EXPANDERS = {"e": _expand_e, "f": _expand_f}
 
 
 def _special_column(kind, label):
     """T_S * T_label as {label: coefficient}, where S is the special element
-    of this kind whose column sums are ro(label), by the case table of that
-    kind."""
+    of this kind whose column sums are ro(label): E and F by their case
+    tables, X_r and T22_r by the coset count (`_marked_column`)."""
     if kind == "diag":
         return {label: RF_ONE}
+    if kind in ("x11", "x22"):
+        return _marked_column(kind, label)
     (a11, a12), (a21, a22) = label.a
     out = {}
     for shift, delta2, coeff in _EXPANDERS[kind](label.a, label.delta):
@@ -288,6 +234,76 @@ def _special_column(kind, label):
         if lab2 is not None:
             bump(out, lab2, coeff)
     return out
+
+
+# The marked idempotents count vectors.  A decorated 2 x N label A is an
+# orbit of triples (F, C, v), F a subspace, C_1 < ... < C_(N-1) a chain and
+# v a vector: D_j = dim F & C_j and S_j = dim C_j sum row 1 and both rows
+# over the first j columns, and the marks (2, c) if c > 0 and (1, m) if
+# m > c give the jumps c = min{j : v in F + C_j} <= m = min{j : v in C_j}.
+# At (F, C, v) in an orbit B, "v in F" (v^(2r) l = 1 + X_r) and "v not in
+# F" (T22_r) convolved with T_A count the u in v + F, or outside it, with
+# (F, C, u) in A.  In the coset all u have the jump c of v, and q^D_j of
+# them lie in C_j if j >= c, none if j < c: v^(2r) l T_A is w(A) = q^D_m -
+# q^D_(m-1) (m > c) or q^D_c (m = c) times the sum of T_B over the B with
+# the jump c (`ell_rule`).  In all, (F + C_i) & C_j = C_i + F & C_j holds
+# q^(S_i - D_i + D_j) vectors if i <= j, so N(A) of them have the jumps
+# (c, m) (inclusion and exclusion), and T22_r T_A = N(A) (sum of T_B over
+# every B) - v^(2r) l T_A.
+
+def _jumps(delta):
+    """The jumps (c, m) of a decoration: the columns of its row-2 mark, or
+    0, and of its row-1 mark, or c."""
+    marks = dict(delta)     # an antichain has one mark per row at most
+    c = marks.get(2, 0)
+    return c, marks.get(1, c)
+
+
+def ell_rule(a, delta):
+    """l T_A = v^-2r w(A) (sum of T_B over B in jump_cell(a, c)) for the
+    decorated 2 x N label A = (a, delta) of first row sum r, as
+    (v^-2r w(A), c)."""
+    c, m = _jumps(delta)
+    e = 2 * (sum(a[0][:m]) - sum(a[0]))
+    if m > c:
+        return rf_laurent({e: 1, e - 2 * a[0][m - 1]: -1}), c
+    return v_power(e), c
+
+
+def jump_cell(a, c):
+    """The decorations of a with the jump c: a mark (2, c) if c > 0, and no
+    row-1 mark or one after column c, on a positive entry."""
+    base = frozenset({(2, c)}) if c else frozenset()
+    return [base] + [base | {(1, j)} for j in range(c + 1, len(a[0]) + 1)
+                     if a[0][j - 1]]
+
+
+def _coset_size(a, c, m):
+    """N(A): how many u have the jumps (c, m), for a fixed (F, C)."""
+    n = {}      # +-|(F + C_i) & C_j|, none when i or j is -1
+    for i, j, sign in ((c, m, 1), (c - 1, m, -1), (c, m - 1, -1),
+                       (c - 1, m - 1, 1)):
+        i = min(i, j)
+        if i >= 0:
+            e = 2 * (sum(a[1][:i]) + sum(a[0][:j]))
+            n[e] = n.get(e, 0) + sign
+    return rf_laurent(n)
+
+
+@lru_cache(maxsize=4096)
+def _marked_column(kind, label):
+    """X_r T_label ("x11") or T22_r T_label ("x22"), read-only."""
+    a = label.a
+    u, c = ell_rule(a, label.delta)
+    w = v_power(2 * sum(a[0])) * u
+    if kind == "x11":       # X_r = v^(2r) l - 1
+        out = dict.fromkeys(jump_cell(a, c), w)
+        out[label.delta] = w - RF_ONE
+    else:                   # T22_r = N(A) (sum over every B) - v^(2r) l
+        n = _coset_size(a, *_jumps(label.delta))
+        out = dict.fromkeys(decorations(a), n)
+        out.update(dict.fromkeys(jump_cell(a, c), n - w))
+    return {DecoratedMatrix(a, delta): x for delta, x in out.items() if x}
 
 
 def left_mul_special(key, x):
@@ -304,9 +320,10 @@ def identity_element(d):
     return SchurElement(d, {one_key(d, r): RF_ONE for r in range(d + 1)})
 
 
-# the power of v on T_A is m r + c d, for r the first row sum of A
+# the power of v on T_A is m r + c d, for r the first row sum of A; that of
+# l, v^-2r, is in `ell_rule`
 _POWERS = {"k": (2, -1), "k^-1": (-2, 1), "e": (-1, 0), "f": (1, -1),
-           "l": (-2, 0)}
+           "l": (0, 0)}
 
 
 def apply_letter(letter, x):
@@ -316,9 +333,9 @@ def apply_letter(letter, x):
         k^-1:  v^(d-2r) T_A,
         e:     v^-r E_r T_A, and 0 when r = d,
         f:     v^(r-d) F_(r-1) T_A, and 0 when r = 0,
-        l:     T_A when r = 0, and v^-2r (T_A + X_r T_A) otherwise,
-    where E_r, F_(r-1) and X_r act by their case tables.  Each label's
-    column, its power of v included, is built once."""
+        l:     v^-2r w(A) (sum of T_B over B in the cell of `ell_rule`),
+    where E_r and F_(r-1) act by their case tables.  Each label's column,
+    its power of v included, is built once."""
     if letter not in _POWERS:
         raise ValueError(f"unknown generator {letter!r}")
     return x.apply(partial(_letter_column, letter))
@@ -331,9 +348,10 @@ def _letter_column(letter, label):
     r = label.a[0][0] + label.a[0][1]
     if letter in ("e", "f"):
         out = _special_column(letter, label)
-    elif letter == "l" and r:
-        out = _special_column("x11", label)
-        bump(out, label, RF_ONE)
+    elif letter == "l":
+        u, c = ell_rule(label.a, label.delta)
+        out = {DecoratedMatrix(label.a, delta): u
+               for delta in jump_cell(label.a, c)}
     else:
         out = {label: RF_ONE}
     m, c = _POWERS[letter]

@@ -3,10 +3,12 @@
 The space has basis T_{i,J} indexed by sequences i in {1,2}^d with a marked
 subset J (at most one singleton per position, pairs only at inversions).
 The generator k scales each basis vector by v^(2*ones(i)-d); the idempotent
-l acts within each block V_i = span{T_{i,J}} by a four-case formula.  Ranks
-and kernels of l per block produce the weight multiplicities, which are
-compared against binomial closed forms, and the full weight table is fed to
-the module decomposition solver to reproduce the expected direct-sum shape:
+l acts within each block V_i = span{T_{i,J}} by the coset count of the
+algebra (`schur_algebra.ell_rule`) on the 2 x d matrix of each marked
+sequence.  Ranks and kernels of l per block produce the weight
+multiplicities, which are compared against binomial closed forms, and the
+full weight table is fed to the module decomposition solver to reproduce
+the expected direct-sum shape:
 
     (lambda, empty)  ->  L+(l1-l2, 1)     with multiplicity   f_lambda
     (lambda, 1)      ->  L+(l1-l2+1, 01)  with multiplicity C(d,1) f_lambda
@@ -20,11 +22,12 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
 
-from .decorated import (MarkedSequence, count_xi_tensor, sequence_stats,
-                        validate)
+from .decorated import (MarkedSequence, count_xi_tensor, decorations,
+                        sequence_stats, sequence_to_matrix, validate)
 from .linalg import FOLD_MEMO_TERMS, Combination, LruMemo, rank_of_rows
 from .qv import RF_ONE, format_coeff, v_power
 from .reps import decompose_weight_table, format_module_name
+from .schur_algebra import ell_rule, jump_cell
 
 
 class TensorElement(Combination):
@@ -70,52 +73,27 @@ _BLOCKS = LruMemo(FOLD_MEMO_TERMS >> 4)
 
 
 def _ell_block(seq):
-    """The memoised record (table, rank) of the block V_i of a sequence i,
-    shared and read-only.  table is {label: (coeff, vec)} with
-    l . T_label = coeff * vec by the four mark cases (ones = ones(i)):
-
-        no mark                      v^(-2 ones)                       w
-        mark j with i_j = 1          v^(-2 ones + 2 phi_j) (v^2 - 1)   w
-        mark j with i_j = 2          v^(-2 ones + 2 phi_j)             u(j)
-        marks j < m (an inversion)   v^(-2 ones + 2 phi_m) (v^2 - 1)   u(j)
-
-    w = T_i + sum over i_m = 1 of T_{i,{m}}, and u(j) = T_{i,{j}} + sum
-    over m > j with i_m = 1 of T_{i,{j,m}}; each is one dict, built once
-    and shared by its labels.  Keys run in the order of `block_basis`.
-    rank is the rank of l on V_i by exact elimination (`rank_of_rows`), not
-    the closed form 1 + twos(i), which tests compare it with.
-    """
+    """The memoised record (table, rank) of the block V_i, shared and
+    read-only: table is {label: (coeff, vec)}, l . T_label = coeff * vec by
+    `ell_rule` on the 2 x d matrix of the label, with one vec dict per jump
+    c, in the order of `block_basis`; rank is the rank of l on V_i by exact
+    elimination, not the closed form 1 + twos(i) that tests check it by."""
     seq = tuple(seq)
     got = _BLOCKS.get(seq)
     if got is not None:
         return got
-    stats = sequence_stats(seq)
-    base = -2 * stats.ones
-    q = v_power(2) - RF_ONE
-    label = MarkedSequence(seq)
-    w = {label: RF_ONE}
-    out = {label: (v_power(base), w)}
-    u = {}
-    for j, val in enumerate(seq, start=1):
-        label = MarkedSequence(seq, frozenset({j}))
-        coeff = v_power(base + 2 * stats.phi[j - 1])
-        if val == 1:
-            w[label] = RF_ONE
-            out[label] = (coeff * q, w)
-        else:
-            u[j] = {label: RF_ONE}
-            out[label] = (coeff, u[j])
-    for j, vec in u.items():
-        for m in range(j + 1, len(seq) + 1):
-            if seq[m - 1] == 1:
-                label = MarkedSequence(seq, frozenset({j, m}))
-                vec[label] = RF_ONE
-                out[label] = (v_power(base + 2 * stats.phi[m - 1]) * q, vec)
-    # c x with c != 0 spans the line of x, and a repeated row adds nothing
-    # to the span: only the distinct vectors of nonzero rows, at most
-    # 1 + twos(i) of them, are eliminated
-    rows = {id(vec): vec for coeff, vec in out.values() if coeff}
-    return _BLOCKS.put(seq, (out, rank_of_rows(list(rows.values()))),
+    a = sequence_to_matrix(MarkedSequence(seq), 2).a
+    labels = {delta: MarkedSequence(seq, frozenset(j for _, j in delta))
+              for delta in decorations(a)}
+    vecs, out = {}, {}
+    for delta, label in labels.items():
+        coeff, c = ell_rule(a, delta)
+        if c not in vecs:
+            vecs[c] = {labels[b]: RF_ONE for b in jump_cell(a, c)}
+        out[label] = (coeff, vecs[c])
+    # no coeff is 0, and c x spans the line of x for c != 0: only the 1 +
+    # twos(i) distinct vectors are eliminated
+    return _BLOCKS.put(seq, (out, rank_of_rows(list(vecs.values()))),
                        len(out))
 
 

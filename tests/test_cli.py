@@ -469,10 +469,18 @@ def element_with(terms):
     ("mul", "--lhs", element(101, [[101, 0], [0, 0]]),
      "--rhs", element(101, [[101, 0], [0, 0]])),
     ("mul", "--d", "3", "--lhs", ONE2, "--rhs", ONE2),
+    ("mul", "--lhs", ONE2.replace('"d": 2', '"d": true'), "--rhs", ONE2),
+    ("mul", "--lhs", element(2, [[True, 0], [0, 1]]), "--rhs", ONE2),
+    ("mul", "--lhs", element(2, [[1, 0], [0, 1]], [(True, 1)]),
+     "--rhs", ONE2),
+    ("normalize", "--word", "e^"),
+    ("normalize", "--word", "k^"),
 ], ids=["oracle-1x1", "oracle-3x3", "normalize-zero-den",
         "normalize-zero-den-fraction", "rep-zero-den", "mul-zero-den",
         "mul-terms-int", "mul-term-int", "mul-label-int", "normalize-huge-exp",
-        "rep-huge-exp", "mul-d130", "mul-d101", "mul-d-mismatch"])
+        "rep-huge-exp", "mul-d130", "mul-d101", "mul-d-mismatch",
+        "mul-d-bool", "mul-label-bool", "mul-delta-bool",
+        "normalize-empty-exp", "normalize-empty-k-exp"])
 def test_bad_inputs_are_usage_errors(capsys, argv):
     # exit 1 means a failed verification, so bad input must never end in a
     # traceback

@@ -79,8 +79,9 @@ def test_pbw_json_rejects_other_shapes(obj):
 @pytest.mark.parametrize("label", [
     5, {"seq": 5, "marks": []}, {"seq": [2, 1], "marks": 5},
     {"seq": [2, "1"], "marks": []}, {"marks": []},
+    {"seq": [2, True], "marks": []}, {"seq": [2, 1], "marks": [True]},
 ], ids=["label-number", "seq-number", "marks-number", "seq-string",
-        "no-seq"])
+        "no-seq", "seq-bool", "marks-bool"])
 def test_tensor_json_rejects_other_label_shapes(label):
     obj = {"d": 2, "terms": [{"label": label, "coeff": "1"}]}
     with pytest.raises(ValueError, match="a label is"):

@@ -189,3 +189,34 @@ def test_no_dead_public_names():
                                for p in SRC}, read, hooked | entry_points())
     assert not found, "public names nothing reads:\n" + "\n".join(
         f"{path}:{line}: {name}" for path, line, name in found)
+
+
+def schur_names_imported(source):
+    """The names that the module source imports from `.schur_algebra`, and
+    "*" for a whole-module import of it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "schur_algebra":
+                found.update(alias.name for alias in node.names)
+            elif node.module is None:
+                found.update("*" for alias in node.names
+                             if alias.name == "schur_algebra")
+        elif isinstance(node, ast.Import):
+            found.update("*" for alias in node.names
+                         if alias.name.endswith("schur_algebra"))
+    return found
+
+
+def test_checker_finds_schur_imports():
+    source = ("from .schur_algebra import SchurElement, ell_rule\n"
+              "from . import schur_algebra, qv\n"
+              "from .qv import v_power\n")
+    assert schur_names_imported(source) == {"SchurElement", "ell_rule", "*"}
+
+
+def test_oracle_shares_no_rule_with_the_engine():
+    # the oracle counts points itself; from the engine it takes only the
+    # element type it answers in, so the two stay independent checks
+    source = (ROOT / "src" / "mirabolic" / "oracle.py").read_text("utf-8")
+    assert schur_names_imported(source) <= {"SchurElement"}

@@ -279,6 +279,9 @@ def test_word_grammar():
         pbw.parse_word("e^-1")
     with pytest.raises(ValueError):
         pbw.parse_word("z")
+    for text in ("e^", "k^", "l e^ f"):
+        with pytest.raises(ValueError):
+            pbw.parse_word(text)
 
 
 def test_element_json_round_trip():

@@ -119,6 +119,19 @@ def test_left_mul_special_pinned():
         "9eaa89ceeefbcc789b526130eb6932e9b731d60cc10f2834ed256203d3464691"
 
 
+# sha256 of X_r and T22_r applied to every basis element at d = 5 and 6,
+# recorded while each had its own six-case table
+@pytest.mark.parametrize("d, want", [
+    (5, "c673b227f3fa0745feead0ea57346dd254e3c2e3e8dacc7641811babe467e2f6"),
+    (6, "3c6b5cb11260acca482a2c21ac4408fb3a5668a943d064143640b07c946b1d94"),
+])
+def test_marked_idempotents_pinned(d, want):
+    keys = ([x_key(d, r) for r in range(1, d + 1)]
+            + [x22_key(d, r) for r in range(d)])
+    assert digest(left_mul_special(key, basis(d, b)) for key in keys
+                  for b in enumerate_xi(2, d)) == want
+
+
 def test_apply_word_basics():
     for d in (1, 2, 3):
         one = identity_element(d)

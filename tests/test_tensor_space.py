@@ -1,5 +1,7 @@
 """Mirabolic tensor space: k/l actions, weights, and decomposition reports."""
 
+import hashlib
+import json
 from itertools import product
 from math import comb
 
@@ -38,6 +40,18 @@ def test_ell_action_examples():
     assert got == want
     got = ell_action(T(2, (2, 1), (2,)))
     assert got == w.scale(v_power(-2) * (v_power(2) - RF_ONE))
+
+
+def test_ell_action_pinned():
+    # sha256 of l on every basis vector at d <= 7, recorded while l had its
+    # own four-case table
+    h = hashlib.sha256()
+    for d in range(1, 8):
+        for ms in enumerate_xi(2, d, tensor=True):
+            x = ell_action(TensorElement.basis(d, ms))
+            h.update((json.dumps(x.to_json(), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == \
+        "dc367923204437fcd869a02c736a05710637a866bc0ff33ed31e2f0f244d11dd"
 
 
 def test_ell_idempotent_and_commutes_with_k():
