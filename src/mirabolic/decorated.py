@@ -85,12 +85,10 @@ def _int_rows(obj, width=None):
 
 @dataclass(frozen=True)
 class MarkedSequence:
+    """A tuple and a frozenset of ints, taken as given (see from_json)."""
+
     seq: tuple
     marks: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(int(x) for x in self.seq))
-        object.__setattr__(self, "marks", frozenset(int(j) for j in self.marks))
 
     @property
     def d(self):

@@ -421,7 +421,7 @@ def _coerce_rf(x):
     return NotImplemented
 
 
-# bounds of the gcd-path memo.  Pairs: over twice the 1,655 distinct pairs
+# bounds of the gcd-path memo.  Pairs: four times the 1,000 distinct pairs
 # that one pbw-modules benchmark batch reduces.  Terms of a pair (num and
 # den together): the products and sums of entries of the largest module the
 # CLI accepts, n = 228, stay under 512 and repeat, whereas folding e^1200 f

@@ -2,7 +2,7 @@
 
 Three families, each in a + and a - flavor:
 
-    L(n,0)  : the (n+1)-dimensional simple of quantum sl2, pulled back
+    L(n,0)  : the (n+1)-dimensional simple V(n) of quantum sl2, pulled back
               through the quotient sending l to 0;
     L(n,1)  : the same pullback through l -> 1;
     L(n,01) : a 2n-dimensional module where l has both eigenvalues; its
@@ -22,16 +22,20 @@ Three families, each in a + and a - flavor:
 Up to isomorphism these exhaust the simple weight modules, and they are
 pairwise distinguished by a central Casimir element acting through the
 scalars returned by casimir_scalar_formula.
+
+A - module is its + module twisted by the sign automorphism e -> -e,
+k^+-1 -> -k^+-1, f and l fixed, as type sigma modules of quantum sl2 are
+twists of type 1 ones (Jantzen, Lectures on Quantum Groups, 1996, ch. 2).
+So word matrices are folded on V(n) = L+(n,1) and L+(n,01) only.
 """
 
-from fractions import Fraction
 from functools import lru_cache, partial
+from math import prod
 
 from .qv import (RF_ONE, RF_ZERO, RationalFunction, quantum_integer, rf_const,
                  v_power)
 from . import pbw
-from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, fold_word,
-                     solve_unique)
+from .linalg import FOLD_MEMO_TERMS, Combination, LruMemo, fold_word
 from .schur_algebra import GeneratorWord
 
 KINDS = ("L0", "L1", "L01")
@@ -47,7 +51,7 @@ class IrreducibleModule:
     per (kind, sign, n), so a module and its columns are read-only.
     """
 
-    __slots__ = ("kind", "sign", "n", "dim", "basis", "action")
+    __slots__ = ("kind", "sign", "n", "dim", "basis", "action", "base")
 
     def __init__(self, kind, sign, n, basis, action):
         self.kind = kind
@@ -56,6 +60,7 @@ class IrreducibleModule:
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.action = action
+        self.base = None
 
     @property
     def name(self):
@@ -84,21 +89,25 @@ def parse_module_name(text):
     return kind, sign, int(n_str)
 
 
-@lru_cache(maxsize=128)     # every simple that `verify` builds at n <= 16
-def build_module(kind, sign, n):
+def _basis(kind, n):
+    """The (i, eps) labels of a simple's basis, in column order."""
     if kind not in KINDS:
         raise ValueError(f"unknown module kind {kind!r}")
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    sg = RF_ONE if sign == "+" else -RF_ONE
-    if kind in ("L0", "L1"):
+    if kind != "L01":
         if n < 0:
             raise ValueError("n must be >= 0")
-        basis = [(i, 0 if kind == "L0" else 1) for i in range(n + 1)]
-    else:
-        if n < 1:
-            raise ValueError("n must be >= 1 for L01")
-        basis = [(i, 0) for i in range(n)] + [(j, 1) for j in range(1, n + 1)]
+        return [(i, 0 if kind == "L0" else 1) for i in range(n + 1)]
+    if n < 1:
+        raise ValueError("n must be >= 1 for L01")
+    return [(i, 0) for i in range(n)] + [(j, 1) for j in range(1, n + 1)]
+
+
+@lru_cache(maxsize=128)     # every simple that `verify` builds at n <= 16
+def build_module(kind, sign, n):
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    basis = _basis(kind, n)
+    sg = RF_ONE if sign == "+" else -RF_ONE
     idx = {lab: p for p, lab in enumerate(basis)}
     mixed = kind == "L01"
     mk, mki, ml, me, mf = ([{} for _ in basis] for _ in range(5))
@@ -129,17 +138,47 @@ def _letter(M, g, y):
     return y.apply(lambda key: {(i, key[1]): a for i, a in cols[key[0]].items()})
 
 
-# an eighth: all word matrices of a pbw-modules batch took 5 MiB more RSS
+# an eighth: all 2,726 word matrices of a pbw-modules batch took 2 MiB more RSS
 _WORD_MATRICES = LruMemo(FOLD_MEMO_TERMS // 8)
 
 
+def _base(M):
+    """(B, signs, pulled), found once: a word acts on M as on B, without its
+    l letters if pulled, times signs[g] per letter g.  B is L+(n,01) for L01
+    and V(n) = L+(n,1) else, if M's columns are B's times signs: -1 on e, k,
+    k^-1 for a - module, 0 on l for L0, else 1; if not, M is its own base."""
+    if M.base is None:
+        M.base = M, dict.fromkeys(M.action, 1), False
+        try:
+            B = build_module("L01" if M.kind == "L01" else "L1", "+", M.n)
+        except ValueError:
+            return M.base
+        signs = {g: 0 if g == "l" and M.kind == "L0"
+                 else -1 if M.sign == "-" and g in ("e", "k", "k^-1") else 1
+                 for g in B.action}
+        if M.action.keys() == signs.keys() and all(
+                M.action[g] == [{i: t * c for i, c in col.items() if t}
+                                for col in B.action[g]]
+                for g, t in signs.items()):
+            M.base = B, signs, M.kind != "L01"
+    return M.base
+
+
 def word_matrix(M, letters):
-    """The matrix of a letter word on M keyed by (row, column), from the
-    identity by `fold_word`, which memoises every suffix: shared, read-only."""
+    """The matrix of a letter word on M keyed by (row, column), folded on
+    M's base from the identity by `fold_word`, which memoises every suffix
+    under the base: shared and read-only unless its sign is -1."""
+    B, signs, pulled = _base(M)
+    s = prod(signs.get(g, 1) for g in letters)
+    if not s and signs.keys() >= set(letters):
+        return Combination(M.dim)
+
     def identity():
-        return Combination(M.dim, {(j, j): RF_ONE for j in range(M.dim)})
-    return fold_word(_WORD_MATRICES, (M.kind, M.sign, M.n), identity,
-                     tuple(letters), partial(_letter, M), M.action)
+        return Combination(B.dim, {(j, j): RF_ONE for j in range(B.dim)})
+    W = fold_word(_WORD_MATRICES, B, identity,
+                  tuple(g for g in letters if g != "l" or not pulled),
+                  partial(_letter, B), B.action)
+    return W if s > 0 else -W
 
 
 def _evaluate(w, word):
@@ -183,11 +222,8 @@ def _eigen_exponent(c):
     if c.den != RF_ONE.den or len(c.num.c) != 1:
         return None
     (a, coeff), = c.num.c.items()
-    if coeff == 1:
-        return ("+", a)
-    if coeff == -1:
-        return ("-", a)
-    return None
+    sign = {1: "+", -1: "-"}.get(coeff)
+    return (sign, a) if sign else None
 
 
 def weight_table(M):
@@ -228,45 +264,29 @@ def casimir_scalar(M):
 
 
 def casimir_scalar_formula(kind, sign, n):
-    """Closed form of the Casimir scalar on each simple module."""
-    vm = v_power(1) - v_power(-1)
-    if kind == "L0":
-        val = (v_power(n) + v_power(-n - 2)) / vm
-    elif kind == "L1":
-        val = (v_power(n + 2) + v_power(-n)) / vm
-    elif kind == "L01":
-        val = (v_power(n) + v_power(-n)) / vm
-    else:
+    """Closed form of the Casimir scalar on each simple module: (v^a + v^b)
+    / (v - v^-1) on the + module, negated by the twist on the - one."""
+    if kind not in KINDS:
         raise ValueError(f"unknown module kind {kind!r}")
+    a, b = {"L0": (n, -n - 2), "L1": (n + 2, -n), "L01": (n, -n)}[kind]
+    val = (v_power(a) + v_power(b)) / (v_power(1) - v_power(-1))
     return val if sign == "+" else -val
 
 
 def irreducible_weight_table(kind, sign, n):
-    """Weight table of a simple module, from the basis descriptions."""
-    table = {}
-    if kind == "L0":
-        rows = [(n - 2 * i, 0) for i in range(n + 1)]
-    elif kind == "L1":
-        rows = [(n - 2 * i, 1) for i in range(n + 1)]
-    elif kind == "L01":
-        rows = ([(n - 2 * i, 0) for i in range(n)]
-                + [(n - 2 * j, 1) for j in range(1, n + 1)])
-    else:
-        raise ValueError(f"unknown module kind {kind!r}")
-    for a, eps in rows:
-        key = (sign, a, eps)
-        table[key] = table.get(key, 0) + 1
-    return table
+    """Weight table of a simple module, from the basis description: m_(i,eps)
+    has weight (sign, n - 2i, eps), and no two share one."""
+    return {(sign, n - 2 * i, eps): 1 for i, eps in _basis(kind, n)}
 
 
 def decompose_weight_table(table):
     """Express a weight table as a sum of irreducible ones.
 
-    Returns {(kind, sign, n): multiplicity} with positive multiplicities.
-    Weights split into independent chains by sign and by the parity of the
-    k-exponent; within a chain the candidate modules L0(n), L1(n), L01(n)
-    give an integer linear system with a unique solution when one exists.
-    Raises ValueError("not a module weight table") otherwise.
+    Returns {(kind, sign, n): multiplicity} with positive multiplicities,
+    peeled off each sign from the largest |a| down: with the larger modules
+    taken off, only L1(n) reaches (n, 1), only L0(n) reaches (-n, 0), and
+    then only L01(n) reaches (n, 0).  Raises ValueError("not a module weight
+    table") on a negative count or a weight left over.
     """
     clean = {}
     for key, mult in table.items():
@@ -278,38 +298,19 @@ def decompose_weight_table(table):
         if mult:
             clean[(sign, int(a), eps)] = int(mult)
 
-    out = {}
-    chains = {(sign, a % 2) for sign, a, _ in clean}
-    for sign, parity in sorted(chains):
-        rows = {(a, eps): m for (s, a, eps), m in clean.items()
-                if s == sign and a % 2 == parity}
-        top = max(abs(a) for a, _ in rows)
-        ns = range(parity, top + 1, 2)
-        columns = {}
-        for n in ns:
-            for kind in KINDS:
-                if kind == "L01" and n == 0:
+    out, left = {}, dict(clean)
+    for sign in SIGNS:
+        for n in sorted({abs(a) for s, a, _ in clean if s == sign},
+                        reverse=True):
+            for kind, a, eps in (("L1", n, 1), ("L0", -n, 0), ("L01", n, 0)):
+                m = left.get((sign, a, eps), 0)
+                if not m:
                     continue
-                col = {}
-                for (s, a, eps), m in irreducible_weight_table(kind, sign, n).items():
-                    col[(a, eps)] = col.get((a, eps), 0) + m
-                columns[(kind, n)] = col
-        equations = []
-        rhs = []
-        for a in range(-top, top + 1, 2):
-            for eps in (0, 1):
-                eq = {var: Fraction(col[(a, eps)])
-                      for var, col in columns.items() if (a, eps) in col}
-                equations.append(eq)
-                rhs.append(Fraction(rows.get((a, eps), 0)))
-        try:
-            sol = solve_unique(equations, rhs)
-        except ValueError:
-            raise ValueError("not a module weight table") from None
-        for (kind, n), value in sol.items():
-            value = Fraction(value)
-            if value < 0 or value.denominator != 1:
-                raise ValueError("not a module weight table")
-            if value:
-                out[(kind, sign, n)] = int(value)
+                for key, k in irreducible_weight_table(kind, sign, n).items():
+                    left[key] = left.get(key, 0) - m * k
+                    if left[key] < 0:
+                        raise ValueError("not a module weight table")
+                out[(kind, sign, n)] = m
+    if any(left.values()):
+        raise ValueError("not a module weight table")
     return out

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirabolic import checks, pbw, reps
+from mirabolic.linalg import Combination, fold_word, solve_unique
 from mirabolic.qv import (RF_ONE, RF_ZERO, format_coeff, quantum_integer,
                           rf_const, v_power)
 from mirabolic.schur_algebra import GeneratorWord
@@ -218,6 +221,132 @@ def test_decompose_random_multisets():
             for w, m in reps.irreducible_weight_table(kind, sign, n).items():
                 total[w] = total.get(w, 0) + m * mult
         assert reps.decompose_weight_table(total) == picks
+
+
+def _solved_weight_table(table):
+    """The decomposition by exact elimination over Q, one unknown per
+    candidate module of each chain (sign, parity of a): the reference that
+    the peel of decompose_weight_table replaced."""
+    clean = {}
+    for key, mult in table.items():
+        sign, a, eps = key
+        if sign not in reps.SIGNS or eps not in (0, 1) or a != int(a):
+            raise ValueError(f"bad weight {key!r}")
+        if mult < 0 or mult != int(mult):
+            raise ValueError(f"bad multiplicity {mult!r} at {key!r}")
+        if mult:
+            clean[(sign, int(a), eps)] = int(mult)
+    out = {}
+    for sign, parity in sorted({(sign, a % 2) for sign, a, _ in clean}):
+        rows = {(a, eps): m for (s, a, eps), m in clean.items()
+                if s == sign and a % 2 == parity}
+        top = max(abs(a) for a, _ in rows)
+        columns = {(kind, n): {(a, eps): m for (_, a, eps), m in
+                               reps.irreducible_weight_table(kind, sign,
+                                                             n).items()}
+                   for n in range(parity, top + 1, 2) for kind in reps.KINDS
+                   if kind != "L01" or n}
+        weights = [(a, eps) for a in range(-top, top + 1, 2) for eps in (0, 1)]
+        try:
+            sol = solve_unique(
+                [{var: Fraction(col[w]) for var, col in columns.items()
+                  if w in col} for w in weights],
+                [Fraction(rows.get(w, 0)) for w in weights])
+        except ValueError:
+            raise ValueError("not a module weight table") from None
+        for (kind, n), value in sol.items():
+            value = Fraction(value)
+            if value < 0 or value.denominator != 1:
+                raise ValueError("not a module weight table")
+            if value:
+                out[(kind, sign, n)] = int(value)
+    return out
+
+
+def _outcome(decompose, table):
+    try:
+        return decompose(table)
+    except ValueError as ex:
+        return str(ex)
+
+
+def test_peel_matches_elimination():
+    # sums of simples with n <= 7, a third of them with one entry moved by
+    # +-1 or one weight added, and random tables: the peel and exact
+    # elimination agree on every table, or both refuse it with one message
+    rng = random.Random(26)
+    cands = [(M.kind, M.sign, M.n) for M in checks.simple_modules(7)]
+    refused = 0
+    for i in range(2400):
+        table = {}
+        if i % 4 == 3:
+            for _ in range(rng.randint(1, 6)):
+                key = (rng.choice(reps.SIGNS), rng.randint(-7, 7),
+                       rng.randint(0, 1))
+                table[key] = rng.randint(0, 3)
+        else:
+            for _ in range(rng.randint(1, 5)):
+                mult = rng.randint(1, 3)
+                for w, m in reps.irreducible_weight_table(
+                        *rng.choice(cands)).items():
+                    table[w] = table.get(w, 0) + m * mult
+            if i % 3 == 0:
+                key = rng.choice(sorted(table) + [(rng.choice(reps.SIGNS),
+                                                   rng.randint(-8, 8),
+                                                   rng.randint(0, 1))])
+                table[key] = max(0, table.get(key, 0) + rng.choice((-1, 1)))
+        got = _outcome(reps.decompose_weight_table, table)
+        assert got == _outcome(_solved_weight_table, table), table
+        refused += isinstance(got, str)
+    assert 500 < refused < 1500
+
+
+def _private_copy(M):
+    return reps.IrreducibleModule(M.kind, M.sign, M.n, M.basis,
+                                  {g: [dict(col) for col in cols]
+                                   for g, cols in M.action.items()})
+
+
+def _own_matrix(M, letters):
+    """The matrix of letters folded on M's own columns, no memo."""
+    return fold_word(None, None, lambda: Combination(
+        M.dim, {(j, j): RF_ONE for j in range(M.dim)}), tuple(letters),
+        partial(reps._letter, M), M.action)
+
+
+def test_word_matrices_read_from_two_bases():
+    # every simple with n <= 5 and every word of at most 3 letters: the
+    # matrix read from the module's base is the one of its own columns
+    words = [w for n in range(4) for w in product(pbw.GENERATORS, repeat=n)]
+    bases = set()
+    for M in checks.simple_modules(5):
+        B = reps._base(M)[0]
+        assert (B.sign, B.kind) == ("+", "L01" if M.kind == "L01" else "L1")
+        bases.add(B)
+        for w in words:
+            assert reps.word_matrix(M, w) == _own_matrix(M, w), (M.name, w)
+    assert len(bases) == 6 + 5
+
+
+@pytest.mark.parametrize("kind", reps.KINDS)
+def test_changed_private_module_is_its_own_base(kind):
+    # a private copy of L-(2,.) with one e entry changed: its matrices come
+    # from its own columns, not its base's, and one relation fails on it
+    shared = reps.build_module(kind, "-", 2)
+    M = _private_copy(shared)
+    assert reps._base(M)[0] is not M      # an unchanged copy reads the base
+    M = _private_copy(shared)
+    col = M.action["e"][1]
+    (i, c), = col.items()
+    col[i] = c + RF_ONE
+    assert reps._base(M)[0] is M
+    for w in [(), ("e",), ("f", "e"), ("e", "l", "k"), ("l", "e", "f")]:
+        assert reps.word_matrix(M, w) == _own_matrix(M, w), w
+    assert reps.word_matrix(M, ("e",)) != reps.word_matrix(shared, ("e",))
+    assert checks.failures(checks.relations(
+        checks.linear_side(partial(reps.word_matrix, M))))
+    assert not checks.failures(checks.relations(
+        checks.linear_side(partial(reps.word_matrix, shared))))
 
 
 def test_build_module_is_shared_and_bounded():
