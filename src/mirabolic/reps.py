@@ -138,17 +138,16 @@ def _letter(M, g, y):
     return y.apply(lambda key: {(i, key[1]): a for i, a in cols[key[0]].items()})
 
 
-# an eighth: all 2,726 word matrices of a pbw-modules batch took 2 MiB more RSS
+# an eighth: a pbw-modules batch's 3,530 word matrices took 2.5 MiB more RSS
 _WORD_MATRICES = LruMemo(FOLD_MEMO_TERMS // 8)
 
 
 def _base(M):
-    """(B, signs, pulled), found once: a word acts on M as on B, without its
-    l letters if pulled, times signs[g] per letter g.  B is L+(n,01) for L01
-    and V(n) = L+(n,1) else, if M's columns are B's times signs: -1 on e, k,
-    k^-1 for a - module, 0 on l for L0, else 1; if not, M is its own base."""
+    """(B, signs, key), found once: M's columns are B's times signs[g], with
+    B = L+(n,01) or V(n) = L+(n,1) and signs -1 on e, k, k^-1 for a - module,
+    0 on l for L0, else 1.  A module whose columns differ is its own B."""
     if M.base is None:
-        M.base = M, dict.fromkeys(M.action, 1), False
+        M.base = M, dict.fromkeys(M.action, 1), M
         try:
             B = build_module("L01" if M.kind == "L01" else "L1", "+", M.n)
         except ValueError:
@@ -160,23 +159,23 @@ def _base(M):
                 M.action[g] == [{i: t * c for i, c in col.items() if t}
                                 for col in B.action[g]]
                 for g, t in signs.items()):
-            M.base = B, signs, M.kind != "L01"
+            M.base = B, signs, (B.kind, B.sign, B.n)
     return M.base
 
 
 def word_matrix(M, letters):
-    """The matrix of a letter word on M keyed by (row, column), folded on
-    M's base from the identity by `fold_word`, which memoises every suffix
-    under the base: shared and read-only unless its sign is -1."""
-    B, signs, pulled = _base(M)
+    """The matrix of a letter word on M keyed by (row, column): its base's
+    times the signs of its letters.  `fold_word` memoises every suffix under
+    the base's key, (kind, sign, n) for V(n) and L+(n,01) and the module for
+    one that is its own base: shared and read-only unless its sign is -1."""
+    B, signs, key = _base(M)
     s = prod(signs.get(g, 1) for g in letters)
     if not s and signs.keys() >= set(letters):
         return Combination(M.dim)
 
     def identity():
         return Combination(B.dim, {(j, j): RF_ONE for j in range(B.dim)})
-    W = fold_word(_WORD_MATRICES, B, identity,
-                  tuple(g for g in letters if g != "l" or not pulled),
+    W = fold_word(_WORD_MATRICES, key, identity, tuple(letters),
                   partial(_letter, B), B.action)
     return W if s > 0 else -W
 
@@ -222,8 +221,11 @@ def _eigen_exponent(c):
     if c.den != RF_ONE.den or len(c.num.c) != 1:
         return None
     (a, coeff), = c.num.c.items()
-    sign = {1: "+", -1: "-"}.get(coeff)
-    return (sign, a) if sign else None
+    if coeff == 1:
+        return ("+", a)
+    if coeff == -1:
+        return ("-", a)
+    return None
 
 
 def weight_table(M):
@@ -264,12 +266,16 @@ def casimir_scalar(M):
 
 
 def casimir_scalar_formula(kind, sign, n):
-    """Closed form of the Casimir scalar on each simple module: (v^a + v^b)
-    / (v - v^-1) on the + module, negated by the twist on the - one."""
-    if kind not in KINDS:
+    """Closed form of the Casimir scalar on each simple module."""
+    vm = v_power(1) - v_power(-1)
+    if kind == "L0":
+        val = (v_power(n) + v_power(-n - 2)) / vm
+    elif kind == "L1":
+        val = (v_power(n + 2) + v_power(-n)) / vm
+    elif kind == "L01":
+        val = (v_power(n) + v_power(-n)) / vm
+    else:
         raise ValueError(f"unknown module kind {kind!r}")
-    a, b = {"L0": (n, -n - 2), "L1": (n + 2, -n), "L01": (n, -n)}[kind]
-    val = (v_power(a) + v_power(b)) / (v_power(1) - v_power(-1))
     return val if sign == "+" else -val
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirabolic import checks, pbw, reps
-from mirabolic.linalg import Combination, fold_word, solve_unique
+from mirabolic.linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, fold_word,
+                              solve_unique)
 from mirabolic.qv import (RF_ONE, RF_ZERO, format_coeff, quantum_integer,
                           rf_const, v_power)
 from mirabolic.schur_algebra import GeneratorWord
@@ -328,25 +329,42 @@ def test_word_matrices_read_from_two_bases():
     assert len(bases) == 6 + 5
 
 
+@pytest.mark.parametrize("g", ["e", "l"])
 @pytest.mark.parametrize("kind", reps.KINDS)
-def test_changed_private_module_is_its_own_base(kind):
-    # a private copy of L-(2,.) with one e entry changed: its matrices come
-    # from its own columns, not its base's, and one relation fails on it
+def test_changed_private_module_is_its_own_base(kind, g):
+    # a private copy of L-(2,.) with g m_1 = 2 m_1: its matrices come from
+    # its own columns, not its base's, and a relation fails on it (l^2 = l
+    # if l changed: l letters are folded on the l columns, never dropped)
     shared = reps.build_module(kind, "-", 2)
     M = _private_copy(shared)
     assert reps._base(M)[0] is not M      # an unchanged copy reads the base
     M = _private_copy(shared)
-    col = M.action["e"][1]
-    (i, c), = col.items()
-    col[i] = c + RF_ONE
+    M.action[g][1] = {1: rf_const(2)}
     assert reps._base(M)[0] is M
-    for w in [(), ("e",), ("f", "e"), ("e", "l", "k"), ("l", "e", "f")]:
+    for w in [(), ("e",), ("l",), ("l", "l"), ("f", "e"), ("e", "l", "k"),
+              ("l", "e", "f")]:
         assert reps.word_matrix(M, w) == _own_matrix(M, w), w
-    assert reps.word_matrix(M, ("e",)) != reps.word_matrix(shared, ("e",))
-    assert checks.failures(checks.relations(
+    assert reps.word_matrix(M, (g,)) != reps.word_matrix(shared, (g,))
+    failed = checks.failures(checks.relations(
         checks.linear_side(partial(reps.word_matrix, M))))
+    assert failed and (g == "e" or "l^2 = l" in failed)
     assert not checks.failures(checks.relations(
         checks.linear_side(partial(reps.word_matrix, shared))))
+
+
+@pytest.mark.parametrize("sign", reps.SIGNS)
+def test_fault_in_the_base_l_column_shows_on_l1(monkeypatch, sign):
+    # the same fault in V(2) as build_module hands it out, and so in L(2,1)
+    # too: L(2,1) still reads from that base, and l^2 = l fails on it
+    base = _private_copy(reps.build_module("L1", "+", 2))
+    base.action["l"][0] = {0: rf_const(2)}
+    M = _private_copy(reps.build_module("L1", sign, 2))
+    M.action["l"][0] = {0: rf_const(2)}
+    monkeypatch.setattr(reps, "build_module", lambda kind, sign, n: base)
+    monkeypatch.setattr(reps, "_WORD_MATRICES", LruMemo(FOLD_MEMO_TERMS))
+    assert reps._base(M)[0] is base
+    assert "l^2 = l" in checks.failures(checks.relations(
+        checks.linear_side(partial(reps.word_matrix, M))))
 
 
 def test_build_module_is_shared_and_bounded():
