@@ -5,11 +5,11 @@ at the end are what `verify --suite` runs at the sizes it is given.
 """
 
 import random
-from functools import partial, reduce
-from operator import add
+from functools import partial
 
 from . import oracle, pbw, reps, tensor_space
 from .decorated import count_xi_tensor, enumerate_xi, row_col_sums
+from .linalg import linear_sum
 from .schur_algebra import SchurElement, apply_letter, eval_letters, mul_general
 
 
@@ -21,8 +21,7 @@ def failures(checks):
 def linear_side(word):
     """Evaluate a relation side, a tuple of (coefficient, letters) pairs,
     as sum c * word(letters) for a word evaluator returning a Combination."""
-    return lambda side: reduce(add, (word(letters).scale(c)
-                                     for c, letters in side))
+    return lambda side: linear_sum((c, word(letters)) for c, letters in side)
 
 
 def relations(side, prefix=""):

@@ -3,17 +3,17 @@
 Sparse vectors are dicts mapping hashable keys to nonzero coefficients:
 `bump` adds into one entry, `Combination` is the vector type behind the
 algebra, PBW, module and tensor-space elements, `fold_word` multiplies out
-a word on one through a bounded suffix memo (`LruMemo`), and elimination
-treats such dicts as matrix rows.  Coefficients need only +, -, *, / and
-truthiness (fractions.Fraction and the rational-function field alike); no
-floating point anywhere, so a reported rank or solution is exact.
+a word on one through a bounded suffix memo (`LruMemo`), `linear_sum` adds
+up c * word over an element's words, and elimination treats such dicts as
+rows.  Coefficients need only +, -, *, / and truthiness (Fraction and Q(v)
+alike); no floating point anywhere, so a reported rank or solution is exact.
 """
 
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import count
 
-from .qv import format_coeff, parse_coeff
+from .qv import RF_ONE, format_coeff, parse_coeff
 
 
 def bump(terms, key, c):
@@ -171,6 +171,7 @@ class LruMemo:
 FOLD_MEMO_TERMS = 1 << 16
 
 _NODE_IDS = count()
+_MINUS_ONE = -RF_ONE
 
 
 def fold_word(memo, root_key, root, letters, step, alphabet):
@@ -189,11 +190,29 @@ def fold_word(memo, root_key, root, letters, step, alphabet):
         for g in reversed(letters):
             x = step(g, x)
         return x
+    probe, touch = memo.entries.get, memo.entries.move_to_end
     node = memo.get(root_key) or _stored(memo, root_key, root())
     for g in reversed(letters):
         key = (node[0], g)
-        node = memo.get(key) or _stored(memo, key, step(g, node[1]))
+        got = probe(key)
+        if got:
+            touch(key)
+        node = got[0] if got else _stored(memo, key, step(g, node[1]))
     return node[1]
+
+
+def linear_sum(pairs):
+    """sum c * x over (c, x) pairs of Combinations of one type and degree,
+    in one dict, with no x written into; a lone x with c == 1 is returned."""
+    pairs = list(pairs)
+    if len(pairs) == 1 and pairs[0][0] == RF_ONE:
+        return pairs[0][1]
+    out = {}
+    for c, x in pairs:
+        one, minus = c == RF_ONE, c == _MINUS_ONE   # no Q(v) product by +-1
+        for k, c0 in x.terms.items():
+            bump(out, k, c0 if one else -c0 if minus else c * c0)
+    return pairs[0][1]._like(out) if pairs else Combination(None)
 
 
 def _stored(memo, key, x):

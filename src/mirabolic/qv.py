@@ -313,10 +313,11 @@ class RationalFunction:
         return bool(self.num.c)
 
     def __eq__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if type(other) is not RationalFunction:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.num.c == other.num.c and self.den.c == other.den.c
 
     def __hash__(self):
         if self._hash is None:
@@ -327,9 +328,10 @@ class RationalFunction:
         return RationalFunction._raw(-self.num, self.den)
 
     def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if len(d1.c) == 1 and len(d2.c) == 1:
             return RationalFunction._raw(n1 + n2, LP_ONE)
@@ -361,9 +363,10 @@ class RationalFunction:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not n1.c or not n2.c:
             return RF_ZERO

@@ -35,7 +35,8 @@ from math import prod
 from .qv import (RF_ONE, RF_ZERO, RationalFunction, quantum_integer, rf_const,
                  v_power)
 from . import pbw
-from .linalg import FOLD_MEMO_TERMS, Combination, LruMemo, fold_word
+from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
+                     linear_sum)
 from .schur_algebra import GeneratorWord
 
 KINDS = ("L0", "L1", "L01")
@@ -134,8 +135,11 @@ def build_module(kind, sign, n):
 
 def _letter(M, g, y):
     """g applied to y keyed by (row, column): all its columns at once."""
-    cols = M.action[g]
-    return y.apply(lambda key: {(i, key[1]): a for i, a in cols[key[0]].items()})
+    cols, out = M.action[g], {}
+    for (r, j), c in y.terms.items():
+        for i, a in cols[r].items():
+            bump(out, (i, j), c * a)
+    return y._like(out)
 
 
 # an eighth: a pbw-modules batch's 3,530 word matrices took 2.5 MiB more RSS
@@ -163,37 +167,37 @@ def _base(M):
     return M.base
 
 
-def word_matrix(M, letters):
-    """The matrix of a letter word on M keyed by (row, column): its base's
-    times the signs of its letters.  `fold_word` memoises every suffix under
-    the base's key, (kind, sign, n) for V(n) and L+(n,01) and the module for
-    one that is its own base: shared and read-only unless its sign is -1."""
+def _signed_word(M, letters):
+    """(s, W): a letter word's matrix on M keyed by (row, column) is s * W,
+    s its letters' signs and W its base's, read-only: `fold_word` memoises
+    every suffix under (kind, sign, n) of V(n) or L+(n,01), or under M."""
     B, signs, key = _base(M)
     s = prod(signs.get(g, 1) for g in letters)
     if not s and signs.keys() >= set(letters):
-        return Combination(M.dim)
+        return 0, Combination(M.dim)
 
     def identity():
         return Combination(B.dim, {(j, j): RF_ONE for j in range(B.dim)})
-    W = fold_word(_WORD_MATRICES, key, identity, tuple(letters),
-                  partial(_letter, B), B.action)
+    return s, fold_word(_WORD_MATRICES, key, identity, tuple(letters),
+                        partial(_letter, B), B.action)
+
+
+def word_matrix(M, letters):
+    """s * W of `_signed_word`: shared and read-only unless s is -1."""
+    s, W = _signed_word(M, letters)
     return W if s > 0 else -W
 
 
 def _evaluate(w, word):
-    """w as sum c * word(letters) over its (c, letters) words."""
+    """Sum c * s * W over w's words (c, letters), (s, W) = word(letters)."""
     if isinstance(w, GeneratorWord):
         words = [(w.scalar, w.letters)]
     elif isinstance(w, pbw.PbwElement):
         words = [(c, mono.letters()) for mono, c in w.terms.items()]
     else:
         raise TypeError(f"cannot act by {type(w).__name__}")
-    total = Combination(None)
-    for c, letters in words:
-        y = word(letters) if c == RF_ONE else word(letters).scale(c)
-        total = total + y if total else y
-        del y   # one word's matrix alive at a time
-    return total
+    return linear_sum(((c if s > 0 else -c, W) for c, letters in words
+                       for s, W in [word(letters)]))
 
 
 def act(w, M, vec):
@@ -203,15 +207,15 @@ def act(w, M, vec):
         raise ValueError(f"vector has length {len(vec)}, module has dim {M.dim}")
     x = Combination(M.dim, {(i, 0): c if isinstance(c, RationalFunction)
                             else rf_const(c) for i, c in enumerate(vec)})
-    out = _evaluate(w, lambda letters: fold_word(
-        None, None, lambda: x, letters, partial(_letter, M), M.action)).terms
+    out = _evaluate(w, lambda letters: (1, fold_word(
+        None, None, lambda: x, letters, partial(_letter, M), M.action))).terms
     return [out.get((i, 0), RF_ZERO) for i in range(M.dim)]
 
 
 def action_matrix(w, M):
     """Matrix of a word or normal-form element in the module's basis."""
     rows = [[RF_ZERO] * M.dim for _ in range(M.dim)]
-    for (i, j), c in _evaluate(w, partial(word_matrix, M)).terms.items():
+    for (i, j), c in _evaluate(w, partial(_signed_word, M)).terms.items():
         rows[i][j] = c
     return rows
 
@@ -258,7 +262,7 @@ def weight_table(M):
 
 def casimir_scalar(M):
     """The scalar by which the central Casimir element acts."""
-    terms = _evaluate(pbw.casimir_element(), partial(word_matrix, M)).terms
+    terms = _evaluate(pbw.casimir_element(), partial(_signed_word, M)).terms
     c = terms.get((0, 0), RF_ZERO)
     if terms != {(p, p): c for p in range(M.dim) if c}:
         raise ValueError("Casimir element does not act by a scalar")

@@ -65,6 +65,21 @@ def test_eviction_keeps_every_word(monkeypatch, module, attr, evaluate):
     assert len(set(ids)) == len(ids)
 
 
+@pytest.mark.parametrize("module, attr, evaluate", EVALUATORS,
+                         ids=[attr for _, attr, _ in EVALUATORS])
+def test_read_suffixes_become_most_recent(monkeypatch, module, attr,
+                                          evaluate):
+    # a word read again moves its root and suffixes to the recent end of
+    # the memo, past what another word stored in between
+    memo = LruMemo(FOLD_MEMO_TERMS)
+    monkeypatch.setattr(module, attr, memo)
+    evaluate(("e", "f"))
+    first = list(memo.entries)
+    evaluate(("k",))
+    evaluate(("e", "f"))
+    assert len(first) == 3 and list(memo.entries)[-3:] == first
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(WORDS_8)
 def test_normal_form_is_the_plain_fold(letters):

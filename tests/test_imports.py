@@ -4,6 +4,8 @@ method of the package is read somewhere in the repository: dead-code checks
 with no linter."""
 
 import ast
+import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -220,3 +222,13 @@ def test_oracle_shares_no_rule_with_the_engine():
     # element type it answers in, so the two stay independent checks
     source = (ROOT / "src" / "mirabolic" / "oracle.py").read_text("utf-8")
     assert schur_names_imported(source) <= {"SchurElement"}
+
+
+def test_docstring_examples_pass():
+    # every module but __main__, which runs the command line on import
+    for path in SRC:
+        if path.stem != "__main__":
+            module = importlib.import_module(
+                "mirabolic" + ("" if path.stem == "__init__"
+                               else "." + path.stem))
+            assert doctest.testmod(module).failed == 0, path.name

@@ -351,3 +351,54 @@ def test_unit_denominator_agrees_with_the_gcd_path(num, unit):
         _pair(RationalFunction(num * p, unit * p))
     assert _pair(RationalFunction(unit).inverse()) == \
         _pair(RationalFunction(LaurentPolynomial({0: 1}) * p, unit * p))
+
+
+def test_mixed_operands_coerce_or_are_refused():
+    # ints and Fractions are read as constants on either side; strings,
+    # bools and floats are not Q(v) elements
+    half = rf_const(Fraction(1, 2))
+    assert RF_ONE == 1 and 1 == RF_ONE
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half + 1 == rf_const(Fraction(3, 2)) == 1 + half
+    assert 2 * half == RF_ONE == half * 2
+    x = v_power(1)
+    assert (x == "v") is False and x != "v"
+    for build in (lambda: x * "v", lambda: x + "v", lambda: "v" * x,
+                  lambda: x + True, lambda: False * x, lambda: x * 1.0,
+                  lambda: 0.5 + x):
+        with pytest.raises(TypeError):
+            build()
+    assert x != 1.0 and x != True  # noqa: E712
+
+
+def test_equal_values_by_different_routes_hash_equal():
+    routes = [quantum_integer(2), v_power(1) + v_power(-1),
+              parse_coeff("v+v^-1"),
+              (v_power(2) - v_power(-2)) / (v_power(1) - v_power(-1)),
+              RationalFunction(LaurentPolynomial({2: 1, 0: 1}),
+                               LaurentPolynomial({1: 1}))]
+    assert all(r == routes[0] for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+
+
+class _Routed(RationalFunction):
+    """A RationalFunction that is not of the exact type, so an operator
+    handed one as its right operand takes the `_coerce_rf` route."""
+
+    __slots__ = ()
+
+
+def _routed(x):
+    out = _Routed.__new__(_Routed)
+    out.num, out.den, out._hash = x.num, x.den, None
+    return out
+
+
+@FIELD
+@given(ELEMENTS, ELEMENTS)
+def test_same_type_operators_match_the_coerced_route(x, y):
+    for op in (RationalFunction.__add__, RationalFunction.__mul__):
+        assert _pair(op(x, y)) == _pair(op(x, _routed(y)))
+    want = x.num == y.num and x.den == y.den
+    assert RationalFunction.__eq__(x, y) is want
+    assert RationalFunction.__eq__(x, _routed(y)) is want

@@ -435,3 +435,54 @@ def test_lone_word_matrix_is_the_product_of_its_letters(scalar, letters):
         want = [[scalar * c for c in row] for row in want]
         got = reps.action_matrix(GeneratorWord(scalar, tuple(letters)), M)
         assert got == want, (M.kind, letters)
+
+
+def _summed(w, M):
+    """w's matrix on M summed the old way: each word's matrix, negated on
+    a sign -1, scaled unless its scalar is 1, then added."""
+    words = ([(w.scalar, w.letters)] if isinstance(w, GeneratorWord)
+             else [(c, mono.letters()) for mono, c in w.terms.items()])
+    total = Combination(None)
+    for c, letters in words:
+        y = reps.word_matrix(M, letters)
+        y = y if c == RF_ONE else y.scale(c)
+        total = total + y if total else y
+    return total
+
+
+def _dense(M, x):
+    return [[x.terms.get((i, j), RF_ZERO) for j in range(M.dim)]
+            for i in range(M.dim)]
+
+
+def test_one_pass_action_matches_the_summed_words():
+    # normal forms of every word of at most 3 letters on every simple with
+    # n <= 4, then the Casimir element, a zero scalar and the zero element
+    elements = [pbw.normalize_word(w) for n in range(4)
+                for w in product(pbw.GENERATORS, repeat=n)]
+    elements += [pbw.casimir_element(), pbw.PbwElement(),
+                 GeneratorWord(RF_ZERO, ("e", "l")),
+                 GeneratorWord(-v_power(1), ("f", "e"))]
+    for M in checks.simple_modules(4):
+        vec = [rf_const(j + 1) for j in range(M.dim)]
+        for w in elements:
+            want = _dense(M, _summed(w, M))
+            assert reps.action_matrix(w, M) == want, (M.name, w)
+            assert reps.act(w, M, vec) == [
+                sum((a * b for a, b in zip(row, vec)), RF_ZERO)
+                for row in want], (M.name, w)
+
+
+def test_lone_unit_word_is_the_shared_matrix():
+    # a + module hands back the memoised matrix itself; a sign -1 gives a
+    # fresh negated one and leaves the memo entry as it was
+    word = GeneratorWord(RF_ONE, ("e", "l", "f"))
+    M = reps.build_module("L01", "+", 3)
+    got = reps._evaluate(word, partial(reps._signed_word, M))
+    assert got is reps._signed_word(M, word.letters)[1]
+    minus = reps.build_module("L01", "-", 3)
+    s, W = reps._signed_word(minus, word.letters)
+    before = dict(W.terms)
+    got = reps._evaluate(word, partial(reps._signed_word, minus))
+    assert s == -1 and got is not W and got == -W
+    assert W.terms == before and reps._signed_word(M, word.letters)[1] is W
