@@ -16,21 +16,59 @@ the mark (i_j, j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class DecoratedMatrix:
-    a: tuple
-    delta: frozenset = field(default_factory=frozenset)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(tuple(int(x) for x in row)
-                                            for row in self.a))
-        object.__setattr__(self, "delta",
-                           frozenset((int(i), int(j)) for i, j in self.delta))
+class Record:
+    """Base of the package's immutable value types, which generate no code
+    at import.  A subclass names its fields in __slots__, sets them with
+    `_set` (object.__setattr__) and ends its __init__ with `_seal(*key)`,
+    key being the values that make it what it is.  A value then equals
+    only a value of its own type with an equal key, hashes that key once,
+    and refuses assignment."""
+
+    __slots__ = ("_key", "_hash")
+
+    def _seal(self, *key):
+        _set(self, "_key", key)
+        _set(self, "_hash", None)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        if self._hash is None:
+            _set(self, "_hash", hash(self._key))
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key!r}"
+
+
+class DecoratedMatrix(Record):
+    """A tuple of rows, each a tuple of ints, and an iterable of marks (i, j),
+    taken as given (from_json checks JSON); it stores its row and column
+    sums as `sums`."""
+
+    __slots__ = ("a", "delta", "sums")
+
+    def __init__(self, a, delta=frozenset()):
+        delta = frozenset(delta)
+        _set(self, "a", a)
+        _set(self, "delta", delta)
+        _set(self, "sums", (tuple(map(sum, a)), tuple(map(sum, zip(*a)))))
+        self._seal(a, delta)
 
     @property
     def n_rows(self):
@@ -42,7 +80,7 @@ class DecoratedMatrix:
 
     @property
     def d(self):
-        return sum(sum(row) for row in self.a)
+        return sum(self.sums[0])
 
     def entry(self, i, j):
         """1-based access."""
@@ -83,12 +121,17 @@ def _int_rows(obj, width=None):
         and all(type(x) is int for x in row) for row in obj)
 
 
-@dataclass(frozen=True)
-class MarkedSequence:
-    """A tuple and a frozenset of ints, taken as given (see from_json)."""
+class MarkedSequence(Record):
+    """A tuple of ints and an iterable of ints, taken as given (from_json
+    checks JSON)."""
 
-    seq: tuple
-    marks: frozenset = field(default_factory=frozenset)
+    __slots__ = ("seq", "marks")
+
+    def __init__(self, seq, marks=frozenset()):
+        marks = frozenset(marks)
+        _set(self, "seq", seq)
+        _set(self, "marks", marks)
+        self._seal(seq, marks)
 
     @property
     def d(self):
@@ -159,9 +202,7 @@ def row_col_sums(x):
     """(row sums, column sums) of the underlying matrix."""
     if isinstance(x, MarkedSequence):
         x = sequence_to_matrix(x)
-    ro = tuple(sum(row) for row in x.a)
-    co = tuple(sum(row[j] for row in x.a) for j in range(x.n_cols))
-    return ro, co
+    return x.sums
 
 
 def transpose_decorated(x):

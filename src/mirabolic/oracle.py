@@ -13,15 +13,14 @@ row-echelon bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, islice, product
 
 import numpy as np
 
-from .decorated import (ALL_DELTAS, DecoratedMatrix, decorated2, enumerate_xi,
-                        matrix_to_sequence, row_col_sums, sequence_to_matrix,
-                        validate)
+from .decorated import (ALL_DELTAS, DecoratedMatrix, Record, _set, decorated2,
+                        enumerate_xi, matrix_to_sequence, row_col_sums,
+                        sequence_to_matrix, validate)
 from .linalg import LruMemo
 from .qv import lagrange_interpolate, substitute_q
 from .schur_algebra import SchurElement
@@ -86,10 +85,6 @@ def rref(rows, p):
     return tuple(tuple(r) for r in m[:pivot_row] if any(r))
 
 
-def fp_rank(rows, p):
-    return len(rref(rows, p))
-
-
 def in_span(basis, vec, p):
     """Membership test against an echelon basis."""
     v = list(vec)
@@ -101,11 +96,16 @@ def in_span(basis, vec, p):
     return not any(v)
 
 
-@dataclass(frozen=True)
-class PrimeFieldSubspace:
-    p: int
-    d: int
-    basis: tuple
+class PrimeFieldSubspace(Record):
+    """A subspace of F_p^d by its echelon basis, taken as given."""
+
+    __slots__ = ("p", "d", "basis")
+
+    def __init__(self, p, d, basis):
+        _set(self, "p", p)
+        _set(self, "d", d)
+        _set(self, "basis", basis)
+        self._seal(p, d, basis)
 
     @staticmethod
     def from_rows(rows, d, p):
@@ -119,11 +119,16 @@ class PrimeFieldSubspace:
         return in_span(self.basis, vec, self.p)
 
 
-@dataclass(frozen=True)
-class FlagTriple:
-    F: tuple
-    Fp: tuple
-    v: tuple
+class FlagTriple(Record):
+    """Two flags, each a tuple of subspaces, and a vector of F_p^d."""
+
+    __slots__ = ("F", "Fp", "v")
+
+    def __init__(self, F, Fp, v):
+        _set(self, "F", F)
+        _set(self, "Fp", Fp)
+        _set(self, "v", v)
+        self._seal(F, Fp, v)
 
     @property
     def p(self):
@@ -157,30 +162,6 @@ def _subspace_count(d, r, p):
         num *= p ** (d - i) - 1
         den *= p ** (i + 1) - 1
     return num // den
-
-
-def enumerate_flags(d, p, kind):
-    """Flags over F_p^d: kind is "complete" or an integer r for the two-step
-    flag 0 <= F_1 <= F_p^d with dim F_1 = r.  The full space is implicit, so a
-    two-step flag is returned as a single subspace and a complete flag as the
-    chain of dimensions 1..d-1."""
-    _guard(p, d)
-    if kind == "complete":
-        chains = [()]
-        for r in range(1, d):
-            new = []
-            for chain in chains:
-                prev = chain[-1].basis if chain else ()
-                for basis in _all_subspace_bases(d, p, r):
-                    if all(in_span(basis, row, p) for row in prev):
-                        new.append(chain
-                                   + (PrimeFieldSubspace(p, d, basis),))
-            chains = new
-        return chains
-    r = int(kind)
-    if not 0 <= r <= d:
-        raise ValueError(f"two-step dimension {r} out of range")
-    return [(PrimeFieldSubspace(p, d, b),) for b in _all_subspace_bases(d, p, r)]
 
 
 # --- orbit classification ---------------------------------------------------
@@ -252,19 +233,6 @@ def canonical_representative(label, p):
         return PrimeFieldSubspace(p, d, tuple(rows))
     return FlagTriple((span(f_rows),),
                       tuple(span(unit[:e]) for e in ends[:-1]), tuple(v))
-
-
-def tensor_orbit_invariant(t):
-    """Marked sequence classifying a (two-step, complete, vector) triple:
-    that of its decorated 2 x d matrix."""
-    return matrix_to_sequence(orbit_invariant(t))
-
-
-def canonical_tensor_representative(ms, p):
-    """Distinguished (two-step, complete, vector) triple of a marked
-    sequence: that of its decorated 2 x d matrix, whose chain is the
-    standard coordinate flag."""
-    return canonical_representative(sequence_to_matrix(ms, 2), p)
 
 
 # --- the counting kernel -----------------------------------------------------
@@ -617,13 +585,17 @@ def _interpolated(outs, primes, d, count, bound=None):
     check the fit.  If an output's counts fail to interpolate (bound
     breach, or a check off the fit), the bound is doubled once, with the
     primes extended to 2 bound + 2 of them, so that one checks the new fit,
-    and the largest checked again against the size guard.
+    and the largest checked again against the size guard.  An output
+    counted 0 at every prime is skipped: the zero polynomial fits it, spare
+    nodes included.
     """
     if bound is None:
         bound = d * d
     counts = [[count(out, p) for out in outs] for p in primes]
     terms = {}
     for out, col in zip(outs, zip(*counts)):
+        if not any(col):
+            continue
         try:
             poly = lagrange_interpolate(list(zip(primes, col)), bound)
         except ValueError:

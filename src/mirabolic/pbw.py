@@ -28,10 +28,10 @@ its generator word evaluated in the convolution algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
+from .decorated import Record, _set
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
                      json_terms, stored_terms)
 from .oracle import SIZE_GUARD
@@ -45,24 +45,25 @@ GENERATORS = ("e", "f", "k", "k^-1", "l")
 _VM = v_power(1) - v_power(-1)
 
 
-@dataclass(frozen=True)
-class PbwMonomial:
+class PbwMonomial(Record):
     """One basis monomial; r counts f letters, s counts e letters."""
 
-    cls: int
-    r: int
-    s: int
-    t: int
+    __slots__ = ("cls", "r", "s", "t")
 
-    def __post_init__(self):
-        if self.cls not in (0, 1, 2, 3, 4, 5):
-            raise ValueError(f"unknown monomial class {self.cls}")
-        if self.r < 0 or self.s < 0:
+    def __init__(self, cls, r, s, t):
+        if cls not in (0, 1, 2, 3, 4, 5):
+            raise ValueError(f"unknown monomial class {cls}")
+        if r < 0 or s < 0:
             raise ValueError("negative exponent")
-        if self.cls == 2 and self.r == 0 and self.s == 0:
+        if cls == 2 and r == 0 and s == 0:
             raise ValueError("class 2 requires an e or f letter")
-        if self.cls in (3, 4, 5) and (self.r < 1 or self.s < 1):
-            raise ValueError(f"class {self.cls} requires both letter blocks")
+        if cls in (3, 4, 5) and (r < 1 or s < 1):
+            raise ValueError(f"class {cls} requires both letter blocks")
+        _set(self, "cls", cls)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "t", t)
+        self._seal(cls, r, s, t)
 
     def letters(self):
         """The monomial as a generator word, leftmost factor first."""

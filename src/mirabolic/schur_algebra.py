@@ -18,13 +18,12 @@ the tables below rely on that convention.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
 
 from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
-                        DecoratedMatrix, decorated2, decorations, diag2,
-                        transpose_decorated, validate)
+                        DecoratedMatrix, Record, _set, decorated2, decorations,
+                        diag2, transpose_decorated, validate)
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
                      stored_terms)
 from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff, q_bracket,
@@ -78,14 +77,6 @@ def _label(a11, a12, a21, a22, delta):
         if entries[p] <= 0:
             return None
     return decorated2(a11, a12, a21, a22, delta)
-
-
-def _row_sums(label):
-    return (label.a[0][0] + label.a[0][1], label.a[1][0] + label.a[1][1])
-
-
-def _col_sums(label):
-    return (label.a[0][0] + label.a[1][0], label.a[0][1] + label.a[1][1])
 
 
 # special multiplication keys ------------------------------------------------
@@ -311,9 +302,9 @@ def left_mul_special(key, x):
     kind = classify_special(key)
     if key.d != x.d:
         raise ValueError("mixed degrees")
-    margin = _col_sums(key)
+    margin = key.sums[1]
     return x.apply(lambda label: _special_column(kind, label)
-                   if _row_sums(label) == margin else {})
+                   if label.sums[0] == margin else {})
 
 
 def identity_element(d):
@@ -345,7 +336,7 @@ def apply_letter(letter, x):
 def _letter_column(letter, label):
     """apply_letter(letter, T_label) as {label: coefficient}, read-only; the
     e (f) table alone gives 0 when row 2 (row 1) is empty."""
-    r = label.a[0][0] + label.a[0][1]
+    r = label.sums[0][0]
     if letter in ("e", "f"):
         out = _special_column(letter, label)
     elif letter == "l":
@@ -364,10 +355,15 @@ def chevalley(d, which):
     return apply_letter(which, identity_element(d))
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    scalar: object
-    letters: tuple
+class GeneratorWord(Record):
+    """A scalar in Q(v) times a tuple of generator names."""
+
+    __slots__ = ("scalar", "letters")
+
+    def __init__(self, scalar, letters):
+        _set(self, "scalar", scalar)
+        _set(self, "letters", letters)
+        self._seal(scalar, letters)
 
     def __str__(self):
         body = " ".join(self.letters) if self.letters else "1"
@@ -689,7 +685,7 @@ class _Operators:
 def _basis_product(a, b):
     """The terms of T_a * T_b, memoised per pair; empty unless
     co(a) = ro(b)."""
-    if _col_sums(a) != _row_sums(b):
+    if a.sums[1] != b.sums[0]:
         return {}
     d = a.d
     return _cached(("mul", a, b), lambda: _blm(_Operators(d), a)(

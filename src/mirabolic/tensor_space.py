@@ -18,12 +18,12 @@ summed over two-row partitions lambda with |lambda| + s = d.  That shape is
 checked, not proved: the report labels agreement "conjecture-consistent".
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
 
-from .decorated import (MarkedSequence, count_xi_tensor, decorations,
-                        sequence_stats, sequence_to_matrix, validate)
+from .decorated import (MarkedSequence, Record, _set, count_xi_tensor,
+                        decorations, sequence_stats, sequence_to_matrix,
+                        validate)
 from .linalg import FOLD_MEMO_TERMS, Combination, LruMemo, rank_of_rows
 from .qv import RF_ONE, format_coeff, v_power
 from .reps import decompose_weight_table, format_module_name
@@ -174,22 +174,22 @@ def syt_count(partition):
     return factorial(n) // hooks
 
 
-@dataclass(frozen=True)
-class BipartitionLabel:
+class BipartitionLabel(Record):
     """A two-row partition paired with a column of at most two boxes."""
 
-    lam: tuple
-    s: int
+    __slots__ = ("lam", "s")
 
-    def __post_init__(self):
-        lam = tuple(int(p) for p in self.lam if p)
-        object.__setattr__(self, "lam", lam)
+    def __init__(self, lam, s):
+        lam = tuple(int(p) for p in lam if p)
         if len(lam) > 2 or any(p < 1 for p in lam):
             raise ValueError("partition must have at most two positive parts")
         if len(lam) == 2 and lam[0] < lam[1]:
             raise ValueError("partition parts must decrease")
-        if self.s not in (0, 1, 2):
+        if s not in (0, 1, 2):
             raise ValueError("column part must have 0, 1 or 2 boxes")
+        _set(self, "lam", lam)
+        _set(self, "s", s)
+        self._seal(lam, s)
 
     @property
     def d(self):

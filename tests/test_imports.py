@@ -52,6 +52,32 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def modules_imported(source):
+    """The top-level names of the absolute modules that the source
+    imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_checker_finds_imported_modules():
+    source = ("import os.path\nfrom dataclasses import dataclass\n"
+              "from . import qv\nfrom .linalg import bump\n")
+    assert modules_imported(source) == {"os", "dataclasses"}
+
+
+def test_no_dataclasses_in_the_package():
+    # a dataclass decorator generates and compiles its methods at every
+    # fresh import; the value types derive from decorated.Record instead
+    found = [p.name for p in SRC
+             if "dataclasses" in modules_imported(p.read_text("utf-8"))]
+    assert not found, "modules importing dataclasses: " + ", ".join(found)
+
+
 def names_read(trees):
     """Every name and attribute that the syntax trees read."""
     read = set()

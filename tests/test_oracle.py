@@ -10,7 +10,8 @@ import pytest
 
 from mirabolic import checks, oracle
 from mirabolic.decorated import (MarkedSequence, count_xi_tensor, decorated2,
-                                 diag2, enumerate_xi, row_col_sums)
+                                 diag2, enumerate_xi, matrix_to_sequence,
+                                 row_col_sums, sequence_to_matrix)
 from mirabolic.linalg import LruMemo
 from mirabolic.qv import (RF_ONE, lagrange_interpolate, rf_const,
                           substitute_q, v_power)
@@ -18,6 +19,49 @@ from mirabolic.schur_algebra import (SchurElement, chevalley, mul_general,
                                      one_key, x_key)
 from mirabolic.tensor_space import TensorElement, ell_action, k_action
 
+
+# --- brute-force references: flags, ranks and the tensor orbits -----------
+
+def enumerate_flags(d, p, kind):
+    """Flags over F_p^d: kind is "complete" or an integer r for the two-step
+    flag 0 <= F_1 <= F_p^d with dim F_1 = r.  The full space is implicit, so a
+    two-step flag is returned as a single subspace and a complete flag as the
+    chain of dimensions 1..d-1."""
+    oracle._guard(p, d)
+    if kind == "complete":
+        chains = [()]
+        for r in range(1, d):
+            new = []
+            for chain in chains:
+                prev = chain[-1].basis if chain else ()
+                for basis in oracle._all_subspace_bases(d, p, r):
+                    if all(oracle.in_span(basis, row, p) for row in prev):
+                        new.append(chain + (
+                            oracle.PrimeFieldSubspace(p, d, basis),))
+            chains = new
+        return chains
+    r = int(kind)
+    if not 0 <= r <= d:
+        raise ValueError(f"two-step dimension {r} out of range")
+    return [(oracle.PrimeFieldSubspace(p, d, b),)
+            for b in oracle._all_subspace_bases(d, p, r)]
+
+
+def fp_rank(rows, p):
+    return len(oracle.rref(rows, p))
+
+
+def tensor_orbit_invariant(t):
+    """Marked sequence classifying a (two-step, complete, vector) triple:
+    that of its decorated 2 x d matrix."""
+    return matrix_to_sequence(oracle.orbit_invariant(t))
+
+
+def canonical_tensor_representative(ms, p):
+    """Distinguished (two-step, complete, vector) triple of a marked
+    sequence: that of its decorated 2 x d matrix, whose chain is the
+    standard coordinate flag."""
+    return oracle.canonical_representative(sequence_to_matrix(ms, 2), p)
 
 
 # --- whole-space classification, by brute force over every triple ----------
@@ -28,7 +72,7 @@ def classify_all_pairs(d, p):
         raise ValueError("enumeration guard exceeded")
     subs = []
     for r in range(d + 1):
-        subs.extend(oracle.enumerate_flags(d, p, r))
+        subs.extend(enumerate_flags(d, p, r))
     vecs = list(product(range(p), repeat=d))
     sizes = {}
     for f in subs:
@@ -46,14 +90,14 @@ def classify_all_mixed(d, p):
         raise ValueError("enumeration guard exceeded")
     subs = []
     for r in range(d + 1):
-        subs.extend(oracle.enumerate_flags(d, p, r))
-    completes = oracle.enumerate_flags(d, p, "complete")
+        subs.extend(enumerate_flags(d, p, r))
+    completes = enumerate_flags(d, p, "complete")
     vecs = list(product(range(p), repeat=d))
     sizes = {}
     for f in subs:
         for ch in completes:
             for v in vecs:
-                ms = oracle.tensor_orbit_invariant(oracle.FlagTriple(f, ch, v))
+                ms = tensor_orbit_invariant(oracle.FlagTriple(f, ch, v))
                 sizes[ms] = sizes.get(ms, 0) + 1
     return sizes
 
@@ -61,7 +105,7 @@ def classify_all_mixed(d, p):
 def random_invertible(d, p, rng):
     while True:
         g = tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d))
-        if oracle.fp_rank(g, p) == d:
+        if fp_rank(g, p) == d:
             return g
 
 
@@ -82,11 +126,11 @@ def transform_triple(t, g):
 
 
 def test_enumerate_flags():
-    assert len(oracle.enumerate_flags(2, 2, 1)) == 3
-    assert len(oracle.enumerate_flags(3, 3, "complete")) == 52
-    assert len(oracle.enumerate_flags(2, 2, 0)) == 1
+    assert len(enumerate_flags(2, 2, 1)) == 3
+    assert len(enumerate_flags(3, 3, "complete")) == 52
+    assert len(enumerate_flags(2, 2, 0)) == 1
     # canonical echelon bases, no duplicates
-    lines = oracle.enumerate_flags(3, 2, 1)
+    lines = enumerate_flags(3, 2, 1)
     assert len({f[0].basis for f in lines}) == 7
 
 
@@ -117,7 +161,7 @@ def test_orbit_partition():
     for d in (1, 2, 3):
         for p in (2, 3):
             sizes = classify_all_pairs(d, p)
-            subs = sum(len(oracle.enumerate_flags(d, p, r))
+            subs = sum(len(enumerate_flags(d, p, r))
                        for r in range(d + 1))
             assert sum(sizes.values()) == subs * subs * p ** d
             assert set(sizes) == set(enumerate_xi(2, d))
@@ -128,7 +172,7 @@ def test_orbit_invariance_random_group_elements():
     d, p = 3, 3
     subs = []
     for r in range(d + 1):
-        subs.extend(oracle.enumerate_flags(d, p, r))
+        subs.extend(enumerate_flags(d, p, r))
     vecs = list(product(range(p), repeat=d))
     for _ in range(100):
         t = oracle.FlagTriple(rng.choice(subs), rng.choice(subs),
@@ -160,7 +204,7 @@ def _literal_table(rep, mid_dim, p, right_invariant):
     classifying (F, H, u) with `orbit_invariant` and (H, chain, v - u) with
     right_invariant for every H and every u."""
     counts = {}
-    for h in oracle.enumerate_flags(rep.d, p, mid_dim):
+    for h in enumerate_flags(rep.d, p, mid_dim):
         for u in product(range(p), repeat=rep.d):
             v_minus_u = tuple((a - b) % p for a, b in zip(rep.v, u))
             pair = (oracle.orbit_invariant(oracle.FlagTriple(rep.F, h, u)),
@@ -175,8 +219,8 @@ def _literal_conv_table(out, mid_dim, p):
 
 
 def _literal_mixed_table(out_ms, mid_dim, p):
-    return _literal_table(oracle.canonical_tensor_representative(out_ms, p),
-                          mid_dim, p, oracle.tensor_orbit_invariant)
+    return _literal_table(canonical_tensor_representative(out_ms, p),
+                          mid_dim, p, tensor_orbit_invariant)
 
 
 def test_conv_table_matches_literal_enumeration():
@@ -311,7 +355,7 @@ def test_tensor_orbit_examples():
     p = 3
     full = oracle.PrimeFieldSubspace.from_rows([(1,)], 1, p)
     t = oracle.FlagTriple((full,), (), (1,))
-    assert oracle.tensor_orbit_invariant(t) == \
+    assert tensor_orbit_invariant(t) == \
         MarkedSequence((1,), frozenset({1}))
     assert len(classify_all_mixed(2, 2)) == 13
 
@@ -322,9 +366,9 @@ def test_tensor_partition_and_counts():
             sizes = classify_all_mixed(d, p)
             assert set(sizes) == set(enumerate_xi(2, d, tensor=True))
             assert len(sizes) == count_xi_tensor(2, d)
-            subs = sum(len(oracle.enumerate_flags(d, p, r))
+            subs = sum(len(enumerate_flags(d, p, r))
                        for r in range(d + 1))
-            completes = len(oracle.enumerate_flags(d, p, "complete"))
+            completes = len(enumerate_flags(d, p, "complete"))
             assert sum(sizes.values()) == subs * completes * p ** d
 
 
@@ -332,8 +376,8 @@ def test_tensor_representative_round_trip():
     for d in (1, 2, 3):
         for p in (2, 3):
             for ms in enumerate_xi(2, d, tensor=True):
-                t = oracle.canonical_tensor_representative(ms, p)
-                assert oracle.tensor_orbit_invariant(t) == ms, (ms, p)
+                t = canonical_tensor_representative(ms, p)
+                assert tensor_orbit_invariant(t) == ms, (ms, p)
 
 
 def test_tensor_invariance_random_group_elements():
@@ -341,15 +385,15 @@ def test_tensor_invariance_random_group_elements():
     d, p = 3, 2
     subs = []
     for r in range(d + 1):
-        subs.extend(oracle.enumerate_flags(d, p, r))
-    completes = oracle.enumerate_flags(d, p, "complete")
+        subs.extend(enumerate_flags(d, p, r))
+    completes = enumerate_flags(d, p, "complete")
     vecs = list(product(range(p), repeat=d))
     for _ in range(100):
         t = oracle.FlagTriple(rng.choice(subs), rng.choice(completes),
                               rng.choice(vecs))
         g = random_invertible(d, p, rng)
-        assert oracle.tensor_orbit_invariant(transform_triple(t, g)) \
-            == oracle.tensor_orbit_invariant(t)
+        assert tensor_orbit_invariant(transform_triple(t, g)) \
+            == tensor_orbit_invariant(t)
 
 
 def test_constants_reject_composite_moduli():
@@ -636,6 +680,29 @@ def test_spare_node_catches_a_count_past_the_bound():
             ["x"], nodes, d, lambda out, p: seen.add(p) or p ** bound,
             bound=bound)
         assert got == {"x": v_power(2 * bound)} and seen == set(nodes)
+
+
+def test_all_zero_columns_are_not_fitted(monkeypatch):
+    # an output counted 0 at every node is skipped, not fitted to the zero
+    # polynomial; every product of a seeded d = 3 sample stays the engine's
+    fits = []
+    fit = oracle.lagrange_interpolate
+
+    def recording(points, degree_bound):
+        fits.append([y for _, y in points])
+        return fit(points, degree_bound)
+    monkeypatch.setattr(oracle, "lagrange_interpolate", recording)
+    d, pool = 3, oracle.primes_list(10)
+    outputs = 0
+    for left, right in random.Random(31).sample(checks.compatible_pairs(d),
+                                                16):
+        assert oracle.structure_constants(left, right, pool) == \
+            mul_general(SchurElement.basis(d, left),
+                        SchurElement.basis(d, right)), (left, right)
+        outputs += len(oracle._candidate_outputs(
+            d, row_col_sums(left)[0], row_col_sums(right)[1]))
+    assert fits and all(any(col) for col in fits)
+    assert len(fits) < outputs      # some columns were zero, and skipped
 
 
 def test_interpolation_primes():

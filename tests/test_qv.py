@@ -1,5 +1,6 @@
 """Coefficient field arithmetic and the serialization grammar."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,35 @@ def test_interpolation_errors():
         lagrange_interpolate([(2, 0), (4, 1)], 1)
     with pytest.raises(ValueError, match="nonnegative"):
         lagrange_interpolate([(2, 0)], -1)
+
+
+def test_integer_fit_equals_fraction_fit():
+    # seeded integer polynomials of degree <= 9 at primes: integer data
+    # takes the unscaled path, the same points as Fractions the scaled one
+    rng = random.Random(31)
+    primes = PRIMES10 + (31, 37, 41)
+    for _ in range(200):
+        poly = [rng.randint(-10 ** 9, 10 ** 9)
+                for _ in range(rng.randint(1, 10))]
+        bound = rng.randint(len(poly) - 1, 9)
+        pts = [(p, _value(poly, p)) for p in primes[:bound + 2]]
+        while len(poly) > 1 and poly[-1] == 0:
+            poly.pop()
+        as_fractions = [(Fraction(x), Fraction(y)) for x, y in pts]
+        assert lagrange_interpolate(pts, bound) == poly == \
+            lagrange_interpolate(as_fractions, bound)
+
+
+@pytest.mark.parametrize("points, bound, message", [
+    ([(2, 0), (4, 1)], 1, "non-integral"),
+    ([(2, 1), (3, 1), (2, 1)], 1, "distinct"),
+    ([(2, 1), (3, 1)], 2, "need 3 points"),
+])
+def test_both_fit_paths_raise_alike(points, bound, message):
+    as_fractions = [(Fraction(x), Fraction(y)) for x, y in points]
+    for pts in (points, as_fractions):
+        with pytest.raises(ValueError, match=message):
+            lagrange_interpolate(pts, bound)
 
 
 def test_substitute_q():
