@@ -24,16 +24,28 @@ _set = object.__setattr__
 
 class Record:
     """Base of the package's immutable value types, which generate no code
-    at import.  A subclass names its fields in __slots__, sets them with
-    `_set` (object.__setattr__) and ends its __init__ with `_seal(*key)`,
-    key being the values that make it what it is.  A value then equals
-    only a value of its own type with an equal key, hashes that key once,
-    and refuses assignment."""
+    at import.  A subclass names its fields in __slots__, and Record(*fields)
+    sets them in that order; a subclass that checks or converts its fields
+    does so in its own __init__ first.  A constructor on a hot path writes
+    its slots, then _key and _hash, through the writers in `_put`, which
+    skip object.__setattr__'s name lookup.  A value equals only a value of
+    its own type with equal fields, hashes them once, and refuses
+    assignment."""
 
     __slots__ = ("_key", "_hash")
 
-    def _seal(self, *key):
-        _set(self, "_key", key)
+    def __init_subclass__(cls):
+        cls._put = tuple(getattr(cls, name).__set__
+                         for name in cls.__slots__ + Record.__slots__)
+
+    def __init__(self, *fields):
+        names = type(self).__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields, got {len(fields)}")
+        for name, x in zip(names, fields):
+            _set(self, name, x)
+        _set(self, "_key", fields)
         _set(self, "_hash", None)
 
     def __eq__(self, other):
@@ -65,10 +77,12 @@ class DecoratedMatrix(Record):
 
     def __init__(self, a, delta=frozenset()):
         delta = frozenset(delta)
-        _set(self, "a", a)
-        _set(self, "delta", delta)
-        _set(self, "sums", (tuple(map(sum, a)), tuple(map(sum, zip(*a)))))
-        self._seal(a, delta)
+        put_a, put_delta, put_sums, put_key, put_hash = self._put
+        put_a(self, a)
+        put_delta(self, delta)
+        put_sums(self, (tuple(map(sum, a)), tuple(map(sum, zip(*a)))))
+        put_key(self, (a, delta))
+        put_hash(self, None)
 
     @property
     def n_rows(self):
@@ -128,10 +142,7 @@ class MarkedSequence(Record):
     __slots__ = ("seq", "marks")
 
     def __init__(self, seq, marks=frozenset()):
-        marks = frozenset(marks)
-        _set(self, "seq", seq)
-        _set(self, "marks", marks)
-        self._seal(seq, marks)
+        Record.__init__(self, seq, frozenset(marks))
 
     @property
     def d(self):

@@ -18,7 +18,7 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .decorated import (ALL_DELTAS, DecoratedMatrix, Record, _set, decorated2,
+from .decorated import (ALL_DELTAS, DecoratedMatrix, Record, decorated2,
                         enumerate_xi, matrix_to_sequence, row_col_sums,
                         sequence_to_matrix, validate)
 from .linalg import LruMemo
@@ -101,12 +101,6 @@ class PrimeFieldSubspace(Record):
 
     __slots__ = ("p", "d", "basis")
 
-    def __init__(self, p, d, basis):
-        _set(self, "p", p)
-        _set(self, "d", d)
-        _set(self, "basis", basis)
-        self._seal(p, d, basis)
-
     @staticmethod
     def from_rows(rows, d, p):
         return PrimeFieldSubspace(p, d, rref(rows, p))
@@ -123,12 +117,6 @@ class FlagTriple(Record):
     """Two flags, each a tuple of subspaces, and a vector of F_p^d."""
 
     __slots__ = ("F", "Fp", "v")
-
-    def __init__(self, F, Fp, v):
-        _set(self, "F", F)
-        _set(self, "Fp", Fp)
-        _set(self, "v", v)
-        self._seal(F, Fp, v)
 
     @property
     def p(self):

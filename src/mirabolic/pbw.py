@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain
 
-from .decorated import Record, _set
+from .decorated import Record
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
                      json_terms, stored_terms)
 from .oracle import SIZE_GUARD
@@ -59,11 +59,14 @@ class PbwMonomial(Record):
             raise ValueError("class 2 requires an e or f letter")
         if cls in (3, 4, 5) and (r < 1 or s < 1):
             raise ValueError(f"class {cls} requires both letter blocks")
-        _set(self, "cls", cls)
-        _set(self, "r", r)
-        _set(self, "s", s)
-        _set(self, "t", t)
-        self._seal(cls, r, s, t)
+        # built on every rewriting step: write the slots directly (Record)
+        put_cls, put_r, put_s, put_t, put_key, put_hash = self._put
+        put_cls(self, cls)
+        put_r(self, r)
+        put_s(self, s)
+        put_t(self, t)
+        put_key(self, (cls, r, s, t))
+        put_hash(self, None)
 
     def letters(self):
         """The monomial as a generator word, leftmost factor first."""

@@ -563,11 +563,10 @@ def lagrange_interpolate(points, degree_bound):
     first.  Raises ValueError when the data does not support such a
     polynomial.
 
-    The fit is integer arithmetic only: integer data is used as given, other
-    nodes and values are scaled to integers by the lcm of their
-    denominators, and each coefficient is an integer combination of the
-    values, divided exactly by the common denominator of the (cached)
-    Lagrange basis at those nodes.
+    The fit is integer arithmetic only: nodes and values are scaled to
+    integers by the lcm of their denominators, and each coefficient is an
+    integer combination of the values, divided exactly by the common
+    denominator of the (cached) Lagrange basis at those nodes.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -575,22 +574,16 @@ def lagrange_interpolate(points, degree_bound):
         raise ValueError(
             f"need {degree_bound + 1} points for degree {degree_bound}, "
             f"got {len(points)}")
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    k = degree_bound + 1
-    if all(type(t) is int for t in xs + ys):
-        sx = sy = 1
-        nodes, vals = tuple(xs[:k]), ys[:k]
-    else:
-        # P(x) = Q(sx x) / sy; Q has integer nodes sx x_i and values sy y_i
-        xs = [Fraction(x) for x in xs]
-        ys = [Fraction(y) for y in ys]
-        sx = lcm(*(x.denominator for x in xs[:k]))
-        sy = lcm(*(y.denominator for y in ys[:k]))
-        nodes = tuple(x.numerator * (sx // x.denominator) for x in xs[:k])
-        vals = [y.numerator * (sy // y.denominator) for y in ys[:k]]
+    xs = [x if type(x) is int else Fraction(x) for x, _ in points]
+    ys = [y if type(y) is int else Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must be distinct")
+    k = degree_bound + 1
+    # P(x) = Q(sx x) / sy, where Q has integer nodes sx x_i and values sy y_i
+    sx = lcm(*(x.denominator for x in xs[:k]))
+    sy = lcm(*(y.denominator for y in ys[:k]))
+    nodes = tuple(x.numerator * (sx // x.denominator) for x in xs[:k])
+    vals = [y.numerator * (sy // y.denominator) for y in ys[:k]]
     cols, den = _lagrange_basis(nodes)
     den *= sy
     poly = []

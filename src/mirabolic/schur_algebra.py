@@ -22,8 +22,8 @@ from functools import lru_cache, partial
 from math import comb
 
 from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
-                        DecoratedMatrix, Record, _set, decorated2, decorations,
-                        diag2, transpose_decorated, validate)
+                        DecoratedMatrix, Record, decorated2, decorations, diag2,
+                        transpose_decorated, validate)
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
                      stored_terms)
 from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff, q_bracket,
@@ -361,9 +361,12 @@ class GeneratorWord(Record):
     __slots__ = ("scalar", "letters")
 
     def __init__(self, scalar, letters):
-        _set(self, "scalar", scalar)
-        _set(self, "letters", letters)
-        self._seal(scalar, letters)
+        # built for every word evaluated or acted by: write the slots directly
+        put_scalar, put_letters, put_key, put_hash = self._put
+        put_scalar(self, scalar)
+        put_letters(self, letters)
+        put_key(self, (scalar, letters))
+        put_hash(self, None)
 
     def __str__(self):
         body = " ".join(self.letters) if self.letters else "1"

@@ -21,9 +21,8 @@ checked, not proved: the report labels agreement "conjecture-consistent".
 from itertools import product
 from math import comb, factorial
 
-from .decorated import (MarkedSequence, Record, _set, count_xi_tensor,
-                        decorations, sequence_stats, sequence_to_matrix,
-                        validate)
+from .decorated import (MarkedSequence, Record, count_xi_tensor, decorations,
+                        sequence_stats, sequence_to_matrix, validate)
 from .linalg import FOLD_MEMO_TERMS, Combination, LruMemo, rank_of_rows
 from .qv import RF_ONE, format_coeff, v_power
 from .reps import decompose_weight_table, format_module_name
@@ -187,9 +186,7 @@ class BipartitionLabel(Record):
             raise ValueError("partition parts must decrease")
         if s not in (0, 1, 2):
             raise ValueError("column part must have 0, 1 or 2 boxes")
-        _set(self, "lam", lam)
-        _set(self, "s", s)
-        self._seal(lam, s)
+        Record.__init__(self, lam, s)
 
     @property
     def d(self):

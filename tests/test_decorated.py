@@ -156,6 +156,17 @@ def test_values_equal_no_tuple_and_no_other_type():
     assert len({mono: 1, (5, 1, 2, -1): 2}) == 2
 
 
+def test_values_read_back_their_fields():
+    for x, fields in _values():
+        names = [n for n in type(x).__slots__ if n != "sums"]
+        assert tuple(getattr(x, n) for n in names) == fields, x
+        assert hash(x) == hash(fields), x
+    with pytest.raises(TypeError):
+        GeneratorWord(RF_ONE)
+    with pytest.raises(TypeError):
+        FlagTriple((), (), (1,), 0)
+
+
 def test_values_refuse_assignment():
     for x, _ in _values():
         name = type(x).__slots__[0]

@@ -207,7 +207,7 @@ def test_interpolation_errors():
 
 def test_integer_fit_equals_fraction_fit():
     # seeded integer polynomials of degree <= 9 at primes: integer data
-    # takes the unscaled path, the same points as Fractions the scaled one
+    # makes no Fraction, the same points given as Fractions must fit alike
     rng = random.Random(31)
     primes = PRIMES10 + (31, 37, 41)
     for _ in range(200):
@@ -227,7 +227,7 @@ def test_integer_fit_equals_fraction_fit():
     ([(2, 1), (3, 1), (2, 1)], 1, "distinct"),
     ([(2, 1), (3, 1)], 2, "need 3 points"),
 ])
-def test_both_fit_paths_raise_alike(points, bound, message):
+def test_int_and_fraction_data_raise_alike(points, bound, message):
     as_fractions = [(Fraction(x), Fraction(y)) for x, y in points]
     for pts in (points, as_fractions):
         with pytest.raises(ValueError, match=message):
