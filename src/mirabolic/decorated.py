@@ -17,18 +17,15 @@ the mark (i_j, j).
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
-
-_set = object.__setattr__
 
 
 class Record:
     """Base of the package's immutable value types, which generate no code
     at import.  A subclass names its fields in __slots__, and Record(*fields)
     sets them in that order; a subclass that checks or converts its fields
-    does so in its own __init__ first.  A constructor on a hot path writes
-    its slots, then _key and _hash, through the writers in `_put`, which
-    skip object.__setattr__'s name lookup.  A value equals only a value of
+    does so in its own __init__ first.  Constructors write the slots, then
+    _key and _hash, through the writers in `_put`, which skip
+    object.__setattr__'s name lookup.  A value equals only a value of
     its own type with equal fields, hashes them once, and refuses
     assignment."""
 
@@ -39,14 +36,12 @@ class Record:
                          for name in cls.__slots__ + Record.__slots__)
 
     def __init__(self, *fields):
-        names = type(self).__slots__
-        if len(fields) != len(names):
-            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+        put = self._put
+        if len(fields) != len(put) - 2:
+            raise TypeError(f"{type(self).__name__} takes {len(put) - 2} "
                             f"fields, got {len(fields)}")
-        for name, x in zip(names, fields):
-            _set(self, name, x)
-        _set(self, "_key", fields)
-        _set(self, "_hash", None)
+        for write, x in zip(put, fields + (fields, None)):
+            write(self, x)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -55,7 +50,7 @@ class Record:
 
     def __hash__(self):
         if self._hash is None:
-            _set(self, "_hash", hash(self._key))
+            self._put[-1](self, hash(self._key))
         return self._hash
 
     def __setattr__(self, name, value):
@@ -293,10 +288,8 @@ def count_xi_tensor(n, d):
                for k in range(min(n, d) + 1))
 
 
-class SequenceStats(NamedTuple):
-    ones: int
-    twos: int
-    inversions: int
+class SequenceStats(Record):
+    __slots__ = ("ones", "twos", "inversions")
 
 
 def sequence_stats(ms):

@@ -171,7 +171,6 @@ class LruMemo:
 FOLD_MEMO_TERMS = 1 << 16
 
 _NODE_IDS = count()
-_MINUS_ONE = -RF_ONE
 
 
 def fold_word(memo, root_key, root, letters, step, alphabet):
@@ -209,9 +208,8 @@ def linear_sum(pairs):
         return pairs[0][1]
     out = {}
     for c, x in pairs:
-        one, minus = c == RF_ONE, c == _MINUS_ONE   # no Q(v) product by +-1
         for k, c0 in x.terms.items():
-            bump(out, k, c0 if one else -c0 if minus else c * c0)
+            bump(out, k, c * c0)
     return pairs[0][1]._like(out) if pairs else Combination(None)
 
 

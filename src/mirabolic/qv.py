@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 
@@ -138,17 +138,13 @@ class LaurentPolynomial:
         return LaurentPolynomial._raw({k + n: _norm_rat(v * r)
                                        for k, v in self.c.items()})
 
-    def scale(self, r):
-        r = _norm_rat(r)
-        return self.shift(0, r) if r else LP_ZERO
-
     def __repr__(self):
         return f"LaurentPolynomial({_format_laurent(self)})"
 
 
 LP_ZERO = LaurentPolynomial()
 LP_ONE = LaurentPolynomial({0: 1})
-_ONE = LP_ONE.c     # x.c == _ONE tests x == 1 without a method call
+_ONE, _MINUS_ONE = LP_ONE.c, {0: -1}    # x.c == _ONE tests x == 1 cheaply
 
 
 def lp_v_power(n):
@@ -168,10 +164,7 @@ def _ip_trim(a):
 
 def _ip_primitive(a):
     """Divide by the gcd of the coefficients; sign is preserved."""
-    from math import gcd
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
+    g = gcd(*a)
     if g > 1:
         a = [x // g for x in a]
     return a
@@ -229,32 +222,25 @@ def _ip_exact_div(a, g):
 
 
 def _laurent_to_int_poly(p):
-    """Split a Laurent polynomial as content * v^shift * primitive int poly.
+    """Split a Laurent polynomial as g/den * v^shift * primitive int poly.
 
-    Returns (content: Fraction, shift: int, poly: list[int]).
+    Returns (g, den, shift, poly), all ints but the list poly.
     """
-    from math import gcd, lcm
     shift = min(p.c)
-    deg = max(p.c) - shift
-    den = 1
-    for v in p.c.values():
-        if not isinstance(v, int):
-            den = lcm(den, v.denominator)
-    ints = {}
-    g = 0
+    den = lcm(*(v.denominator for v in p.c.values()))
+    coeffs = [0] * (max(p.c) - shift + 1)
     for k, v in p.c.items():
-        n = v * den if isinstance(v, int) else v.numerator * (den // v.denominator)
-        ints[k - shift] = n
-        g = gcd(g, abs(n))
-    coeffs = [0] * (deg + 1)
-    for k, n in ints.items():
-        coeffs[k] = n // g
-    return Fraction(g, den), shift, coeffs
+        coeffs[k - shift] = v.numerator * (den // v.denominator)
+    g = gcd(*coeffs)
+    return g, den, shift, [n // g for n in coeffs]
 
 
-def _int_poly_to_laurent(coeffs, shift=0):
+def _int_poly_to_laurent(coeffs, shift=0, p=1, q=1):
+    """p/q v^shift times the int polynomial coeffs, for q > 0; a coefficient
+    is a Fraction only when it is not integral."""
     return LaurentPolynomial._raw(
-        {i + shift: c for i, c in enumerate(coeffs) if c})
+        {i + shift: p * c if q == 1 else _norm_rat(Fraction(p * c, q))
+         for i, c in enumerate(coeffs) if c})
 
 
 class RationalFunction:
@@ -276,7 +262,16 @@ class RationalFunction:
       terms) is an lru_cache of at most _REDUCE_MEMO_SIZE = 4096 pairs,
       keyed on the two read-only Laurent polynomials.  A pair of more than
       _REDUCE_MEMO_TERMS = 512 terms is reduced without it, so the memo's
-      memory stays bounded too.
+      memory stays bounded too.  It keeps contents and scalars as ints and
+      makes a Fraction only for a coefficient that is not integral.
+    - Hash-consing: a sum, product or negation whose operands hold at most
+      _OP_MEMO_TERMS = 16 Laurent terms in all is memoised on its operands
+      (an lru_cache of _OP_MEMO_SIZE = 4096 each), and its result is interned
+      in one more such cache, so equal memoised values are one shared object
+      and == tests identity first.  Larger operands, whose results are large
+      too, skip both.  Cheaper than a lookup, so kept out: a zero or +-1
+      factor (-1 returns the memoised negation) and a sum of two Laurent
+      polynomials.
     - Products: a factor equal to 1 returns the other operand.  Otherwise
       (n1/d1)(n2/d2) reduces n1/d2 to a/b and n2/d1 to c/e and returns
       (ac)/(be) as it stands.  It is canonical: a | n1 and e | d1, c | n2 and
@@ -313,6 +308,8 @@ class RationalFunction:
         return bool(self.num.c)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if type(other) is not RationalFunction:
             other = _coerce_rf(other)
             if other is NotImplemented:
@@ -325,28 +322,21 @@ class RationalFunction:
         return self._hash
 
     def __neg__(self):
-        return RationalFunction._raw(-self.num, self.den)
+        if len(self.num.c) + len(self.den.c) > _OP_MEMO_TERMS:
+            return RationalFunction._raw(-self.num, self.den)
+        return _memo_neg(self)
 
     def __add__(self, other):
         if type(other) is not RationalFunction:
             other = _coerce_rf(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if len(d1.c) == 1 and len(d2.c) == 1:
-            return RationalFunction._raw(n1 + n2, LP_ONE)
-        if len(d1.c) == 1 or len(d2.c) == 1:   # a sum over a unit: canonical
-            num, den = (n1 * d2 + n2, d2) if len(d1.c) == 1 else \
-                (n1 + n2 * d1, d1)
-            return RationalFunction._raw(num, den) if num.c else RF_ZERO
-        if d1 is d2 or d1 == d2:
-            num, den = n1 + n2, d1
-        else:
-            num, den = n1 * d2 + n2 * d1, d1 * d2
-        if not num.c:
-            return RF_ZERO
-        n, d = _rf_canonical(num, den)
-        return RationalFunction._raw(n, d)
+        n1, d1, n2, d2 = self.num.c, self.den.c, other.num.c, other.den.c
+        if len(d1) == 1 and len(d2) == 1:
+            return RationalFunction._raw(self.num + other.num, LP_ONE)
+        if len(n1) + len(d1) + len(n2) + len(d2) > _OP_MEMO_TERMS:
+            return _sum(self, other)
+        return _memo_sum(self, other)
 
     __radd__ = __add__
 
@@ -367,20 +357,16 @@ class RationalFunction:
             other = _coerce_rf(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1.c or not n2.c:
+        n1, d1, n2, d2 = self.num.c, self.den.c, other.num.c, other.den.c
+        if not n1 or not n2:
             return RF_ZERO
-        if n1.c == _ONE and len(d1.c) == 1:
-            return other
-        if n2.c == _ONE and len(d2.c) == 1:
-            return self
-        if len(d1.c) == 1 and len(d2.c) == 1:
-            return RationalFunction._raw(n1 * n2, LP_ONE)
-        a, b = (n1, d2) if len(n1.c) == 1 or len(d2.c) == 1 else \
-            _rf_canonical(n1, d2)
-        c, e = (n2, d1) if len(n2.c) == 1 or len(d1.c) == 1 else \
-            _rf_canonical(n2, d1)
-        return RationalFunction._raw(a * c, b * e)
+        if len(d1) == 1 and (n1 == _ONE or n1 == _MINUS_ONE):
+            return other if n1 == _ONE else -other
+        if len(d2) == 1 and (n2 == _ONE or n2 == _MINUS_ONE):
+            return self if n2 == _ONE else -self
+        if len(n1) + len(d1) + len(n2) + len(d2) > _OP_MEMO_TERMS:
+            return _product(self, other)
+        return _memo_product(self, other)
 
     __rmul__ = __mul__
 
@@ -404,6 +390,34 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({format_coeff(self)})"
+
+
+def _sum(x, y):
+    """x + y, not both over the denominator 1."""
+    n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+    if len(d1.c) == 1 or len(d2.c) == 1:   # a sum over a unit: canonical
+        num, den = (n1 * d2 + n2, d2) if len(d1.c) == 1 else \
+            (n1 + n2 * d1, d1)
+        return RationalFunction._raw(num, den) if num.c else RF_ZERO
+    if d1 is d2 or d1 == d2:
+        num, den = n1 + n2, d1
+    else:
+        num, den = n1 * d2 + n2 * d1, d1 * d2
+    if not num.c:
+        return RF_ZERO
+    return RationalFunction._raw(*_rf_canonical(num, den))
+
+
+def _product(x, y):
+    """x * y, both nonzero and neither of them +-1."""
+    n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+    if len(d1.c) == 1 and len(d2.c) == 1:
+        return RationalFunction._raw(n1 * n2, LP_ONE)
+    a, b = (n1, d2) if len(n1.c) == 1 or len(d2.c) == 1 else \
+        _rf_canonical(n1, d2)
+    c, e = (n2, d1) if len(n2.c) == 1 or len(d1.c) == 1 else \
+        _rf_canonical(n2, d1)
+    return RationalFunction._raw(a * c, b * e)
 
 
 def _as_laurent(x):
@@ -432,6 +446,25 @@ def _coerce_rf(x):
 # took 145 MiB.
 _REDUCE_MEMO_SIZE = 4096
 _REDUCE_MEMO_TERMS = 512
+# bounds of the operation memos and the intern table (see RationalFunction):
+# one pbw-modules batch multiplies 3,695 distinct pairs and adds 1,797
+_OP_MEMO_SIZE = 4096
+_OP_MEMO_TERMS = 16
+
+
+@lru_cache(maxsize=_OP_MEMO_SIZE)
+def _intern(x):
+    """The value equal to x that the operation memos share."""
+    return x
+
+
+def _memoised(op):
+    """op memoised on its operands, with its results interned."""
+    return lru_cache(maxsize=_OP_MEMO_SIZE)(lambda *xs: _intern(op(*xs)))
+
+
+_memo_sum, _memo_product = _memoised(_sum), _memoised(_product)
+_memo_neg = _memoised(lambda x: RationalFunction._raw(-x.num, x.den))
 
 
 def _rf_canonical(num, den):
@@ -455,22 +488,21 @@ def _rf_reduce(num, den):
     The memo hands the same reduced pair to every caller; that is safe
     because Laurent polynomials are read-only.
     """
-    cn, sn, pn = _laurent_to_int_poly(num)
-    cd, sd, pd = _laurent_to_int_poly(den)
+    gn, dn, sn, pn = _laurent_to_int_poly(num)
+    gd, dd, sd, pd = _laurent_to_int_poly(den)
     g = _ip_gcd(pn, pd)
     if len(g) > 1:
         pn = _ip_exact_div(pn, g)
         pd = _ip_exact_div(pd, g)
-    scalar = cn / cd
+    p, q = gn * dd, dn * gd     # the scalar (gn/dn) / (gd/dd), q > 0
     if pd[-1] < 0:
         pd = [-x for x in pd]
-        scalar = -scalar
+        p = -p
     if len(pd) == 1:
-        scalar /= pd[0]
-        return _int_poly_to_laurent(pn, sn - sd).scale(scalar), LP_ONE
+        return _int_poly_to_laurent(pn, sn - sd, p, q * pd[0]), LP_ONE
     # pd is primitive: a primitive polynomial over a primitive divisor
     # leaves a primitive quotient (Gauss's lemma)
-    return _int_poly_to_laurent(pn, sn - sd).scale(scalar), _int_poly_to_laurent(pd)
+    return _int_poly_to_laurent(pn, sn - sd, p, q), _int_poly_to_laurent(pd)
 
 
 RF_ZERO = RationalFunction._raw(LP_ZERO, LP_ONE)

@@ -432,3 +432,74 @@ def test_same_type_operators_match_the_coerced_route(x, y):
     want = x.num == y.num and x.den == y.den
     assert RationalFunction.__eq__(x, y) is want
     assert RationalFunction.__eq__(x, _routed(y)) is want
+
+
+OP_MEMOS = ("_memo_sum", "_memo_product", "_memo_neg", "_intern")
+# operands of every shape the memos meet: zero, +-1, Fraction coefficients
+# and quantum-integer denominators
+SMALL = st.one_of(
+    st.sampled_from([RF_ZERO, RF_ONE, -RF_ONE]), ELEMENTS,
+    st.builds(lambda x, m: x / quantum_integer(m), ELEMENTS,
+              st.integers(2, 4)))
+
+
+def _unmemoised(op, *xs):
+    """op(*xs) with no operation memo on its path."""
+    bound, qv._OP_MEMO_TERMS = qv._OP_MEMO_TERMS, -1
+    try:
+        return op(*xs)
+    finally:
+        qv._OP_MEMO_TERMS = bound
+
+
+@FIELD
+@given(SMALL, SMALL)
+def test_memoised_operations_keep_the_typed_pairs(x, y):
+    for op, xs in ((lambda a, b: a + b, (x, y)), (lambda a, b: a * b, (x, y)),
+                   (lambda a: -a, (x,))):
+        first, again = op(*xs), op(*xs)
+        want = _unmemoised(op, *xs)
+        assert _pair(first) == _pair(again) == _pair(want)
+        _assert_canonical(first)
+        # a coefficient is a Fraction only when it is not integral
+        assert all(type(c) is int or c.denominator > 1
+                   for p in (first.num, first.den) for c in p.c.values())
+
+
+def test_equal_memoised_results_are_one_object():
+    q2, q3 = quantum_integer(2), quantum_integer(3)
+    assert q2 * q3 is q3 * q2
+    assert Y * q2 is q2 * Y
+    assert (Y + q2) - q2 is Y + RF_ZERO
+    assert -(-Y) is -(-(-(-Y)))
+    # equal but not shared: == falls back to the pairs
+    fresh = RationalFunction._raw(Y.num, Y.den)
+    assert fresh is not Y and fresh == Y
+
+
+def test_operands_over_the_term_bound_skip_every_memo():
+    big = RationalFunction(LaurentPolynomial({i: 1 for i in range(16)}),
+                           LaurentPolynomial({3: 1, 0: 2}))
+    other = RationalFunction(LaurentPolynomial({i: i for i in range(1, 4)}),
+                             LaurentPolynomial({2: 1, 0: 1}))
+    assert len(big.num.c) + len(big.den.c) > qv._OP_MEMO_TERMS
+    sizes = [getattr(qv, m).cache_info().currsize for m in OP_MEMOS]
+    for x in (big + other, other + big, big * other, other * big,
+              big - big, -big, big * -1):
+        _assert_canonical(x)
+    assert [getattr(qv, m).cache_info().currsize for m in OP_MEMOS] == sizes
+    # a small operation does go through the memo
+    calls = qv._memo_product.cache_info()
+    other * other
+    after = qv._memo_product.cache_info()
+    assert after.hits + after.misses == calls.hits + calls.misses + 1
+
+
+def test_product_by_minus_one_is_the_negation():
+    for x in (Y, quantum_integer(3), v_power(2), -Y):
+        assert -RF_ONE * x is -x
+        assert x * -1 is -x
+    assert -RF_ONE * RF_ONE is -RF_ONE
+    big = rf_laurent({i: 1 for i in range(20)})
+    assert _pair(-RF_ONE * big) == _pair(-big)
+    assert RF_ZERO * -1 == RF_ZERO
