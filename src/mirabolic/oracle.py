@@ -13,7 +13,7 @@ row-echelon bases.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -436,9 +436,10 @@ def _count(reps, mid_dim):
     return counts
 
 
-# tables of one (d, output, dim H, p), charged in entries
+# per-node tables and column tables (`_columns`), charged in entries
 _CONV_CACHE = LruMemo(SIZE_GUARD)
 _MIXED_CACHE = LruMemo(SIZE_GUARD)
+_FIT_MEMO_SIZE = 4096   # distinct fits `_fit` keeps
 
 
 def _table(memo, key, tensor):
@@ -448,7 +449,7 @@ def _table(memo, key, tensor):
     by `_classified`, as a marked sequence when tensor is true.  A miss
     counts the output's whole class in one pass of `_count`, or the output
     alone where the class's rows of one H, p^d points per output, pass
-    SIZE_GUARD, and stores every table counted under its own key."""
+    SIZE_GUARD, and stores each table under its own key for `_columns`."""
     got = memo.get(key)
     if got is None:
         d, out, mid_dim, p = key
@@ -480,6 +481,23 @@ def _mixed_conv_table(d, out_ms, mid_dim, p):
     subspaces of the given dimension: keys are (left label, right marked
     sequence)."""
     return _table(_MIXED_CACHE, (d, out_ms, mid_dim, p), True)
+
+
+def _columns(memo, table, d, outs, mid_dim, nodes):
+    """The column table of a class: {(left, right): ((output, counts at the
+    nodes), ...)}, in the order of outs, no column all zero.  A miss reads
+    the per-node tables prime by prime and stores it in their memo."""
+    key = (d, outs, mid_dim, nodes)
+    got = memo.get(key)
+    if got is None:
+        tables = [[table(d, out, mid_dim, p) for out in outs] for p in nodes]
+        got = {}
+        for out, at in zip(outs, zip(*tables)):
+            for pair in set().union(*at):
+                got.setdefault(pair, []).append(
+                    (out, tuple(t.get(pair, 0) for t in at)))
+        memo.put(key, got, len(got))
+    return got
 
 
 def convolution_count(left, right, out, p):
@@ -520,11 +538,11 @@ def _tensor_outputs(d, ones):
 
 
 def _checked_primes(primes, d):
-    """The distinct primes, sorted; raises ValueError unless they are all
-    prime, there are at least d^2 + 1 of them and the largest has
+    """The distinct primes, a sorted tuple; raises ValueError unless they
+    are all prime, there are at least d^2 + 1 of them and the largest has
     p^d <= SIZE_GUARD.  They are a pool: `_nodes` picks from it the primes
-    each call counts at."""
-    primes = sorted(set(primes))
+    each call counts at, a key of `_columns`."""
+    primes = tuple(sorted(set(primes)))
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -564,35 +582,42 @@ def _nodes(pool, d, mid_dim):
     return bound, pool[:bound + 2]
 
 
-def _interpolated(outs, primes, d, count, bound=None):
+@lru_cache(maxsize=_FIT_MEMO_SIZE)
+def _fit(nodes, col, bound):
+    """substitute_q of the fit of the counts col at the nodes (checked at
+    the nodes past bound + 1), or None if they do not fit."""
+    try:
+        return substitute_q(lagrange_interpolate(list(zip(nodes, col)), bound))
+    except ValueError:
+        return None
+
+
+def _interpolated(outs, primes, d, count, bound=None, cols=None):
     """{out: nonzero coefficient} from the point counts count(out, p).
 
-    The counts are taken prime by prime: the first output's table builds
-    those of its whole class (`_table`).  They are interpolated in q with
-    degree bound `bound` (d^2 if None); the primes past the first bound + 1
-    check the fit.  If an output's counts fail to interpolate (bound
-    breach, or a check off the fit), the bound is doubled once, with the
-    primes extended to 2 bound + 2 of them, so that one checks the new fit,
-    and the largest checked again against the size guard.  An output
-    counted 0 at every prime is skipped: the zero polynomial fits it, spare
-    nodes included.
+    The columns (out, counts at the primes) are cols (`_columns`), or else
+    counted prime by prime.  `_fit` fits each distinct one in q, once while
+    its entry lives, with degree bound `bound` (d^2 if None); the primes
+    past the first bound + 1 check the fit.  If the counts of an output fail
+    it (bound breach, or a check off the fit), the bound is doubled once and
+    count counts the primes extended to 2 bound + 2, one checking the new
+    fit, the largest within the size guard.  A column of zeros is skipped:
+    the zero polynomial fits it, spare nodes included.
     """
     if bound is None:
         bound = d * d
-    counts = [[count(out, p) for out in outs] for p in primes]
+    if cols is None:
+        counts = [[count(out, p) for out in outs] for p in primes]
+        cols = [(out, col) for out, col in zip(outs, zip(*counts)) if any(col)]
     terms = {}
-    for out, col in zip(outs, zip(*counts)):
-        if not any(col):
-            continue
-        try:
-            poly = lagrange_interpolate(list(zip(primes, col)), bound)
-        except ValueError:
-            more = primes + primes_list(2 * bound + 2 - len(primes),
-                                        primes[-1] + 1)
+    for out, col in cols:
+        coeff = _fit(tuple(primes), col, bound)
+        if coeff is None:
+            more = [*primes, *primes_list(2 * bound + 2 - len(primes),
+                                          primes[-1] + 1)]
             _guard(more[-1], d)
-            poly = lagrange_interpolate([(p, count(out, p)) for p in more],
-                                        2 * bound)
-        coeff = substitute_q(poly)
+            coeff = substitute_q(lagrange_interpolate(
+                [(p, count(out, p)) for p in more], 2 * bound))
         if coeff:
             terms[out] = coeff
     return terms
@@ -614,9 +639,12 @@ def structure_constants(left, right, primes):
     if co_l != ro_r:
         return SchurElement(d)
     bound, nodes = _nodes(primes, d, ro_r[0])
+    outs = _candidate_outputs(d, ro_l, co_r)
     return SchurElement(d, _interpolated(
-        _candidate_outputs(d, ro_l, co_r), nodes, d, lambda out, p:
-        _conv_table(d, out, ro_r[0], p).get((left, right), 0), bound=bound))
+        outs, nodes, d, lambda out, p:
+        _conv_table(d, out, ro_r[0], p).get((left, right), 0), bound,
+        _columns(_CONV_CACHE, _conv_table, d, outs, ro_r[0], nodes)
+        .get((left, right), ())))
 
 
 def tensor_action_constants(left, right_ms, primes):
@@ -635,7 +663,9 @@ def tensor_action_constants(left, right_ms, primes):
     if co_l != (ones, d - ones):
         return {}
     bound, nodes = _nodes(primes, d, ones)
+    outs = _tensor_outputs(d, ro_l[0])
     return _interpolated(
-        _tensor_outputs(d, ro_l[0]), nodes, d, lambda out, p:
-        _mixed_conv_table(d, out, ones, p).get((left, right_ms), 0),
-        bound=bound)
+        outs, nodes, d, lambda out, p:
+        _mixed_conv_table(d, out, ones, p).get((left, right_ms), 0), bound,
+        _columns(_MIXED_CACHE, _mixed_conv_table, d, outs, ones, nodes)
+        .get((left, right_ms), ()))

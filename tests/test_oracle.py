@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -441,9 +442,17 @@ def test_interpolation_retries_at_twice_the_bound():
     assert got == {"x": v_power(10)} and seen == set(oracle.primes_list(10))
 
 
+def _fresh_memos(monkeypatch, fits=oracle._FIT_MEMO_SIZE):
+    """Empty table memos, and an empty fit memo of at most `fits` entries."""
+    for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
+        monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
+    monkeypatch.setattr(oracle, "_fit",
+                        lru_cache(maxsize=fits)(oracle._fit.__wrapped__))
+
+
 def _kernel_passes(monkeypatch):
     """Record (middle dimension, p, number of triples) of every pass of the
-    counting kernel from here on, starting from empty table memos."""
+    counting kernel from here on, starting from empty memos."""
     passes = []
     count = oracle._count
 
@@ -451,8 +460,7 @@ def _kernel_passes(monkeypatch):
         passes.append((mid_dim, reps[0].p, len(reps)))
         return count(reps, mid_dim)
     monkeypatch.setattr(oracle, "_count", counting)
-    for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
-        monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
+    _fresh_memos(monkeypatch)
     return passes
 
 
@@ -619,8 +627,9 @@ class _RecordingMemo(LruMemo):
 def test_table_memo_eviction_keeps_every_answer(monkeypatch, limit):
     # samples of d = 2 and d = 3 products and of d = 2 tensor actions,
     # with room for every table and then with memos that store no table
-    # (none has a single entry) or a few and drop them all the time: a miss
-    # recounts the whole class, and the JSON answers are the same bytes
+    # (none has a single entry) or a few and drop them all the time, and a
+    # fit memo that holds no fit or one: a miss recounts the whole class or
+    # fits the column again, and the JSON answers are the same bytes
     rng = random.Random(23)
     pairs = (rng.sample(checks.compatible_pairs(2), 40)
              + rng.sample(checks.compatible_pairs(3), 4))
@@ -637,9 +646,10 @@ def test_table_memo_eviction_keeps_every_answer(monkeypatch, limit):
             for lab, ms in actions]
         return json.dumps([products, tensor], sort_keys=True)
 
-    for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
-        monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
+    _fresh_memos(monkeypatch)
     want = answers()
+    fits = int(limit > 1)
+    _fresh_memos(monkeypatch, fits)
     small = {memo: _RecordingMemo(limit)
              for memo in ("_CONV_CACHE", "_MIXED_CACHE")}
     for memo, table_memo in small.items():
@@ -648,6 +658,7 @@ def test_table_memo_eviction_keeps_every_answer(monkeypatch, limit):
     for table_memo in small.values():
         assert table_memo.size <= limit
         assert (table_memo.kept > len(table_memo) + 20) == (limit > 1)
+    assert oracle._fit.cache_info().currsize == fits
 
 
 def test_lru_memo_membership_keeps_the_order():
@@ -684,7 +695,9 @@ def test_spare_node_catches_a_count_past_the_bound():
 
 def test_all_zero_columns_are_not_fitted(monkeypatch):
     # an output counted 0 at every node is skipped, not fitted to the zero
-    # polynomial; every product of a seeded d = 3 sample stays the engine's
+    # polynomial; every product of a seeded d = 3 sample stays the engine's.
+    # Empty memos, or the fits of earlier tests would leave none to record
+    _fresh_memos(monkeypatch)
     fits = []
     fit = oracle.lagrange_interpolate
 
@@ -703,6 +716,85 @@ def test_all_zero_columns_are_not_fitted(monkeypatch):
             d, row_col_sums(left)[0], row_col_sums(right)[1]))
     assert fits and all(any(col) for col in fits)
     assert len(fits) < outputs      # some columns were zero, and skipped
+
+
+def _columns_of_nodes(table, d, outs, mid, nodes):
+    """The column table of a class rebuilt from the table of each output
+    and node: {(left, right): [(output, counts), ...]}, outputs in order."""
+    want = {}
+    for out in outs:
+        tables = [table(d, out, mid, p) for p in nodes]
+        for pair in set().union(*tables):
+            want.setdefault(pair, []).append(
+                (out, tuple(t.get(pair, 0) for t in tables)))
+    return want
+
+
+def test_column_tables_match_the_tables_of_each_node(monkeypatch):
+    # every product and tensor class at d <= 2, and at d = 3 an edge class
+    # of oracle-certify and a class of one middle subspace: the column
+    # table holds, column for column, the entries of the per-node tables
+    _fresh_memos(monkeypatch)
+    sums = {d: [(a, d - a) for a in range(d + 1)] for d in (1, 2)}
+    classes = [(d, ro, mid, co) for d in (1, 2) for ro in sums[d]
+               for mid in range(d + 1) for co in sums[d]]
+    classes += [(3, (3, 0), 1, (0, 3)), (3, (1, 2), 0, (2, 1))]
+    for d, ro, mid, co in classes:
+        _, nodes = oracle._nodes(oracle.interpolation_primes(d), d, mid)
+        for memo, table, outs in (
+                (oracle._CONV_CACHE, oracle._conv_table,
+                 oracle._candidate_outputs(d, ro, co)),
+                (oracle._MIXED_CACHE, oracle._mixed_conv_table,
+                 oracle._tensor_outputs(d, ro[0]))):
+            got = oracle._columns(memo, table, d, outs, mid, tuple(nodes))
+            assert got == _columns_of_nodes(table, d, outs, mid, nodes)
+            assert all(any(col) for cols in got.values() for _, col in cols)
+    # a product whose class table is built reads no per-node table
+    calls = []
+    conv_table = oracle._conv_table
+    monkeypatch.setattr(oracle, "_conv_table",
+                        lambda *key: calls.append(key) or conv_table(*key))
+    for d, ro, mid, co in classes[-2:]:
+        left, right = _pair_of_class(d, ro, mid, co)
+        assert oracle.structure_constants(
+            left, right, oracle.interpolation_primes(d)) == mul_general(
+            SchurElement.basis(d, left), SchurElement.basis(d, right))
+    assert calls == []
+
+
+def test_one_fit_per_distinct_column(monkeypatch):
+    # from an empty fit memo, a seeded d = 3 sample fits each distinct
+    # (points, bound) once, although classes share their columns
+    _fresh_memos(monkeypatch)
+    fits = []
+    fit = oracle.lagrange_interpolate
+
+    def recording(points, degree_bound):
+        fits.append((tuple(points), degree_bound))
+        return fit(points, degree_bound)
+    monkeypatch.setattr(oracle, "lagrange_interpolate", recording)
+    d, pool = 3, oracle.interpolation_primes(3)
+    for left, right in random.Random(37).sample(checks.compatible_pairs(d),
+                                                40):
+        assert oracle.structure_constants(left, right, pool) == \
+            mul_general(SchurElement.basis(d, left),
+                        SchurElement.basis(d, right)), (left, right)
+    info = oracle._fit.cache_info()
+    assert len(fits) == len(set(fits)) == info.misses and info.hits > 0
+    # with the failed fit memoised, the retry at twice the bound still
+    # counts all 2D + 2 primes, and gives the same coefficient every time
+    # (the fit is keyed on nodes, counts and bound, so (3, 3) would share
+    # the entry of (2, 3))
+    for d, bound in ((1, 1), (2, 3), (3, 5)):
+        nodes = oracle.primes_list(bound + 2)
+        for warm in (False, True):
+            hits, seen = oracle._fit.cache_info().hits, set()
+            got = oracle._interpolated(
+                ["x"], nodes, d,
+                lambda out, p: seen.add(p) or p ** (bound + 1), bound=bound)
+            assert got == {"x": v_power(2 * bound + 2)}, (d, bound)
+            assert seen == set(oracle.primes_list(2 * bound + 2))
+            assert oracle._fit.cache_info().hits == hits + warm
 
 
 def test_interpolation_primes():
