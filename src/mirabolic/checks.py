@@ -7,7 +7,7 @@ at the end are what `verify --suite` runs at the sizes it is given.
 import random
 from functools import partial
 
-from . import oracle, pbw, reps, tensor_space
+from . import pbw, reps, tensor_space
 from .decorated import count_xi_tensor, enumerate_xi, row_col_sums
 from .linalg import linear_sum
 from .schur_algebra import SchurElement, apply_letter, eval_letters, mul_general
@@ -108,7 +108,10 @@ def compatible_pairs(d):
 
 
 def oracle_agrees(pairs, primes):
-    """Interpolated point counts against the engine's product, per pair."""
+    """Interpolated point counts against the engine's product, per pair.
+    The oracle (and numpy with it) is imported only here and in
+    `oracle_suite`, so the engine's checks never load it."""
+    from . import oracle
     return [(f"{left} * {right}",
              oracle.structure_constants(left, right, primes)
              == mul_general(SchurElement.basis(left.d, left),
@@ -150,6 +153,7 @@ def oracle_suite(d, pairs):
     entry is counted at the smallest D + 2 of them, D its degree bound),
     refusing a d whose primes exceed the size guard before any pair is
     listed."""
+    from . import oracle
     primes = oracle.interpolation_primes(d)
     compat = compatible_pairs(d)
     sample = random.Random(97 + d).sample(compat, min(pairs, len(compat)))

@@ -12,10 +12,9 @@ import json
 import sys
 from math import comb
 
-from . import checks
-from . import oracle as oracle_mod
-from . import pbw, reps, tensor_space
+from . import checks, pbw, reps, tensor_space
 from .decorated import count_xi_tensor, enumerate_xi, row_col_sums
+from .linalg import SIZE_GUARD
 from .qv import format_coeff
 from .schur_algebra import SchurElement, mul_general
 
@@ -26,20 +25,18 @@ def _emit(obj):
 
 def _check_size(size, what):
     """Refuse, before any work, a computation that would build more than
-    oracle.SIZE_GUARD items."""
-    if size > oracle_mod.SIZE_GUARD:
-        raise ValueError(f"{size} {what} exceed the guard "
-                         f"{oracle_mod.SIZE_GUARD}")
+    SIZE_GUARD items."""
+    if size > SIZE_GUARD:
+        raise ValueError(f"{size} {what} exceed the guard {SIZE_GUARD}")
 
 
 def _check_tensor_size(d):
-    """Refuse a tensor space with more basis vectors than oracle.SIZE_GUARD.
+    """Refuse a tensor space with more basis vectors than SIZE_GUARD.
     It has count_xi_tensor(2, d) >= 2^d of them, so a d past the guard's
     bit length is refused without forming that d-bit count."""
-    guard = oracle_mod.SIZE_GUARD
-    if d >= guard.bit_length() or count_xi_tensor(2, d) > guard:
-        raise ValueError(f"the tensor space at d={d} has more than {guard} "
-                         f"basis vectors")
+    if d >= SIZE_GUARD.bit_length() or count_xi_tensor(2, d) > SIZE_GUARD:
+        raise ValueError(f"the tensor space at d={d} has more than "
+                         f"{SIZE_GUARD} basis vectors")
 
 
 def _check_module(dim):
@@ -166,23 +163,35 @@ def _cmd_sw_check(args):
     return 0 if report["conjecture_match"] else 1
 
 
+def _read_primes(text):
+    """The sorted distinct integers of a comma-separated --primes list;
+    an empty or non-integer item is refused, naming the option."""
+    try:
+        return sorted({int(item) for item in text.split(",")})
+    except ValueError:
+        raise ValueError(f"--primes takes comma-separated integers, got "
+                         f"{text!r}") from None
+
+
 def _cmd_oracle(args):
-    primes = sorted({int(p) for p in args.primes.split(",")})
+    from . import oracle    # numpy and the oracle load on this path only
+    primes = _read_primes(args.primes)
     left = SchurElement.read_label(_read_json_arg(args.lhs), args.d)
     right = SchurElement.read_label(_read_json_arg(args.rhs), args.d)
-    product = oracle_mod.structure_constants(left, right, primes)
+    product = oracle.structure_constants(left, right, primes)
     if args.format == "csv" or args.counts:
-        # a row per candidate output and supplied prime, so these tables are
-        # counted at every prime and not only at the interpolation nodes
+        # a row per candidate output and supplied prime, so the class is
+        # counted at every prime (in one pass), not only at the nodes
         rows = [("label", "p", "count")]
         ro_l, co_l = row_col_sums(left)
         ro_r, co_r = row_col_sums(right)
         if co_l == ro_r:
-            outs = oracle_mod._candidate_outputs(args.d, ro_l, co_r)
+            outs = oracle._candidate_outputs(args.d, ro_l, co_r)
+            cols = dict(oracle._columns(args.d, outs, ro_r[0], tuple(primes))
+                        .get((left, right), ()))
             for out in sorted(outs, key=lambda lab: lab.sort_key()):
-                for p in primes:
-                    n = oracle_mod.convolution_count(left, right, out, p)
-                    rows.append((str(out), p, n))
+                rows += [(str(out), p, n) for p, n in
+                         zip(primes, cols.get(out, [0] * len(primes)))]
         if args.counts:
             with open(args.counts, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows(rows)

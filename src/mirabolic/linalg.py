@@ -170,6 +170,11 @@ class LruMemo:
 # of e^a f, a <= 1200, would fill it, shared by no other word (+4.5 MiB RSS)
 FOLD_MEMO_TERMS = 1 << 16
 
+# the most items (points, basis vectors, letters, matrix entries) that one
+# computation may enumerate or build: the oracle's points per prime and per
+# slice, and the sizes the command line refuses before any work
+SIZE_GUARD = 1 << 20
+
 _NODE_IDS = count()
 
 

@@ -18,14 +18,12 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .decorated import (ALL_DELTAS, DecoratedMatrix, Record, decorated2,
-                        enumerate_xi, matrix_to_sequence, row_col_sums,
-                        sequence_to_matrix, validate)
-from .linalg import LruMemo
+from .decorated import (ALL_DELTAS, DecoratedMatrix, MarkedSequence, Record,
+                        decorated2, enumerate_xi, matrix_to_sequence,
+                        row_col_sums, sequence_to_matrix, validate)
+from .linalg import SIZE_GUARD, LruMemo
 from .qv import lagrange_interpolate, substitute_q
 from .schur_algebra import SchurElement
-
-SIZE_GUARD = 1 << 20
 
 
 def is_prime(n):
@@ -200,11 +198,13 @@ def orbit_invariant(t):
     return _classified(sizes, dims + (f.dim,), c, m)
 
 
+@cache
 def canonical_representative(label, p):
     """A distinguished triple (F, C_1 < ... < C_{N-1}, v) in the orbit of a
     2 x N label: the coordinates go column by column, row 1 first; F spans
     the row-1 coordinates, C_r the coordinates of the first r columns, and
-    v is the sum of the first coordinate of each marked block."""
+    v is the sum of the first coordinate of each marked block.  The same
+    bases and v serve at every p.  Memoised, so shared and read-only."""
     d = label.d
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     start, f_rows, ends = {}, [], []
@@ -280,12 +280,6 @@ def _middle_chunks(d, p, r):
         yield got
 
 
-def _span_mask(basis, d, p):
-    mask = np.zeros(p ** d, dtype=bool)
-    mask[_span_indices(basis, d, p)] = True
-    return mask
-
-
 def _shift_perm(v, d, p):
     """perm[u] = index of v - u, coordinatewise mod p."""
     key = ("shift", v, p)
@@ -299,205 +293,253 @@ def _shift_perm(v, d, p):
     return got
 
 
-def _sums_in_chunk(a, meets, h_bases, h_pts, offs):
-    """The proper sums A + H over the middle subspaces H of a chunk, given
-    `meets` = dim(A & H), the points `h_pts` and the offsets `offs` of each
-    H: (the points of every proper sum, in order, and their offsets)."""
-    d, p, mid_dim = a.d, a.p, len(h_bases[0])
-    sums, lens = [np.empty(0, dtype=np.intp)], []
-    for i, meet in enumerate(meets):
-        if a.dim + mid_dim - meet == d:         # the whole space
-            lens.append(0)
-            continue
-        if meet == a.dim:                       # A + H = H
-            sums.append(h_pts[i])
-        elif meet == mid_dim:                   # A + H = A
-            sums.append(_span_indices(a.basis, d, p))
+def _stages(nodes, outs, d):
+    """(node indices, output indices): runs of nodes whose points, once per
+    output, fit SIZE_GUARD together, and a node past that alone with as
+    many outputs at a time as fit."""
+    stages = []
+    for j, p in enumerate(nodes):
+        if stages and outs * sum(nodes[i] ** d
+                                 for i in stages[-1][0] + [j]) <= SIZE_GUARD:
+            stages[-1][0].append(j)
         else:
-            sums.append(_span_indices(rref(a.basis + h_bases[i], p), d, p))
-        lens.append(len(sums[-1]))
-    return np.concatenate(sums), np.repeat(offs, lens)
+            step = SIZE_GUARD // p ** d
+            stages += [([j], range(lo, min(lo + step, outs)))
+                       for lo in range(0, outs, step)]
+    return stages
 
 
-def _count(reps, mid_dim):
-    """Counts of the convolution sum, in the sense of Beilinson, Lusztig and
-    MacPherson, at each triple rep = (F, chain, v) of a class sharing one
-    chain, over the middle subspaces H of one dimension: per rep,
-    {(left label, dims, c, m): number of (H, u)}.
+def _slices(primes, outs, d, mid_dim):
+    """The middle subspaces of each prime as parts (index of the prime,
+    echelon bases, their points), in slices with the stride of their rows,
+    the power of two from the largest p^d: (parts, stride).  Each H brings
+    outs rows, and a slice takes as many as fit SIZE_GUARD entries, one at
+    least; so it holds at most SIZE_GUARD points (`_stages`)."""
+    parts, count, wide = [], 0, 1
+    for j, p in enumerate(primes):
+        stride = 1 << (p ** d - 1).bit_length()
+        room = max(1, SIZE_GUARD // (outs * stride))
+        for bases, pts in _middle_chunks(d, p, mid_dim):
+            lo = 0
+            while lo < len(bases):
+                take = min(len(bases) - lo, room - count)
+                if take <= 0:
+                    yield parts, wide
+                    parts, count = [], 0
+                    continue
+                parts.append((j, bases[lo:lo + take], pts[lo:lo + take]))
+                count, lo, wide = count + take, lo + take, stride
+    yield parts, wide
 
-    The chain C_1 < ... < C_{N-1} is F' alone (N = 2) for two-step triples
-    and the complete flag (N = d) for tensor triples; C_0 = 0 and
-    C_N = F_p^d.  Every (H, u) pair is counted: (F, H, u) by its decorated
-    matrix, and (H, chain, x = v - u) by dims = (dim(H & C_r), 0 < r < N)
-    and the jumps of `_classified`, c = #{r < N: x not in H + C_r} and
-    m = #{r < N: x not in C_r}.  So u runs over all points w of F_p^d, and
-    the pair adds to the code K zone(w) + (N + 1) c(v - w) + m(v - w),
-    K = (N + 1)^2, where zone(w) = 5 - [w in F+H] - 2[w in F] - [w in H]
-    - [w = 0] indexes the marks of (F, H, w) in ALL_DELTAS.  Split off
-    what does not depend on H, base(w) = (5 - 2[w in F]) K + N (N + 1)
-    + m(v - w), whose histogram is taken once per rep; the rest is zero
-    outside H, F + H and the v - (H + C_r), and constant where a sum is the
-    whole space, so only the points of the proper sums are reclassified.
-    A slice of middle subspaces has a row of p^d points per (H, rep), at
-    most SIZE_GUARD points (callers pass at most SIZE_GUARD / p^d reps):
-    dim(H & C_r) and H + C_r are found once per slice, dim(F & H) and
-    F + H once per distinct F, and one bincount takes every row.  The rows with the same
-    rep, dim(F & H) and dims share their labels and which sums are full.
+
+def _count(d, outs, mid_dim, nodes, tensor=False):
+    """The column table of a class at its nodes, {(left, right): ((output,
+    counts at the nodes), ...)} with outputs in order and no column all
+    zero: the convolution sum (Beilinson, Lusztig and MacPherson) counted
+    at the canonical triple (F, chain, v) of each output (a marked
+    sequence if tensor) over the middle subspaces H of one dimension, at
+    every node in one pass.
+
+    The chain C_1 < ... < C_{N-1} is F' (N = 2), or the complete flag
+    (N = d) for marked sequences; C_0 = 0, C_N = F_p^d.  A pair (H, u) is
+    classified by (F, H, u) and by (H, chain, x = v - u) through dims =
+    (dim(H & C_r), 0 < r < N), c = #{r < N: x not in H + C_r} and m =
+    #{r < N: x not in C_r} (`_classified`).  So u runs over the points w,
+    adding to K zone(w) + (N + 1) c(v - w) + m(v - w), K = (N + 1)^2, with
+    zone(w) = 5 - [w in F+H] - 2[w in F] - [w in H] - [w = 0] indexing
+    ALL_DELTAS.  Of that, base(w) = (5 - 2[w in F]) K + N (N + 1) + m(v - w)
+    does not depend on H, and the rest is zero outside H, F + H and the
+    v - (H + C_r), and constant where one of them is the whole space; so
+    only the points of the proper ones are listed, in rows (p, H, output)
+    of p^d points.  A stage (`_stages`) lays its primes' points end to
+    end, a slice (`_slices`) at most SIZE_GUARD points; a point's row is
+    its index shifted by the stride, and gives its base code and its group
+    (output, dim(F & H), dims, prime) by a gather.
     """
-    d, p, outs = reps[0].d, reps[0].p, len(reps)
-    _guard(p, d)
-    n = p ** d
-    chain = (PrimeFieldSubspace(p, d, ()),) + reps[0].Fp
-    big_n, k = len(chain), (len(chain) + 1) ** 2
-    fs = list(dict.fromkeys(rep.F[0] for rep in reps))     # the distinct F
-    f_of = [fs.index(rep.F[0]) for rep in reps]
-    masks = np.array([_span_mask(a.basis, d, p) for a in fs + [*chain[1:]]])
-    perms = np.stack([_shift_perm(rep.v, d, p) for rep in reps])
-    # base(w), with m(v - w) = N - #{r < N: v - w in C_r}
-    depth = masks[len(fs):].sum(axis=0, dtype=np.int8)
-    depth[0] += 1
-    base = np.subtract(5 * k + big_n * (big_n + 2), depth[perms],
-                       dtype=np.intp)
-    base[masks[f_of]] -= 2 * k
-    base_hist = np.bincount((base + 6 * k * np.arange(outs)[:, None]).ravel(),
-                            minlength=outs * 6 * k).reshape(outs, -1)
-    powers = p ** np.arange(d + 1)
-    most = max(1, SIZE_GUARD // (n * outs))     # H per slice
-    totals = {}     # group -> its histogram
-    moved = np.zeros(min(most, _subspace_count(d, mid_dim, p)) * outs * n,
-                     dtype=np.min_scalar_type(3 * k + big_n * (big_n + 1)))
-    for all_bases, all_h in _middle_chunks(d, p, mid_dim):
-        for lo in range(0, len(all_bases), most):
-            h_bases, chunk_h = all_bases[lo:lo + most], all_h[lo:lo + most]
-            rows = len(h_bases)
-            # row h outs + i holds the points of the h-th H for rep i
-            offs = np.arange(rows) * (outs * n)
-            blocks = np.arange(outs)[:, None] * n
-            # dim(F & H) per F and dim(H & C_r), 0 < r < N, from the points
-            # of H they contain; with the rep they are the group of a row
-            meets = np.searchsorted(powers, np.take(masks, chunk_h, axis=1)
-                                    .sum(axis=2))
-            meet_f, meet_c = meets[:len(fs)].tolist(), meets[len(fs):]
-            slots = {}
-            group = np.array([
-                slots.setdefault((i, meet_f[f][h], *dim), len(slots))
-                for h, dim in enumerate(map(tuple, meet_c.T.tolist()))
-                for i, f in enumerate(f_of)])
-            pts = [(chunk_h + offs[:, None] + blocks[:, :, None]).ravel()]
-            moved[pts[0]] = k                                   # w in H
-            moved[(offs + blocks).ravel()] += k                 # w = 0
-            # w in F + H and v - w in H + C_r, where those are proper
-            left = [np.add(*_sums_in_chunk(f, meet, h_bases, chunk_h, offs))
-                    for f, meet in zip(fs, meet_f)]
-            sums = [(np.concatenate([left[f] for f in f_of])
-                     + np.repeat(blocks, [len(left[f]) for f in f_of]), k)]
-            right = [_sums_in_chunk(c, meet, h_bases, chunk_h, offs)
-                     for c, meet in zip(chain[1:], meet_c.tolist())]
-            if mid_dim < d:     # H + C_0 = H
-                right.append((chunk_h.ravel(),
-                              np.repeat(offs, chunk_h.shape[1])))
-            for at, off in right:
-                sums.append(((np.take(perms, at, axis=1) + off + blocks)
-                             .ravel(), big_n + 1))
-            for where, step in sums:
+    _guard(nodes[-1], d)
+    reps = [canonical_representative(sequence_to_matrix(lab, 2) if tensor
+                                     else lab, 2) for lab in outs]
+    chain = ((), *(sub.basis for sub in reps[0].Fp))   # C_0, ..., C_{N-1}
+    big_n, k, nj = len(chain), (len(chain) + 1) ** 2, len(nodes)
+    width, radix = 6 * k, d + 1     # a group key's digits: output, dims
+    fs = list(dict.fromkeys(t.F[0].basis for t in reps))    # distinct F
+    vs = list(dict.fromkeys(t.v for t in reps))             # distinct v
+    f_of = [fs.index(t.F[0].basis) for t in reps]
+    subs, slots = fs + [*chain[1:]], {}
+    hist = rows = np.zeros(0, dtype=np.intp)    # per group: codes, rows
+    base_hist = np.zeros((len(outs), nj, width), dtype=np.intp)
+    for js, idx in _stages(nodes, len(outs), d):
+        primes, few = [nodes[j] for j in js], len(idx)
+        ns = [p ** d for p in primes]
+        offs = np.cumsum([0, *ns])
+        masks = np.zeros((len(subs), offs[-1]), dtype=bool)
+        for (j, p), (s, a) in product(enumerate(primes), enumerate(subs)):
+            masks[s, offs[j] + _span_indices(a, d, p)] = True
+        shifts = [[_shift_perm(v, d, p) for p in primes] for v in vs]
+        perms = np.empty((len(vs), offs[-1]), dtype=np.intp)    # to v - w
+        for (j, o), (s, row) in product(enumerate(offs[:-1]), enumerate(shifts)):
+            np.add(row[j], o, out=perms[s, o:offs[j + 1]])
+        v_of = [vs.index(reps[i].v) for i in idx]
+        if v_of != list(range(len(vs))):
+            perms = perms[v_of]         # one row per output
+        # base(w), m(v - w) = N - #{r < N: v - w in C_r}, plus width times
+        # the index of w's prime
+        depth = masks[len(fs):].sum(axis=0, dtype=np.int8)
+        depth[offs[:-1]] += 1
+        base = np.subtract(5 * k + big_n * (big_n + 2), depth[perms],
+                           dtype=np.intp)
+        base[masks[[f_of[i] for i in idx]]] -= 2 * k
+        at_x = len(js) * width * np.arange(few)[:, None]    # for the histogram
+        for j in range(len(js)):
+            base[:, offs[j]:offs[j + 1]] += at_x + j * width
+        base_hist[idx.start:idx.stop, js[0]:js[-1] + 1] = np.bincount(
+            base.ravel(), minlength=few * len(js) * width).reshape(
+                few, len(js), width)
+        base -= at_x
+        base = base.ravel()
+        wide = few << (ns[-1] - 1).bit_length()     # a widest H's rows
+        moved = np.zeros(min(max(SIZE_GUARD, wide), wide * sum(
+            _subspace_count(d, mid_dim, p) for p in primes)),
+            dtype=np.min_scalar_type(3 * k + big_n * (big_n + 1)))
+        for parts, stride in _slices(primes, few, d, mid_dim):
+            bases = [b for _, part, _ in parts for b in part]
+            p_of = np.repeat([j for j, _, _ in parts],
+                             [len(part) for _, part, _ in parts])
+            h_off = offs[p_of]
+            h_len = np.repeat([chunk.shape[1] for *_, chunk in parts],
+                              [len(chunk) for *_, chunk in parts])
+            h_at = np.repeat(np.arange(len(bases)), h_len)
+            h_pts = np.concatenate([chunk.ravel() for *_, chunk in parts])
+            h_pts += h_off[h_at]        # stage indices, as masks and perms
+            # dim(A & H), A = each F and C_r (0 < r < N), from the number
+            # p^dim of the points of H in A; with the output, the group
+            meets = (np.add.reduceat(
+                np.take(masks, h_pts, axis=1), np.cumsum(h_len) - h_len, axis=1,
+                dtype=np.intp)[:, :, None] >= np.array(primes)[p_of, None]
+                     ** np.arange(1, d + 1)).sum(axis=2)
+            key = ((np.array(idx) * radix + meets[[f_of[i] for i in idx]].T)
+                   * radix ** (big_n - 1)
+                   + (radix ** np.arange(big_n - 1) @ meets[len(fs):])[:, None])
+            key, slot_of = np.unique(key, return_inverse=True)
+            slot = np.array([slots.setdefault(u, len(slots))
+                             for u in key.tolist()])[slot_of.ravel()] * nj + js[0]
+            group = slot + np.repeat(p_of, few)     # its node, by row
+            slot *= width
+            # row h few + x, at stride times its number, holds the points
+            # of the h-th H for output idx[x]: a stage point w of it is at
+            # w + shift there, and at w + x T in base
+            start = (np.arange(len(bases) * few) * stride).reshape(-1, few)
+            shift = start - h_off[:, None]
+            to_base = np.tile(np.arange(few) * offs[-1], len(bases)) - shift.ravel()
+            # w = 0, w in H, w in F + H and v - w in H + C_r (H + C_0 = H)
+            # where those are proper: A + H is H where A & H = A, else A or
+            # the span of both, listed one H at a time
+            pts = [(h_pts + shift[h_at].T).ravel() if mid_dim < d
+                   else start.ravel()]      # w in H, unless H is full
+            moved[pts[0]] = k
+            moved[start] += k * (mid_dim < d)   # w = 0
+            lists = [(h_at, h_pts, None)] * (mid_dim < d)
+            for r, (a, meet) in enumerate(zip(subs, meets)):
+                whole = len(a) + mid_dim - meet == d
+                same = (meet == len(a)) & ~whole
+                apart = np.flatnonzero(~whole & ~same).tolist()
+                spans = [_span_indices(
+                    a if meet[h] == mid_dim
+                    else rref(a + bases[h], primes[p_of[h]]), d,
+                    primes[p_of[h]]) for h in apart]
+                hs = np.repeat(np.array(apart, dtype=np.intp),
+                               list(map(len, spans)))
+                w = np.concatenate([hs[:0], *spans]) + h_off[hs]
+                if same.all():
+                    hs, w = h_at, h_pts
+                elif same.any():
+                    sel = same[h_at]
+                    hs, w = (np.concatenate([h_at[sel], hs]),
+                             np.concatenate([h_pts[sel], w]))
+                lists.append((hs, w, [x for x, i in enumerate(idx)
+                                      if f_of[i] == r] if r < len(fs) else None))
+            for hs, w, mine in lists:
+                if mine is None:    # v - w in H + C_r, for every output
+                    where, step = (np.take(perms, w, axis=1)
+                                   + shift[hs].T).ravel(), big_n + 1
+                else:               # w in F + H, for the outputs of F
+                    where, step = (w + shift[hs][:, mine].T).ravel(), k
                 # moved is nonzero exactly on the points listed so far
                 was = moved[where]
                 pts.append(where[was == 0])
                 moved[where] = was + step
+            # each point's row by a shift, its base code by a gather
             pts = np.concatenate(pts)
-            old = np.take(base, pts % (outs * n)) + (6 * k * group)[pts // n]
-            size = len(slots) * 6 * k
-            hist = (np.bincount(old - moved[pts], minlength=size)
-                    - np.bincount(old, minlength=size)).reshape(len(slots), -1)
-            hist += (np.bincount(group, minlength=len(slots))[:, None]
-                     * base_hist[[i for i, *_ in slots]])
-            for key, part in zip(slots, hist):
-                totals[key] = totals.get(key, 0) + part
+            row = pts >> (stride.bit_length() - 1)
+            old = base[pts + to_base[row]] + slot[row]
+            size = len(slots) * nj * width
+            hist = np.pad(hist, (0, size - len(hist)))
+            hist += (np.bincount(old - moved[pts], minlength=size)
+                     - np.bincount(old, minlength=size))
+            rows = np.pad(rows, (0, len(slots) * nj - len(rows)))
+            rows += np.bincount(group, minlength=len(slots) * nj)
             moved[pts] = 0
-    # each group's histogram is shifted down where a sum is full: that
-    # lowers the code of every point by K (left) or N + 1
-    hist = np.array(list(totals.values()))
-    heads, shifts = [], []
-    for i, i11, *dims in totals:
-        f_dim = fs[f_of[i]].dim
+    # each group's histogram, at every node, shifted down where a sum is
+    # full: a full H or F + H lowers every code by K, H + C_r by N + 1
+    keys = sorted(slots)                        # by output
+    at = [slots[key] for key in keys]
+    hist = hist.reshape(len(keys), nj, width)[at]
+    rows = rows.reshape(len(keys), nj)[at]
+    info, shifts = [], []
+    for key in keys:
+        dims = [key // radix ** r % radix for r in range(big_n - 1)]
+        i, i11 = divmod(key // radix ** (big_n - 1), radix)
+        f_dim = len(fs[f_of[i]])
         al = (i11, f_dim - i11, mid_dim - i11, d - f_dim - mid_dim + i11)
-        heads.append((i, al, tuple(dims)))
-        shifts.append(k * (al[3] == 0) + (big_n + 1) * sum(
-            mid_dim + sub.dim - meet == d
-            for sub, meet in zip(chain, [0] + dims)))
-    group, at = np.nonzero(hist)
-    counts = [{} for _ in reps]
-    for g, code, n_pairs in zip(group.tolist(), (at - np.array(shifts)[group])
-                                .tolist(), hist[group, at].tolist()):
-        i, al, dims = heads[g]
-        zone, rest = divmod(code, k)
-        c, m = divmod(rest, big_n + 1)
-        counts[i][_label(*al, ALL_DELTAS[zone]), dims, c, m] = n_pairs
-    return counts
+        info.append((outs[i], al, (0, *dims, mid_dim)))
+        hist[len(shifts)] += rows[len(shifts), :, None] * base_hist[i]
+        shifts.append(k * (al[3] == 0) + k * (mid_dim == d) + (big_n + 1)
+                      * sum(mid_dim + len(sub) - meet == d
+                            for sub, meet in zip(chain, [0, *dims])))
+    slot, at = np.nonzero(hist.any(axis=1))
+    zone, rest = np.divmod(at - np.array(shifts)[slot], k)
+    sizes = (0, *(len(sub) for sub in chain[1:]), d)
+    cols = {}
+    for s, zone, (c, m), col in zip(
+            slot.tolist(), zone.tolist(),
+            zip(*(x.tolist() for x in np.divmod(rest, big_n + 1))),
+            hist[slot, :, at].tolist()):
+        out, al, dims = info[s]
+        cols.setdefault((_label(*al, ALL_DELTAS[zone]), _classified(
+            sizes, dims, c, m, tensor)), []).append((out, tuple(col)))
+    return {pair: tuple(col) for pair, col in cols.items()}
 
 
-# per-node tables and column tables (`_columns`), charged in entries
+# column tables (`_columns`), charged in entries
 _CONV_CACHE = LruMemo(SIZE_GUARD)
 _MIXED_CACHE = LruMemo(SIZE_GUARD)
 _FIT_MEMO_SIZE = 4096   # distinct fits `_fit` keeps
 
 
-def _table(memo, key, tensor):
-    """Counts of the convolution sum at the canonical triple of the output
-    label of key = (d, output, dim H, p), for every pair of left and right
-    labels at once: each right triple (H, chain, x) of `_count` classified
-    by `_classified`, as a marked sequence when tensor is true.  A miss
-    counts the output's whole class in one pass of `_count`, or the output
-    alone where the class's rows of one H, p^d points per output, pass
-    SIZE_GUARD, and stores each table under its own key for `_columns`."""
-    got = memo.get(key)
+def _columns(d, outs, mid_dim, nodes, tensor=False):
+    """The column table of a class at a tuple of nodes (`_count`), kept
+    under (d, outs, dim H, nodes) in _MIXED_CACHE if tensor, else in
+    _CONV_CACHE."""
+    memo = _MIXED_CACHE if tensor else _CONV_CACHE
+    got = memo.get((d, outs, mid_dim, nodes))
     if got is None:
-        d, out, mid_dim, p = key
-        outs = (_tensor_outputs(d, out.seq.count(1)) if tensor
-                else _candidate_outputs(d, *row_col_sums(out)))
-        if len(outs) * p ** d > SIZE_GUARD:
-            outs = (out,)
-        reps = [canonical_representative(
-            sequence_to_matrix(lab, 2) if tensor else lab, p) for lab in outs]
-        sizes = (0, *(sub.dim for sub in reps[0].Fp), d)
-        for lab, counts in zip(outs, _count(reps, mid_dim)):
-            table = {(left, _classified(sizes, (0, *dims, mid_dim), c, m,
-                                        tensor)): n
-                     for (left, dims, c, m), n in counts.items()}
-            memo.put((d, lab, mid_dim, p), table, len(table))
-            if lab == out:
-                got = table
+        got = _count(d, outs, mid_dim, nodes, tensor)
+        memo.put((d, outs, mid_dim, nodes), got, len(got))
     return got
 
 
-def _conv_table(d, out_label, mid_dim, p):
-    """Counts at the canonical triple of a 2x2 label, middle subspaces of
-    the given dimension: keys are (left label, right label)."""
-    return _table(_CONV_CACHE, (d, out_label, mid_dim, p), False)
-
-
-def _mixed_conv_table(d, out_ms, mid_dim, p):
-    """Counts at the canonical triple of a marked sequence, middle
-    subspaces of the given dimension: keys are (left label, right marked
-    sequence)."""
-    return _table(_MIXED_CACHE, (d, out_ms, mid_dim, p), True)
-
-
-def _columns(memo, table, d, outs, mid_dim, nodes):
-    """The column table of a class: {(left, right): ((output, counts at the
-    nodes), ...)}, in the order of outs, no column all zero.  A miss reads
-    the per-node tables prime by prime and stores it in their memo."""
-    key = (d, outs, mid_dim, nodes)
-    got = memo.get(key)
-    if got is None:
-        tables = [[table(d, out, mid_dim, p) for out in outs] for p in nodes]
-        got = {}
-        for out, at in zip(outs, zip(*tables)):
-            for pair in set().union(*at):
-                got.setdefault(pair, []).append(
-                    (out, tuple(t.get(pair, 0) for t in at)))
-        memo.put(key, got, len(got))
-    return got
+def _conv_table(d, out, mid_dim, p):
+    """{(left, right): count} at the canonical triple of out (a 2x2 label or
+    a marked sequence) at the one node p: its column in the column table
+    of its class at (p,), or of out alone if the class's rows of one H,
+    p^d points per output, pass SIZE_GUARD."""
+    tensor = isinstance(out, MarkedSequence)
+    outs = (_tensor_outputs(d, out.seq.count(1)) if tensor
+            else _candidate_outputs(d, *row_col_sums(out)))
+    outs = outs if len(outs) * p ** d <= SIZE_GUARD else (out,)
+    return {pair: col[0]
+            for pair, cols in _columns(d, outs, mid_dim, (p,), tensor).items()
+            for lab, col in cols if lab == out}
 
 
 def convolution_count(left, right, out, p):
@@ -593,34 +635,45 @@ def _fit(nodes, col, bound):
 
 
 def _interpolated(outs, primes, d, count, bound=None, cols=None):
-    """{out: nonzero coefficient} from the point counts count(out, p).
-
-    The columns (out, counts at the primes) are cols (`_columns`), or else
-    counted prime by prime.  `_fit` fits each distinct one in q, once while
-    its entry lives, with degree bound `bound` (d^2 if None); the primes
-    past the first bound + 1 check the fit.  If the counts of an output fail
-    it (bound breach, or a check off the fit), the bound is doubled once and
-    count counts the primes extended to 2 bound + 2, one checking the new
-    fit, the largest within the size guard.  A column of zeros is skipped:
-    the zero polynomial fits it, spare nodes included.
-    """
+    """{out: nonzero coefficient} from the counts count(out, primes) of
+    each out at the primes, or the columns cols (out, counts) (`_columns`).
+    `_fit` fits each distinct column in q, once while its entry lives, at
+    degree bound `bound` (d^2 if None); the primes past the first bound + 1
+    check the fit.  If an output's counts fail it, the bound is doubled
+    once and count counts the primes extended to 2 bound + 2 (for a class,
+    in one kernel pass), one to check, the largest within the size guard.
+    A column of zeros is skipped: the zero polynomial fits it."""
     if bound is None:
         bound = d * d
-    if cols is None:
-        counts = [[count(out, p) for out in outs] for p in primes]
-        cols = [(out, col) for out, col in zip(outs, zip(*counts)) if any(col)]
+    if cols is None:    # a column table has no column of zeros
+        cols = [(out, col) for out in outs
+                if any(col := tuple(count(out, primes)))]
     terms = {}
     for out, col in cols:
         coeff = _fit(tuple(primes), col, bound)
         if coeff is None:
-            more = [*primes, *primes_list(2 * bound + 2 - len(primes),
-                                          primes[-1] + 1)]
+            more = (*primes, *primes_list(2 * bound + 2 - len(primes),
+                                          primes[-1] + 1))
             _guard(more[-1], d)
             coeff = substitute_q(lagrange_interpolate(
-                [(p, count(out, p)) for p in more], 2 * bound))
+                list(zip(more, count(out, more))), 2 * bound))
         if coeff:
             terms[out] = coeff
     return terms
+
+
+def _constants(d, outs, mid_dim, pool, pair, tensor=False):
+    """{out: coefficient} of pair = (left, right) over the outputs of its
+    class, fitted by `_interpolated` at the degree bound D and nodes of
+    `_nodes` from the column table of the class there."""
+    bound, nodes = _nodes(pool, d, mid_dim)
+
+    def count(out, primes):
+        cols = _columns(d, outs, mid_dim, tuple(primes), tensor)
+        return dict(cols.get(pair, ())).get(out, (0,) * len(primes))
+    return _interpolated(outs, nodes, d, count, bound,
+                         _columns(d, outs, mid_dim, nodes, tensor)
+                         .get(pair, ()))
 
 
 def structure_constants(left, right, primes):
@@ -638,13 +691,8 @@ def structure_constants(left, right, primes):
     ro_r, co_r = row_col_sums(right)
     if co_l != ro_r:
         return SchurElement(d)
-    bound, nodes = _nodes(primes, d, ro_r[0])
-    outs = _candidate_outputs(d, ro_l, co_r)
-    return SchurElement(d, _interpolated(
-        outs, nodes, d, lambda out, p:
-        _conv_table(d, out, ro_r[0], p).get((left, right), 0), bound,
-        _columns(_CONV_CACHE, _conv_table, d, outs, ro_r[0], nodes)
-        .get((left, right), ())))
+    return SchurElement(d, _constants(d, _candidate_outputs(d, ro_l, co_r),
+                                      ro_r[0], primes, (left, right)))
 
 
 def tensor_action_constants(left, right_ms, primes):
@@ -662,10 +710,5 @@ def tensor_action_constants(left, right_ms, primes):
     ones = sum(1 for x in right_ms.seq if x == 1)
     if co_l != (ones, d - ones):
         return {}
-    bound, nodes = _nodes(primes, d, ones)
-    outs = _tensor_outputs(d, ro_l[0])
-    return _interpolated(
-        outs, nodes, d, lambda out, p:
-        _mixed_conv_table(d, out, ones, p).get((left, right_ms), 0), bound,
-        _columns(_MIXED_CACHE, _mixed_conv_table, d, outs, ones, nodes)
-        .get((left, right_ms), ()))
+    return _constants(d, _tensor_outputs(d, ro_l[0]), ones, primes,
+                      (left, right_ms), True)

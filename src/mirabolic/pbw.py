@@ -32,9 +32,8 @@ from functools import cache
 from itertools import chain
 
 from .decorated import Record
-from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
-                     json_terms, stored_terms)
-from .oracle import SIZE_GUARD
+from .linalg import (FOLD_MEMO_TERMS, SIZE_GUARD, Combination, LruMemo, bump,
+                     fold_word, json_terms, stored_terms)
 from .qv import (RF_ONE, format_coeff, parse_coeff, quantum_integer, rf_const,
                  v_power)
 from .schur_algebra import GeneratorWord, evaluate_words
@@ -542,7 +541,7 @@ def parse_word(text):
 
     The parenthesized coefficient is optional and uses the scalar grammar;
     letters are e, f, l, k with optional integer exponents, where only k
-    admits negative ones.  A word of more than oracle.SIZE_GUARD letters is
+    admits negative ones.  A word of more than linalg.SIZE_GUARD letters is
     refused before its letters are listed.
     """
     text = text.strip()

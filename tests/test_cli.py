@@ -179,6 +179,15 @@ def test_oracle_needs_enough_primes(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("primes", ["2,3,5,7,,11", "2,3,5,7,11,", "2,x,5"])
+def test_oracle_refuses_a_bad_primes_item(capsys, primes):
+    x = '{"A": [[1,0],[0,1]], "delta": []}'
+    code, out, err = run(capsys, "oracle", "--d", "2", "--primes", primes,
+                         "--lhs", x, "--rhs", x)
+    assert code == 2 and not out
+    assert err.startswith("error: --primes") and "int()" not in err
+
+
 @pytest.mark.parametrize("word", ["l e^1200 l f", "e l f^1200"])
 def test_normalize_long_blocks(capsys, word):
     # blocks of 1,200 letters once overflowed the interpreter's stack

@@ -6,7 +6,9 @@ with no linter."""
 import ast
 import doctest
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -243,11 +245,56 @@ def test_checker_finds_schur_imports():
     assert schur_names_imported(source) == {"SchurElement", "ell_rule", "*"}
 
 
+def loads_oracle(node):
+    """Whether the AST node is an import statement that loads the oracle
+    module."""
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").split(".")[-1] == "oracle"
+                or any(alias.name == "oracle" for alias in node.names))
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[-1] == "oracle" for alias in node.names)
+
+
+def test_checker_finds_oracle_imports():
+    for source, want in (("from . import oracle", True),
+                         ("from .oracle import SIZE_GUARD", True),
+                         ("import mirabolic.oracle as o", True),
+                         ("from mirabolic import checks, oracle", True),
+                         ("from . import pbw, reps", False),
+                         ("from .linalg import SIZE_GUARD", False)):
+        assert loads_oracle(ast.parse(source).body[0]) == want, source
+
+
+# the front ends, which import the oracle inside the functions of the
+# `oracle` command and the `oracle` verify suite only
+FRONT_ENDS = ("checks", "cli")
+
+
 def test_oracle_shares_no_rule_with_the_engine():
     # the oracle counts points itself; from the engine it takes only the
-    # element type it answers in, so the two stay independent checks
+    # element type it answers in, and no engine module imports it back, so
+    # the two stay independent checks
     source = (ROOT / "src" / "mirabolic" / "oracle.py").read_text("utf-8")
     assert schur_names_imported(source) <= {"SchurElement"}
+    for path in SRC:
+        tree = ast.parse(path.read_text("utf-8"))
+        nodes = tree.body if path.stem in FRONT_ENDS else ast.walk(tree)
+        assert path.stem == "oracle" or not any(map(loads_oracle, nodes)), \
+            path.name
+
+
+def test_engine_and_cli_load_neither_numpy_nor_the_oracle():
+    # numpy was about 40% of a command that does not count points
+    modules = [f"mirabolic.{path.stem}" for path in SRC
+               if path.stem not in ("__init__", "__main__", "oracle")]
+    assert "mirabolic.cli" in modules and "mirabolic.checks" in modules
+    code = (f"import sys\nimport {', '.join(modules)}\n"
+            "print([m for m in ('numpy', 'mirabolic.oracle') "
+            "if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert run.stdout.strip() == "[]"
 
 
 def test_docstring_examples_pass():

@@ -238,7 +238,7 @@ def test_mixed_conv_table_matches_literal_enumeration():
     for d, p in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         for out_ms in enumerate_xi(2, d, tensor=True):
             for mid_dim in range(d + 1):
-                assert oracle._mixed_conv_table(d, out_ms, mid_dim, p) == \
+                assert oracle._conv_table(d, out_ms, mid_dim, p) == \
                     _literal_mixed_table(out_ms, mid_dim, p), \
                     (d, out_ms, mid_dim, p)
                 tables += 1
@@ -246,38 +246,49 @@ def test_mixed_conv_table_matches_literal_enumeration():
 
 
 class _CheckedMemo(LruMemo):
-    """The memo, checking its bound after every insertion."""
+    """The memo, checking its bound after every insertion and counting the
+    entries it drops."""
+
+    evicted = 0
 
     def put(self, key, value, size):
+        before = len(self.entries)
         got = super().put(key, value, size)
+        self.evicted += before + (size <= self.limit) - len(self.entries)
         assert self.size == sum(n for _, n in self.entries.values())
         assert self.size <= oracle.SIZE_GUARD
         return got
 
 
 def test_point_memo_stays_bounded(monkeypatch):
-    # the planes of F_31^3 fill most of the memo (993 x 961 indices), and
-    # those of F_37^3 (1,407 x 1,369) alone exceed SIZE_GUARD, so the memo
-    # drops entries while it counts
-    d, mid = 3, 2
+    # under a guard of 2^14 points, the planes of F_11^3 fill most of the
+    # memo and those of F_13^3 alone exceed it, so the memo drops entries
+    # while it counts (the real guard has this shape at p = 31 and 37);
+    # the tables are those counted under the real guard
+    d, mid, guard = 3, 2, 1 << 14
+    assert oracle._subspace_count(d, mid, 11) * 11 ** mid == 16093 <= guard
+    assert oracle._subspace_count(d, mid, 13) * 13 ** mid == 30927 > guard
     outs = [decorated2(0, 1, 1, 1), decorated2(1, 1, 1, 0, {(2, 1)}),
             decorated2(0, 1, 2, 0, {(1, 2), (2, 1)})]
-    monkeypatch.setattr(oracle, "_POINTS", _CheckedMemo(oracle.SIZE_GUARD))
     monkeypatch.setattr(oracle, "_CONV_CACHE", LruMemo(oracle.SIZE_GUARD))
+    want = [oracle._conv_table(d, out, mid, 13) for out in outs]
+    monkeypatch.setattr(oracle, "SIZE_GUARD", guard)
+    points = _CheckedMemo(guard)
+    monkeypatch.setattr(oracle, "_POINTS", points)
+    monkeypatch.setattr(oracle, "_CONV_CACHE", LruMemo(guard))
     for out in outs:
-        oracle._conv_table(d, out, mid, 31)
-    tables = [oracle._conv_table(d, out, mid, 37) for out in outs]
-    assert oracle._POINTS.entries
-    for value, _ in oracle._POINTS.entries.values():
+        oracle._conv_table(d, out, mid, 11)
+    assert [oracle._conv_table(d, out, mid, 13) for out in outs] == want
+    assert points.evicted and points.entries
+    for value, _ in points.entries.values():
         for arr in (value[1:] if isinstance(value, tuple) else (value,)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
     # a fresh session, with nothing cached, counts the same
-    monkeypatch.setattr(oracle, "_POINTS",
-                        LruMemo(oracle.SIZE_GUARD))
-    monkeypatch.setattr(oracle, "_CONV_CACHE", LruMemo(oracle.SIZE_GUARD))
-    assert [oracle._conv_table(d, out, mid, 37) for out in outs] == tables
+    monkeypatch.setattr(oracle, "_POINTS", LruMemo(guard))
+    monkeypatch.setattr(oracle, "_CONV_CACHE", LruMemo(guard))
+    assert [oracle._conv_table(d, out, mid, 13) for out in outs] == want
 
 
 def test_middle_chunks_resync_after_an_eviction(monkeypatch):
@@ -424,22 +435,31 @@ def test_constants_refuse_oversize_primes_at_once():
 def test_interpolation_retries_at_twice_the_bound():
     # at d = 1 the bound is q^1: counts q^2 at 2, 3, 5 break it, and the
     # retry at degree 2 finds q^2 = v^4 on 2, 3, 5 and checks it at 7
-    seen = set()
+    seen = []
     q2 = oracle._interpolated(["x"], [2, 3, 5], 1,
-                              lambda out, p: seen.add(p) or p ** 2)
-    assert q2 == {"x": v_power(4)} and seen == {2, 3, 5, 7}
+                              _counts(seen, lambda p: p ** 2))
+    assert q2 == {"x": v_power(4)} and seen == [(2, 3, 5), (2, 3, 5, 7)]
     # counts q^3 break degree 2 as well, which the fourth prime shows, also
     # when the caller gave only three
     for primes in ([2, 3, 5, 7], [2, 3, 5]):
         with pytest.raises(ValueError):
-            oracle._interpolated(["x"], primes, 1, lambda out, p: p ** 3,
-                                 bound=1)
+            oracle._interpolated(["x"], primes, 1,
+                                 _counts([], lambda p: p ** 3), bound=1)
     # at d = 2, six primes check a fit of degree 4; the retry at degree 8
-    # extends them to the nine it needs and a tenth that checks it
-    seen = set()
+    # extends them to the nine it needs and a tenth that checks it, all
+    # counted at once
+    seen = []
     got = oracle._interpolated(["x"], oracle.primes_list(6), 2,
-                               lambda out, p: seen.add(p) or p ** 5)
-    assert got == {"x": v_power(10)} and seen == set(oracle.primes_list(10))
+                               _counts(seen, lambda p: p ** 5))
+    assert got == {"x": v_power(10)}
+    assert seen == [tuple(oracle.primes_list(n)) for n in (6, 10)]
+
+
+def _counts(seen, f):
+    """count(out, primes) of `oracle._interpolated`: f(p) at each prime,
+    recording each tuple of primes counted at."""
+    return lambda out, primes: seen.append(tuple(primes)) or [
+        f(p) for p in primes]
 
 
 def _fresh_memos(monkeypatch, fits=oracle._FIT_MEMO_SIZE):
@@ -451,14 +471,14 @@ def _fresh_memos(monkeypatch, fits=oracle._FIT_MEMO_SIZE):
 
 
 def _kernel_passes(monkeypatch):
-    """Record (middle dimension, p, number of triples) of every pass of the
-    counting kernel from here on, starting from empty memos."""
+    """Record (middle dimension, nodes, number of outputs) of every pass of
+    the counting kernel from here on, starting from empty memos."""
     passes = []
     count = oracle._count
 
-    def counting(reps, mid_dim):
-        passes.append((mid_dim, reps[0].p, len(reps)))
-        return count(reps, mid_dim)
+    def counting(d, outs, mid_dim, nodes, tensor=False):
+        passes.append((mid_dim, nodes, len(outs)))
+        return count(d, outs, mid_dim, nodes, tensor)
     monkeypatch.setattr(oracle, "_count", counting)
     _fresh_memos(monkeypatch)
     return passes
@@ -467,7 +487,7 @@ def _kernel_passes(monkeypatch):
 def test_entries_are_counted_at_their_degree_bound(monkeypatch):
     # at d = 3 an entry at middle dimension mid has degree at most
     # mid (3 - mid) + 3: 5 at mid 1 and 2, 3 at mid 0 and 3, so of the
-    # 10-prime pool only the 7 or the 5 smallest are counted
+    # 10-prime pool only the 7 or the 5 smallest are counted, in one pass
     d, pool = 3, oracle.primes_list(10)
     want = {0: pool[:5], 1: pool[:7], 2: pool[:7], 3: pool[:5]}
     labels = enumerate_xi(2, d)
@@ -479,8 +499,8 @@ def test_entries_are_counted_at_their_degree_bound(monkeypatch):
         assert oracle.structure_constants(left, right, pool) == \
             mul_general(SchurElement.basis(d, left),
                         SchurElement.basis(d, right)), mid
-        assert [(m, p) for m, p, _ in passes] == \
-            [(mid, p) for p in nodes], mid
+        assert [(m, ps) for m, ps, _ in passes] == \
+            [(mid, tuple(nodes))], mid
         passes = _kernel_passes(monkeypatch)
         ms = next(m for m in enumerate_xi(2, d, tensor=True)
                   if m.seq.count(1) == mid)
@@ -488,23 +508,24 @@ def test_entries_are_counted_at_their_degree_bound(monkeypatch):
                     if row_col_sums(lab)[1] == (mid, d - mid)
                     and lab.a[0][1] + lab.a[1][0])
         oracle.tensor_action_constants(left, ms, pool)
-        assert [(m, p) for m, p, _ in passes] == \
-            [(mid, p) for p in nodes], mid
+        assert [(m, ps) for m, ps, _ in passes] == \
+            [(mid, tuple(nodes))], mid
 
 
 def test_two_prime_pool_at_d1_is_used_whole(monkeypatch):
-    # D = 1 at d = 1, so the two primes fix the fit and none is spare
+    # D = 1 at d = 1, so the two primes fix the fit and none is spare;
+    # one pass counts at both
     for right in enumerate_xi(2, 1):
         left = diag2(*row_col_sums(right)[0])
         passes = _kernel_passes(monkeypatch)
         assert oracle.structure_constants(left, right, [2, 3]) == \
             SchurElement.basis(1, right)
-        assert [p for _, p, _ in passes] == [2, 3]
+        assert [ps for _, ps, _ in passes] == [(2, 3)]
     passes = _kernel_passes(monkeypatch)
     assert oracle.tensor_action_constants(
         diag2(1, 0), MarkedSequence((1,)), [2, 3]) == \
         {MarkedSequence((1,)): RF_ONE}
-    assert [p for _, p, _ in passes] == [2, 3]
+    assert [ps for _, ps, _ in passes] == [(2, 3)]
 
 
 def _pair_of_class(d, ro, mid, co):
@@ -515,9 +536,9 @@ def _pair_of_class(d, ro, mid, co):
                 and row_col_sums(b)[0][0] == mid)
 
 
-def test_one_kernel_pass_per_node_for_a_whole_class(monkeypatch):
+def test_one_kernel_pass_per_class_at_all_its_nodes(monkeypatch):
     # every candidate output of a product (or of a tensor action) is
-    # counted in the same pass, once per interpolation node
+    # counted at every interpolation node in the same pass
     d, pool = 3, oracle.primes_list(10)
     for kind, ro, mid, co, size in (("trivial", (1, 2), 0, (2, 1), 8),
                                     ("trivial", (2, 1), 3, (1, 2), 8),
@@ -529,7 +550,7 @@ def test_one_kernel_pass_per_node_for_a_whole_class(monkeypatch):
             mul_general(SchurElement.basis(d, left),
                         SchurElement.basis(d, right)), kind
         _, nodes = oracle._nodes(pool, d, mid)
-        assert passes == [(mid, p, size) for p in nodes], kind
+        assert passes == [(mid, tuple(nodes), size)], kind
         assert len(oracle._candidate_outputs(d, ro, co)) == size
     passes = _kernel_passes(monkeypatch)
     ms = MarkedSequence((1, 2, 2))
@@ -538,8 +559,7 @@ def test_one_kernel_pass_per_node_for_a_whole_class(monkeypatch):
     got = oracle.tensor_action_constants(left, ms, pool)
     assert got and set(got) <= set(oracle._tensor_outputs(d, 2))
     _, nodes = oracle._nodes(pool, d, 1)
-    assert passes == [(1, p, len(oracle._tensor_outputs(d, 2)))
-                      for p in nodes]
+    assert passes == [(1, tuple(nodes), len(oracle._tensor_outputs(d, 2)))]
 
 
 def test_class_past_the_guard_counts_the_output_alone(monkeypatch):
@@ -552,16 +572,42 @@ def test_class_past_the_guard_counts_the_output_alone(monkeypatch):
     for outs, table in ((oracle._candidate_outputs(d, (1, 1), (1, 1)),
                          lambda out: oracle._conv_table(d, out, mid, p)),
                         (oracle._tensor_outputs(d, 1),
-                         lambda ms: oracle._mixed_conv_table(d, ms, mid, p))):
+                         lambda ms: oracle._conv_table(d, ms, mid, p))):
         assert len(outs) == 7
         passes = _kernel_passes(monkeypatch)
         want = [table(out) for out in outs]
-        assert passes == [(mid, p, len(outs))]
+        assert passes == [(mid, (p,), len(outs))]
         passes = _kernel_passes(monkeypatch)
         monkeypatch.setattr(oracle, "SIZE_GUARD", p ** d)
         monkeypatch.setattr(oracle, "_POINTS", LruMemo(p ** d))
         assert [table(out) for out in outs] == want
-        assert passes == [(mid, p, 1)] * len(outs)
+        assert passes == [(mid, (p,), 1)] * len(outs)
+        monkeypatch.undo()
+
+
+def test_pass_split_into_stages_and_slices_counts_the_same(monkeypatch):
+    # under a guard of 2^12 points, a pass of a class of 8 outputs at the
+    # nodes 2, ..., 11 goes in stages: 2, 3, 5, 7 together, then 11 with 3
+    # outputs at a time (for the 15 marked sequences with one 1, 7 goes
+    # alone with 11 of them at a time), and the lines of each prime come
+    # in many slices; its column table is the one counted in one stage
+    # under the real guard
+    d, mid, guard = 3, 1, 1 << 12
+    nodes = tuple(oracle.primes_list(5))
+    for tensor, outs in ((False, oracle._candidate_outputs(d, (1, 2), (1, 2))),
+                         (True, oracle._tensor_outputs(d, 1))):
+        _fresh_memos(monkeypatch)
+        want = oracle._count(d, outs, mid, nodes, tensor)
+        monkeypatch.setattr(oracle, "SIZE_GUARD", guard)
+        monkeypatch.setattr(oracle, "_POINTS", LruMemo(guard))
+        stages = [(js, list(idx))
+                  for js, idx in oracle._stages(nodes, len(outs), d)]
+        assert stages[-1] == ([4], [12, 13, 14] if tensor else [6, 7])
+        assert stages[:2] == ([([0, 1, 2], list(range(15))),
+                               ([3], list(range(11)))] if tensor else
+                              [([0, 1, 2, 3], list(range(8))),
+                               ([4], [0, 1, 2])])
+        assert oracle._count(d, outs, mid, nodes, tensor) == want, tensor
         monkeypatch.undo()
 
 
@@ -580,7 +626,7 @@ def test_class_tables_with_several_f_match_literal_enumeration(monkeypatch):
             assert oracle._conv_table(d, out, mid, p) == \
                 _literal_conv_table(out, mid, p), (mid, out)
         for ms in oracle._tensor_outputs(d, 1 + mid % 2):
-            assert oracle._mixed_conv_table(d, ms, mid, p) == \
+            assert oracle._conv_table(d, ms, mid, p) == \
                 _literal_mixed_table(ms, mid, p), (mid, ms)
 
 
@@ -623,13 +669,14 @@ class _RecordingMemo(LruMemo):
         return super().put(key, value, size)
 
 
-@pytest.mark.parametrize("limit", (1, 300))
+@pytest.mark.parametrize("limit", (1, 64))
 def test_table_memo_eviction_keeps_every_answer(monkeypatch, limit):
     # samples of d = 2 and d = 3 products and of d = 2 tensor actions,
     # with room for every table and then with memos that store no table
-    # (none has a single entry) or a few and drop them all the time, and a
-    # fit memo that holds no fit or one: a miss recounts the whole class or
-    # fits the column again, and the JSON answers are the same bytes
+    # (none has a single entry) or a few and drop them all the time (the
+    # column tables of the sample take 369 and 127 entries), and a fit memo
+    # that holds no fit or one: a miss recounts the whole class or fits the
+    # column again, and the JSON answers are the same bytes
     rng = random.Random(23)
     pairs = (rng.sample(checks.compatible_pairs(2), 40)
              + rng.sample(checks.compatible_pairs(3), 4))
@@ -657,7 +704,7 @@ def test_table_memo_eviction_keeps_every_answer(monkeypatch, limit):
     assert answers() == want
     for table_memo in small.values():
         assert table_memo.size <= limit
-        assert (table_memo.kept > len(table_memo) + 20) == (limit > 1)
+        assert (table_memo.kept > len(table_memo) + 10) == (limit > 1)
     assert oracle._fit.cache_info().currsize == fits
 
 
@@ -679,18 +726,19 @@ def test_spare_node_catches_a_count_past_the_bound():
         pts = [(p, p ** (bound + 1)) for p in nodes]
         assert lagrange_interpolate(pts[:-1], bound) != \
             [0] * (bound + 1) + [1]
-        seen = set()
+        seen = []
         got = oracle._interpolated(
-            ["x"], nodes, d, lambda out, p: seen.add(p) or p ** (bound + 1),
+            ["x"], nodes, d, _counts(seen, lambda p: p ** (bound + 1)),
             bound=bound)
         assert got == {"x": v_power(2 * bound + 2)}, (d, bound)
-        assert seen == set(oracle.primes_list(2 * bound + 2))
+        assert seen == [tuple(nodes),
+                        tuple(oracle.primes_list(2 * bound + 2))]
         # a count within the bound is fitted on the nodes, with no retry
         seen.clear()
         got = oracle._interpolated(
-            ["x"], nodes, d, lambda out, p: seen.add(p) or p ** bound,
+            ["x"], nodes, d, _counts(seen, lambda p: p ** bound),
             bound=bound)
-        assert got == {"x": v_power(2 * bound)} and seen == set(nodes)
+        assert got == {"x": v_power(2 * bound)} and seen == [tuple(nodes)]
 
 
 def test_all_zero_columns_are_not_fitted(monkeypatch):
@@ -720,20 +768,21 @@ def test_all_zero_columns_are_not_fitted(monkeypatch):
 
 def _columns_of_nodes(table, d, outs, mid, nodes):
     """The column table of a class rebuilt from the table of each output
-    and node: {(left, right): [(output, counts), ...]}, outputs in order."""
+    and node: {(left, right): ((output, counts), ...)}, outputs in order."""
     want = {}
     for out in outs:
         tables = [table(d, out, mid, p) for p in nodes]
         for pair in set().union(*tables):
             want.setdefault(pair, []).append(
                 (out, tuple(t.get(pair, 0) for t in tables)))
-    return want
+    return {pair: tuple(cols) for pair, cols in want.items()}
 
 
 def test_column_tables_match_the_tables_of_each_node(monkeypatch):
     # every product and tensor class at d <= 2, and at d = 3 an edge class
     # of oracle-certify and a class of one middle subspace: the column
-    # table holds, column for column, the entries of the per-node tables
+    # table counted at all the nodes in one pass holds, column for column,
+    # the entries of the tables counted at one node each
     _fresh_memos(monkeypatch)
     sums = {d: [(a, d - a) for a in range(d + 1)] for d in (1, 2)}
     classes = [(d, ro, mid, co) for d in (1, 2) for ro in sums[d]
@@ -741,12 +790,12 @@ def test_column_tables_match_the_tables_of_each_node(monkeypatch):
     classes += [(3, (3, 0), 1, (0, 3)), (3, (1, 2), 0, (2, 1))]
     for d, ro, mid, co in classes:
         _, nodes = oracle._nodes(oracle.interpolation_primes(d), d, mid)
-        for memo, table, outs in (
-                (oracle._CONV_CACHE, oracle._conv_table,
+        for tensor, table, outs in (
+                (False, oracle._conv_table,
                  oracle._candidate_outputs(d, ro, co)),
-                (oracle._MIXED_CACHE, oracle._mixed_conv_table,
+                (True, oracle._conv_table,
                  oracle._tensor_outputs(d, ro[0]))):
-            got = oracle._columns(memo, table, d, outs, mid, tuple(nodes))
+            got = oracle._columns(d, outs, mid, tuple(nodes), tensor)
             assert got == _columns_of_nodes(table, d, outs, mid, nodes)
             assert all(any(col) for cols in got.values() for _, col in cols)
     # a product whose class table is built reads no per-node table
@@ -782,18 +831,19 @@ def test_one_fit_per_distinct_column(monkeypatch):
     info = oracle._fit.cache_info()
     assert len(fits) == len(set(fits)) == info.misses and info.hits > 0
     # with the failed fit memoised, the retry at twice the bound still
-    # counts all 2D + 2 primes, and gives the same coefficient every time
+    # counts all 2D + 2 primes at once, and gives the same coefficient
+    # every time
     # (the fit is keyed on nodes, counts and bound, so (3, 3) would share
     # the entry of (2, 3))
     for d, bound in ((1, 1), (2, 3), (3, 5)):
         nodes = oracle.primes_list(bound + 2)
         for warm in (False, True):
-            hits, seen = oracle._fit.cache_info().hits, set()
+            hits, seen = oracle._fit.cache_info().hits, []
             got = oracle._interpolated(
-                ["x"], nodes, d,
-                lambda out, p: seen.add(p) or p ** (bound + 1), bound=bound)
+                ["x"], nodes, d, _counts(seen, lambda p: p ** (bound + 1)),
+                bound=bound)
             assert got == {"x": v_power(2 * bound + 2)}, (d, bound)
-            assert seen == set(oracle.primes_list(2 * bound + 2))
+            assert seen[-1] == tuple(oracle.primes_list(2 * bound + 2))
             assert oracle._fit.cache_info().hits == hits + warm
 
 
