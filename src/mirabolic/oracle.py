@@ -312,12 +312,12 @@ def _stages(nodes, outs, d):
 def _slices(primes, outs, d, mid_dim):
     """The middle subspaces of each prime as parts (index of the prime,
     echelon bases, their points), in slices with the stride of their rows,
-    the power of two from the largest p^d: (parts, stride).  Each H brings
-    outs rows, and a slice takes as many as fit SIZE_GUARD entries, one at
-    least; so it holds at most SIZE_GUARD points (`_stages`)."""
+    the largest p^d: (parts, stride).  Each H brings outs rows, and a slice
+    takes as many as fit SIZE_GUARD entries, one at least; so it holds at
+    most SIZE_GUARD points (`_stages`)."""
     parts, count, wide = [], 0, 1
     for j, p in enumerate(primes):
-        stride = 1 << (p ** d - 1).bit_length()
+        stride = p ** d
         room = max(1, SIZE_GUARD // (outs * stride))
         for bases, pts in _middle_chunks(d, p, mid_dim):
             lo = 0
@@ -333,12 +333,12 @@ def _slices(primes, outs, d, mid_dim):
 
 
 def _count(d, outs, mid_dim, nodes, tensor=False):
-    """The column table of a class at its nodes, {(left, right): ((output,
-    counts at the nodes), ...)} with outputs in order and no column all
-    zero: the convolution sum (Beilinson, Lusztig and MacPherson) counted
-    at the canonical triple (F, chain, v) of each output (a marked
-    sequence if tensor) over the middle subspaces H of one dimension, at
-    every node in one pass.
+    """The column table of outputs that share a chain (`_chain`) at the
+    nodes, {(left, right): ((output, counts at the nodes), ...)} with
+    outputs in order and no column all zero: the convolution sum
+    (Beilinson, Lusztig and MacPherson) counted at the canonical triple
+    (F, chain, v) of each output (a marked sequence if tensor) over the
+    middle subspaces H of one dimension, at every node in one pass.
 
     The chain C_1 < ... < C_{N-1} is F' (N = 2), or the complete flag
     (N = d) for marked sequences; C_0 = 0, C_N = F_p^d.  A pair (H, u) is
@@ -352,9 +352,9 @@ def _count(d, outs, mid_dim, nodes, tensor=False):
     v - (H + C_r), and constant where one of them is the whole space; so
     only the points of the proper ones are listed, in rows (p, H, output)
     of p^d points.  A stage (`_stages`) lays its primes' points end to
-    end, a slice (`_slices`) at most SIZE_GUARD points; a point's row is
-    its index shifted by the stride, and gives its base code and its group
-    (output, dim(F & H), dims, prime) by a gather.
+    end, a slice (`_slices`) at most SIZE_GUARD points; a listed point's
+    row is its index divided by the stride, and gives its base code and
+    its group (output, dim(F & H), dims, prime) by a gather.
     """
     _guard(nodes[-1], d)
     reps = [canonical_representative(sequence_to_matrix(lab, 2) if tensor
@@ -397,7 +397,7 @@ def _count(d, outs, mid_dim, nodes, tensor=False):
                 few, len(js), width)
         base -= at_x
         base = base.ravel()
-        wide = few << (ns[-1] - 1).bit_length()     # a widest H's rows
+        wide = few * ns[-1]     # a widest H's rows
         moved = np.zeros(min(max(SIZE_GUARD, wide), wide * sum(
             _subspace_count(d, mid_dim, p) for p in primes)),
             dtype=np.min_scalar_type(3 * k + big_n * (big_n + 1)))
@@ -468,9 +468,9 @@ def _count(d, outs, mid_dim, nodes, tensor=False):
                 was = moved[where]
                 pts.append(where[was == 0])
                 moved[where] = was + step
-            # each point's row by a shift, its base code by a gather
+            # each point's row by a division, its base code by a gather
             pts = np.concatenate(pts)
-            row = pts >> (stride.bit_length() - 1)
+            row = pts // stride
             old = base[pts + to_base[row]] + slot[row]
             size = len(slots) * nj * width
             hist = np.pad(hist, (0, size - len(hist)))
@@ -519,13 +519,38 @@ _FIT_MEMO_SIZE = 4096   # distinct fits `_fit` keeps
 def _columns(d, outs, mid_dim, nodes, tensor=False):
     """The column table of a class at a tuple of nodes (`_count`), kept
     under (d, outs, dim H, nodes) in _MIXED_CACHE if tensor, else in
-    _CONV_CACHE."""
+    _CONV_CACHE.  A miss counts the whole chain of the class (`_chain`) in
+    one pass if one slice holds its rows, outputs times the sum of
+    #H(p) p^d over the nodes, else the class alone.  A pair's outputs all
+    have its left factor's row sums, so the table splits by class, and
+    each class's table not yet kept is kept."""
     memo = _MIXED_CACHE if tensor else _CONV_CACHE
     got = memo.get((d, outs, mid_dim, nodes))
     if got is None:
-        got = _count(d, outs, mid_dim, nodes, tensor)
-        memo.put((d, outs, mid_dim, nodes), got, len(got))
+        chain = _chain(d, outs[0], tensor)
+        if outs not in chain or sum(map(len, chain)) * sum(
+                _subspace_count(d, mid_dim, p) * p ** d
+                for p in nodes) > SIZE_GUARD:
+            chain = (outs,)
+        tables = {cls: {} for cls in chain}
+        of = {out: tables[cls] for cls in chain for out in cls}
+        for pair, cols in _count(d, sum(chain, ()), mid_dim, nodes,
+                                 tensor).items():
+            of[cols[0][0]][pair] = cols
+        tables[outs] = got = tables.pop(outs)   # kept last, so dropped last
+        for cls, table in tables.items():
+            if (d, cls, mid_dim, nodes) not in memo:
+                memo.put((d, cls, mid_dim, nodes), table, len(table))
     return got
+
+
+def _chain(d, out, tensor=False):
+    """The classes whose canonical triples share the chain of out's: the
+    2x2 labels of each row sums at out's column sums, or the marked
+    sequences of each number of 1s."""
+    co = None if tensor else row_col_sums(out)[1]
+    return tuple(_tensor_outputs(d, a) if tensor else
+                 _candidate_outputs(d, (a, d - a), co) for a in range(d + 1))
 
 
 def _conv_table(d, out, mid_dim, p):

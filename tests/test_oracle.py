@@ -538,10 +538,12 @@ def _pair_of_class(d, ro, mid, co):
 
 def test_one_kernel_pass_per_class_at_all_its_nodes(monkeypatch):
     # every candidate output of a product (or of a tensor action) is
-    # counted at every interpolation node in the same pass
+    # counted at every interpolation node in the same pass; a class with a
+    # single H (mid 0 or d) is counted with its whole chain, the 22 labels
+    # of every row sums at its column sums, whose rows all fit one slice
     d, pool = 3, oracle.primes_list(10)
-    for kind, ro, mid, co, size in (("trivial", (1, 2), 0, (2, 1), 8),
-                                    ("trivial", (2, 1), 3, (1, 2), 8),
+    for kind, ro, mid, co, size in (("trivial", (1, 2), 0, (2, 1), 22),
+                                    ("trivial", (2, 1), 3, (1, 2), 22),
                                     ("edge", (3, 0), 1, (0, 3), 2),
                                     ("wide", (1, 2), 2, (2, 1), 8)):
         left, right = _pair_of_class(d, ro, mid, co)
@@ -551,7 +553,9 @@ def test_one_kernel_pass_per_class_at_all_its_nodes(monkeypatch):
                         SchurElement.basis(d, right)), kind
         _, nodes = oracle._nodes(pool, d, mid)
         assert passes == [(mid, tuple(nodes), size)], kind
-        assert len(oracle._candidate_outputs(d, ro, co)) == size
+        if kind == "trivial":
+            outs = oracle._candidate_outputs(d, ro, co)
+            assert sum(map(len, oracle._chain(d, outs[0]))) == size
     passes = _kernel_passes(monkeypatch)
     ms = MarkedSequence((1, 2, 2))
     left = next(lab for lab in enumerate_xi(2, d)
@@ -563,26 +567,67 @@ def test_one_kernel_pass_per_class_at_all_its_nodes(monkeypatch):
 
 
 def test_class_past_the_guard_counts_the_output_alone(monkeypatch):
-    # with room for the p^d points of one output but not for the rows of
-    # its whole class, a table miss counts the output asked for alone, and
-    # each table equals the one counted with its class under the real guard;
-    # the chunks of middle subspaces are memoised at the size the guard
-    # gives them, so the smaller guard starts from an empty point memo
+    # under the real guard a table miss at d = 2, p = 5 counts the chain
+    # of 13 outputs that holds the class of 7 in one pass; with room for
+    # the p^d points of one output but not for the rows of its whole
+    # class, it counts the output asked for alone, and each table equals
+    # the one counted with its chain under the real guard; the chunks of
+    # middle subspaces are memoised at the size the guard gives them, so
+    # the smaller guard starts from an empty point memo
     d, p, mid = 2, 5, 1
-    for outs, table in ((oracle._candidate_outputs(d, (1, 1), (1, 1)),
-                         lambda out: oracle._conv_table(d, out, mid, p)),
-                        (oracle._tensor_outputs(d, 1),
-                         lambda ms: oracle._conv_table(d, ms, mid, p))):
+    for outs, tensor in ((oracle._candidate_outputs(d, (1, 1), (1, 1)), False),
+                         (oracle._tensor_outputs(d, 1), True)):
         assert len(outs) == 7
+        assert sum(map(len, oracle._chain(d, outs[0], tensor))) == 13
         passes = _kernel_passes(monkeypatch)
-        want = [table(out) for out in outs]
-        assert passes == [(mid, (p,), len(outs))]
+        want = [oracle._conv_table(d, out, mid, p) for out in outs]
+        assert passes == [(mid, (p,), 13)]
         passes = _kernel_passes(monkeypatch)
         monkeypatch.setattr(oracle, "SIZE_GUARD", p ** d)
         monkeypatch.setattr(oracle, "_POINTS", LruMemo(p ** d))
-        assert [table(out) for out in outs] == want
+        assert [oracle._conv_table(d, out, mid, p) for out in outs] == want
         assert passes == [(mid, (p,), 1)] * len(outs)
         monkeypatch.undo()
+
+
+def test_every_product_takes_one_pass_per_chain_or_class(monkeypatch):
+    # from empty memos, all 267 products at d = 2 take 9 passes (a chain
+    # per column sums and middle dimension), and all 1,168 at d = 3 take
+    # 40: a chain per column sums at mid 0 and 3, a class per row and
+    # column sums at mid 1 and 2, whose rows at the primes up to 17 pass
+    # the guard
+    for d, want in ((2, [3, 3, 3]), (3, [4, 16, 16, 4])):
+        passes = _kernel_passes(monkeypatch)
+        pairs, pool = checks.compatible_pairs(d), oracle.interpolation_primes(d)
+        assert len(pairs) == (267 if d == 2 else 1168)
+        for left, right in pairs:
+            oracle.structure_constants(left, right, pool)
+        assert [[m for m, _, _ in passes].count(mid)
+                for mid in range(d + 1)] == want, d
+
+
+def test_chain_pass_keeps_each_class_table_of_its_own_pass(monkeypatch):
+    # at mid 0 and d, where a chain's rows fit one slice, the table that a
+    # chain pass keeps for each of its classes is the one the class's own
+    # pass counts, entry for entry and in the same order, for 2x2 labels
+    # and marked sequences
+    for d in (1, 2, 3):
+        pool = oracle.interpolation_primes(d)
+        sums = [(a, d - a) for a in range(d + 1)]
+        heads = [(oracle._candidate_outputs(d, sums[0], co), False)
+                 for co in sums] + [(oracle._tensor_outputs(d, 0), True)]
+        for mid, (outs, tensor) in product((0, d), heads):
+            nodes = tuple(oracle._nodes(pool, d, mid)[1])
+            passes = _kernel_passes(monkeypatch)
+            oracle._columns(d, outs, mid, nodes, tensor)
+            chain = oracle._chain(d, outs[0], tensor)
+            assert passes == [(mid, nodes, sum(map(len, chain)))]
+            memo = oracle._MIXED_CACHE if tensor else oracle._CONV_CACHE
+            assert len(memo) == len(chain)
+            for cls in chain:
+                kept = memo.get((d, cls, mid, nodes))
+                assert list(kept.items()) == list(oracle._count(
+                    d, cls, mid, nodes, tensor).items()), (d, mid, cls)
 
 
 def test_pass_split_into_stages_and_slices_counts_the_same(monkeypatch):
@@ -611,6 +656,58 @@ def test_pass_split_into_stages_and_slices_counts_the_same(monkeypatch):
         monkeypatch.undo()
 
 
+class _NumpyRecorder:
+    """numpy, recording the number of entries of every one-dimensional
+    array made by `zeros`."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, *args, **kwargs):
+        arr = np.zeros(shape, *args, **kwargs)
+        if arr.ndim == 1:
+            self.sizes.append(arr.size)
+        return arr
+
+
+def test_exact_stride_slices_mixing_primes_count_the_same(monkeypatch):
+    # under a guard of 2^15 points, rows at their exact size p^d put the
+    # last lines of F_7^3 (343 points, far below 512) and the first of
+    # F_11^3 (1,331, below 2,048) in one slice at the stride 1,331, and a
+    # slice takes 12 lines of F_11^3 for 2 outputs (8 at a power-of-two
+    # stride); no slice holds more than the guard's points, nor does the
+    # scratch array, and the column tables are the ones counted under the
+    # real guard
+    d, mid, guard, nodes = 3, 1, 1 << 15, (2, 3, 5, 7, 11)
+    slices = oracle._slices
+    for outs in (oracle._candidate_outputs(d, (3, 0), (0, 3)),
+                 oracle._candidate_outputs(d, (1, 2), (1, 2))):
+        _fresh_memos(monkeypatch)
+        want = oracle._count(d, outs, mid, nodes)
+        seen, recorder = [], _NumpyRecorder()
+
+        def recording(primes, few, d, mid_dim):
+            for parts, stride in slices(primes, few, d, mid_dim):
+                seen.append(({primes[j] for j, _, _ in parts}, stride, sum(
+                    len(bases) for _, bases, _ in parts)))
+                assert seen[-1][2] * few * stride <= guard
+                yield parts, stride
+        monkeypatch.setattr(oracle, "_slices", recording)
+        monkeypatch.setattr(oracle, "np", recorder)
+        monkeypatch.setattr(oracle, "SIZE_GUARD", guard)
+        monkeypatch.setattr(oracle, "_POINTS", LruMemo(guard))
+        assert oracle._count(d, outs, mid, nodes) == want, len(outs)
+        assert ({7, 11}, 11 ** 3) in [(ps, s) for ps, s, _ in seen]
+        assert all(s == max(ps) ** d for ps, s, _ in seen)
+        if len(outs) == 2:
+            assert max(n for ps, _, n in seen if ps == {11}) == 12
+        assert recorder.sizes and max(recorder.sizes) <= guard
+        monkeypatch.undo()
+
+
 def test_class_tables_with_several_f_match_literal_enumeration(monkeypatch):
     # in each class below the outputs have two values of a11, hence two
     # different F (and the marked sequences several): every table of the
@@ -634,15 +731,19 @@ def test_class_over_several_chunks_fits_the_interpolated_constants(
         monkeypatch):
     # a wide class of 8 outputs at mid 1: at p <= 7 all its (output, line)
     # rows fit one slice, at p = 17 and 19 a slice holds 26 and 19 of the
-    # 307 and 381 lines (which at 19 come in three chunks); every entry of
-    # every table of the class lies on the polynomial fitted at 2, ..., 13,
-    # and that is the engine's constant
+    # 307 and 381 lines (which at 19 come in three chunks), as rows sit at
+    # the stride p^d; every entry of every table of the class lies on the
+    # polynomial fitted at 2, ..., 13, and that is the engine's constant
     d, ro, mid, co = 3, (1, 2), 1, (1, 2)
     primes = oracle.primes_list(8)
     outs = oracle._candidate_outputs(d, ro, co)
-    for p in (7, 17, 19):
-        most = oracle.SIZE_GUARD // (p ** d * len(outs))    # lines per slice
-        assert (most >= oracle._subspace_count(d, mid, p)) == (p == 7), p
+    for p, most in ((7, 57), (17, 26), (19, 19)):
+        slices = list(oracle._slices((p,), len(outs), d, mid))
+        assert [stride for _, stride in slices] == [p ** d] * len(slices)
+        lines = [sum(len(bases) for _, bases, _ in parts)
+                 for parts, _ in slices]
+        assert max(lines) == most and sum(lines) == \
+            oracle._subspace_count(d, mid, p), p
     for memo in ("_CONV_CACHE", "_MIXED_CACHE"):
         monkeypatch.setattr(oracle, memo, LruMemo(oracle.SIZE_GUARD))
     for out in outs:
