@@ -521,16 +521,16 @@ def _columns(d, outs, mid_dim, nodes, tensor=False):
     under (d, outs, dim H, nodes) in _MIXED_CACHE if tensor, else in
     _CONV_CACHE.  A miss counts the whole chain of the class (`_chain`) in
     one pass if one slice holds its rows, outputs times the sum of
-    #H(p) p^d over the nodes, else the class alone.  A pair's outputs all
-    have its left factor's row sums, so the table splits by class, and
-    each class's table not yet kept is kept."""
+    #H(p) p^d over the nodes, else the class alone (or the one output of
+    `_conv_table`, whose chain never fits).  A pair's outputs all have its
+    left factor's row sums, so the table splits by class, and each class's
+    table not yet kept is kept."""
     memo = _MIXED_CACHE if tensor else _CONV_CACHE
     got = memo.get((d, outs, mid_dim, nodes))
     if got is None:
         chain = _chain(d, outs[0], tensor)
-        if outs not in chain or sum(map(len, chain)) * sum(
-                _subspace_count(d, mid_dim, p) * p ** d
-                for p in nodes) > SIZE_GUARD:
+        if sum(map(len, chain)) * sum(_subspace_count(d, mid_dim, p) * p ** d
+                                      for p in nodes) > SIZE_GUARD:
             chain = (outs,)
         tables = {cls: {} for cls in chain}
         of = {out: tables[cls] for cls in chain for out in cls}
