@@ -154,6 +154,9 @@ class LruMemo:
             return got[0]
 
     def put(self, key, value, size):
+        """Store value under key, charged size, in place of any entry there."""
+        if key in self.entries:
+            self.size -= self.entries.pop(key)[1]
         if size > self.limit:
             return value
         while self.size + size > self.limit:

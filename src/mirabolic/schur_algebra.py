@@ -3,16 +3,14 @@
 Basis symbols are indexed by decorated 2x2 matrices with entry sum d.  Left
 multiplication by the special basis elements (a diagonal idempotent, a
 diagonal plus one off-diagonal unit, or a diagonal with a marked corner) is
-implemented by closed-form case tables; everything else is assembled from
-those: the five distinguished generators e, f, k, k^-1, l, products of
-arbitrary basis elements (the triangular recursion of
-Beilinson-Lusztig-MacPherson, run on the case tables), expressions of basis
-elements as generator words (the same recursion, run on words), and the
-transpose anti-automorphism.
+one count of subspaces or vectors on any decorated 2 x N label; everything
+else is assembled from it: the five distinguished generators e, f, k, k^-1,
+l, products of arbitrary basis elements (the triangular recursion of
+Beilinson-Lusztig-MacPherson, run on the special elements), expressions of
+basis elements as generator words (the same recursion, run on words), and
+the transpose anti-automorphism.
 
-The case-table coefficients are polynomials in q and enter Q(v) via q = v^2.
-A product whose output label falls outside the index set contributes zero;
-the tables below rely on that convention.
+The counts are polynomials in q and enter Q(v) via q = v^2.
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
                         transpose_decorated, validate)
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
                      stored_terms)
-from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff, q_bracket,
-                 q_power, quantum_factorial, quantum_integer, rf_laurent,
-                 v_power)
+from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff,
+                 quantum_factorial, quantum_integer, rf_laurent, v_power)
 
 
 class SchurElement(Combination):
@@ -66,17 +63,6 @@ def _require_label(label, d=None):
     if d is not None and label.d != d:
         raise ValueError(f"bad label {label}: entry sum {label.d}, "
                          f"expected d={d}")
-
-
-def _label(a11, a12, a21, a22, delta):
-    """Decorated label, or None when outside the index set."""
-    if a11 < 0 or a12 < 0 or a21 < 0 or a22 < 0:
-        return None
-    entries = {(1, 1): a11, (1, 2): a12, (2, 1): a21, (2, 2): a22}
-    for p in delta:
-        if entries[p] <= 0:
-            return None
-    return decorated2(a11, a12, a21, a22, delta)
 
 
 # special multiplication keys ------------------------------------------------
@@ -117,7 +103,8 @@ def x22_key(d, r):
 
 
 def classify_special(key):
-    """Which case table applies to left multiplication by this label."""
+    """Which special element this label is: the kind `_special_column`
+    reads."""
     (a11, a12), (a21, a22) = key.a
     if key.delta == D_EMPTY:
         if a12 == 1 and a21 == 0:
@@ -133,107 +120,34 @@ def classify_special(key):
     raise ValueError(f"not a special multiplication key: {key}")
 
 
-# Case tables.  Each entry: (entry shift, output decoration, coefficient).
-# Shifts: P moves a unit from the lower-left to the upper-left entry, Q from
-# the lower-right to the upper-right, R and S are their transposes.
-_P = (1, 0, -1, 0)
-_Q = (0, 1, 0, -1)
-_R = (-1, 0, 1, 0)
-_S = (0, -1, 0, 1)
-
-
-def _expand_e(a, delta):
-    (a11, a12), (a21, a22) = a
-    qa12 = q_power(a12)
-    if delta == D_EMPTY:
-        return ((_P, D_EMPTY, qa12 * q_bracket(a11 + 1)),
-                (_Q, D_EMPTY, q_bracket(a12 + 1)))
-    if delta == D_11:
-        return ((_P, D_11, qa12 * q_bracket(a11)),
-                (_Q, D_11, q_bracket(a12 + 1)))
-    if delta == D_12:
-        # hyperplanes through the vector not containing the enlarged
-        # intersection: [a11+a12] - [a12-1]
-        return ((_P, D_12, q_power(a12 - 1) * q_bracket(a11 + 1)),
-                (_Q, D_12, q_bracket(a12)))
-    if delta == D_21:
-        return ((_P, D_11, q_power(a12 + a11)),
-                (_P, D_21, qa12 * q_bracket(a11 + 1)),
-                (_Q, D_21, q_bracket(a12 + 1)))
-    if delta == D_1221:
-        # 12-output: hyperplanes avoiding both the vector and the enlarged
-        # intersection: [a11+a12+1] - [a11+a12] - [a12] + [a12-1]
-        return ((_P, D_12, q_power(a12 + a11) - q_power(a12 - 1)),
-                (_P, D_1221, qa12 * q_bracket(a11 + 1)),
-                (_Q, D_1221, q_bracket(a12)))
-    if delta == D_22:
-        return ((_Q, D_12, qa12),
-                (_Q, D_1221, qa12),
-                (_P, D_22, qa12 * q_bracket(a11 + 1)),
-                (_Q, D_22, q_bracket(a12 + 1)))
-    raise AssertionError(delta)
-
-
-def _expand_f(a, delta):
-    (a11, a12), (a21, a22) = a
-    qa21 = q_power(a21)
-    if delta == D_EMPTY:
-        return ((_R, D_EMPTY, q_bracket(a21 + 1)),
-                (_S, D_EMPTY, qa21 * q_bracket(a22 + 1)))
-    if delta == D_11:
-        return ((_R, D_11, q_bracket(a21 + 1)),
-                (_S, D_11, qa21 * q_bracket(a22 + 1)),
-                (_R, D_21, RF_ONE))
-    if delta == D_12:
-        return ((_R, D_12, q_bracket(a21 + 1)),
-                (_S, D_12, qa21 * q_bracket(a22 + 1)),
-                (_R, D_1221, RF_ONE),
-                (_S, D_22, RF_ONE))
-    if delta == D_21:
-        return ((_R, D_21, q_power(1) * q_bracket(a21)),
-                (_S, D_21, qa21 * q_bracket(a22 + 1)))
-    if delta == D_1221:
-        # 22-output: lines over the smaller flag meeting the shifted vector
-        # class, minus the one line through the vector itself
-        return ((_R, D_1221, q_power(1) * q_bracket(a21)),
-                (_S, D_1221, qa21 * q_bracket(a22 + 1)),
-                (_S, D_22, qa21 - RF_ONE))
-    if delta == D_22:
-        return ((_R, D_22, q_bracket(a21 + 1)),
-                (_S, D_22, q_power(a21 + 1) * q_bracket(a22)))
-    raise AssertionError(delta)
-
-
-_EXPANDERS = {"e": _expand_e, "f": _expand_f}
-
-
-def _special_column(kind, label):
-    """T_S * T_label as {label: coefficient}, where S is the special element
-    of this kind whose column sums are ro(label): E and F by their case
-    tables, X_r and T22_r by the coset count (`_marked_column`)."""
-    if kind == "diag":
-        return {label: RF_ONE}
-    if kind in ("x11", "x22"):
-        return _marked_column(kind, label)
-    (a11, a12), (a21, a22) = label.a
-    out = {}
-    for shift, delta2, coeff in _EXPANDERS[kind](label.a, label.delta):
-        if not coeff:
-            continue
-        lab2 = _label(a11 + shift[0], a12 + shift[1],
-                      a21 + shift[2], a22 + shift[3], delta2)
-        if lab2 is not None:
-            bump(out, lab2, coeff)
-    return out
-
-
-# The marked idempotents count vectors.  A decorated 2 x N label A is an
-# orbit of triples (F, C, v), F a subspace, C_1 < ... < C_(N-1) a chain and
-# v a vector: D_j = dim F & C_j and S_j = dim C_j sum row 1 and both rows
-# over the first j columns, and the marks (2, c) if c > 0 and (1, m) if
-# m > c give the jumps c = min{j : v in F + C_j} <= m = min{j : v in C_j}.
-# At (F, C, v) in an orbit B, "v in F" (v^(2r) l = 1 + X_r) and "v not in
-# F" (T22_r) convolved with T_A count the u in v + F, or outside it, with
+# The special elements count subspaces and vectors.  A decorated 2 x N
+# label A is an orbit of triples (F, C, v), F a subspace, C_1 < ... <
+# C_(N-1) a chain and v a vector: D_j = dim F & C_j and S_j = dim C_j sum
+# row 1 and both rows over the first j columns, and the marks (2, c) if
+# c > 0 and (1, m) if m > c give the jumps c = min{j : v in F + C_j} <=
+# m = min{j : v in C_j}.
+#
+# At (F'', C, v) in an orbit B, E_r T_A counts the hyperplanes F of F''
+# with (F, C, v) in A, and F_(r-1) T_A the F > F'' with dim F/F'' = 1.  For
+# j the first column where F & C_j and F'' & C_j differ, B is A with one
+# unit of column j moved up (E) or down (F), and the jump m, which (C, v)
+# fixes, stays.  Of the hyperplanes of F'', [dim F'' - dim U]_q contain a
+# given subspace U, so q^s [n + 1] contain F'' & C_(j-1) but not F'' & C_j,
+# for s = a_1(j+1) + ... + a_1N and n = a_1j; the lines of V / F'' count
+# alike, with t = a_21 + ... + a_2(j-1) for s and n = a_2j.  One f with
+# v - f in C_c decides whether the jump c moves.  E: f, in F'', lies in C_m
+# and not in C_(j-1) if c < j <= m, so U holds f too and the count is
+# q^(s-1) [n + 1] (j < m) or q^s [n] (j = m); if j = c, the F without f
+# give B a jump c' < c, q^(s+n) (m = c) or q^(s-1) (q^(n+1) - 1) (m > c) of
+# them by inclusion and exclusion.  F: if c < j <= m, the lines in
+# F'' + C_c + v and not in F'' + C_c, less those in F'' + C_(c-1) + v,
+# q^(S_c - D_c) - q^(S_(c-1) - D_(c-1)) of them (1 if c = 0), give B the
+# jump j; if j = c, the lines in F'' + C_(c-1) + v lose the jump c and
+# q^(t+1) [n] remain.  An output whose mark would sit on a zero entry is
+# empty.
+#
+# At (F, C, v) in B, "v in F" (v^(2r) l = 1 + X_r) and "v not in F"
+# (T22_r) convolved with T_A count the u in v + F, or outside it, with
 # (F, C, u) in A.  In the coset all u have the jump c of v, and q^D_j of
 # them lie in C_j if j >= c, none if j < c: v^(2r) l T_A is w(A) = q^D_m -
 # q^D_(m-1) (m > c) or q^D_c (m = c) times the sum of T_B over the B with
@@ -248,6 +162,42 @@ def _jumps(delta):
     marks = dict(delta)     # an antichain has one mark per row at most
     c = marks.get(2, 0)
     return c, marks.get(1, c)
+
+
+def _step_column(kind, label):
+    """E_r T_label ("e") or F_(r-1) T_label ("f") as {label: coefficient},
+    for r the first row sum of the 2 x N label: the subspace count above."""
+    top, bottom = label.a
+    c, m = _jumps(label.delta)
+    up = 1 if kind == "e" else -1   # a unit of column j moves up or down
+    out = {}
+    for j in range(1, len(top) + 1):
+        if not (bottom if up > 0 else top)[j - 1]:
+            continue
+        if up > 0:
+            s, n = sum(top[j:]), top[j - 1]
+            lo, hi = s - (c < j < m), s + n - (c < j <= m)
+            terms = [(c, dict.fromkeys(range(lo, hi + 1), 1))]
+            if j == c:
+                jump = {s + n: 1} if m == c else {s + n: 1, s - 1: -1}
+                terms += [(c2, jump) for c2 in range(c)]
+        else:
+            t, n = sum(bottom[:j - 1]), bottom[j - 1]
+            terms = [(c, dict.fromkeys(range(t + (j == c), t + n + 1), 1))]
+            if c < j <= m:
+                terms.append((j, {sum(bottom[:c]): 1, sum(bottom[:c - 1]): -1}
+                              if c else {0: 1}))
+        a = (top[:j - 1] + (top[j - 1] + up,) + top[j:],
+             bottom[:j - 1] + (bottom[j - 1] - up,) + bottom[j:])
+        for c2, exps in terms:
+            if (c2 and not a[1][c2 - 1]) or (m > c2 and not a[0][m - 1]):
+                continue            # a mark on a zero entry
+            delta = {(2, c2)} if c2 else set()
+            if m > c2:
+                delta.add((1, m))
+            out[DecoratedMatrix(a, delta)] = rf_laurent(
+                {2 * i: x for i, x in exps.items()})
+    return out
 
 
 def ell_rule(a, delta):
@@ -297,6 +247,18 @@ def _marked_column(kind, label):
     return {DecoratedMatrix(a, delta): x for delta, x in out.items() if x}
 
 
+def _special_column(kind, label):
+    """T_S * T_label as {label: coefficient}, where S is the special element
+    of this kind whose column sums are ro(label), on any decorated 2 x N
+    label: E_r and F_(r-1) by the subspace count (`_step_column`), X_r and
+    T22_r by the coset count (`_marked_column`)."""
+    if kind == "diag":
+        return {label: RF_ONE}
+    if kind in ("x11", "x22"):
+        return _marked_column(kind, label)
+    return _step_column(kind, label)
+
+
 def left_mul_special(key, x):
     """Left-multiply x by the special basis element with the given label."""
     kind = classify_special(key)
@@ -325,7 +287,7 @@ def apply_letter(letter, x):
         e:     v^-r E_r T_A, and 0 when r = d,
         f:     v^(r-d) F_(r-1) T_A, and 0 when r = 0,
         l:     v^-2r w(A) (sum of T_B over B in the cell of `ell_rule`),
-    where E_r and F_(r-1) act by their case tables.  Each label's column,
+    where E_r and F_(r-1) act by the subspace count.  Each label's column,
     its power of v included, is built once."""
     if letter not in _POWERS:
         raise ValueError(f"unknown generator {letter!r}")
@@ -335,7 +297,7 @@ def apply_letter(letter, x):
 @lru_cache(maxsize=4096)    # 5 (d + 1)^3 columns at d: d <= 8 fit
 def _letter_column(letter, label):
     """apply_letter(letter, T_label) as {label: coefficient}, read-only; the
-    e (f) table alone gives 0 when row 2 (row 1) is empty."""
+    e (f) count alone gives 0 when row 2 (row 1) is empty."""
     r = label.sums[0][0]
     if letter in ("e", "f"):
         out = _special_column(letter, label)
@@ -439,7 +401,7 @@ def star(x):
 #               mirrors multiplication, and 1_r is written as a polynomial
 #               in k only in the output (express_in_generators);
 #   _Operators  a value is a map y -> (element) * y; special elements act by
-#               their case tables and composition mirrors multiplication
+#               their counts and composition mirrors multiplication
 #               (mul_general, t22_diagonal).
 # ---------------------------------------------------------------------------
 
@@ -648,7 +610,7 @@ def _acts_by(key_of):
 
 
 class _Operators:
-    """Special elements as left multiplications by their case tables; basis
+    """Special elements as left multiplications by their columns; basis
     elements act through the products memoised per basis pair."""
 
     one = _acts_by(one_key)
@@ -712,7 +674,7 @@ def t22_diagonal(d, r):
 
 def mul_general(x, y):
     """Product of two algebra elements by the triangular recursion, each
-    special element acting through its case table."""
+    special element acting through its column (`_special_column`)."""
     if x.d != y.d:
         raise ValueError("mixed degrees")
 

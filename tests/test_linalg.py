@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mirabolic.linalg import eliminate, rank_of_rows, reduce_row, solve_unique
+from mirabolic.linalg import (LruMemo, eliminate, rank_of_rows, reduce_row,
+                              solve_unique)
 from mirabolic.qv import quantum_integer, v_power
 
 
@@ -57,3 +58,14 @@ def test_int_entries_stay_exact():
     sol = solve_unique([{"x": 3}], [1])
     assert sol == {"x": Fraction(1, 3)}
     assert isinstance(sol["x"], Fraction)
+
+
+def test_lru_memo_put_replaces_the_charge():
+    # a re-put charged its size again without taking off the old charge, so
+    # the memo evicted until it was empty and then raised KeyError
+    memo = LruMemo(10)
+    for value in range(3):
+        memo.put("a", value, 3)
+    assert memo.size == 3 and memo.get("a") == 2
+    memo.put("b", "b", 5)
+    assert memo.size == 8 and len(memo) == 2

@@ -9,15 +9,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mirabolic import checks, oracle
+from mirabolic import checks, oracle, schur_algebra
 from mirabolic.decorated import (MarkedSequence, count_xi_tensor, decorated2,
                                  diag2, enumerate_xi, matrix_to_sequence,
                                  row_col_sums, sequence_to_matrix)
 from mirabolic.linalg import LruMemo
 from mirabolic.qv import (RF_ONE, lagrange_interpolate, rf_const,
                           substitute_q, v_power)
-from mirabolic.schur_algebra import (SchurElement, chevalley, mul_general,
-                                     one_key, x_key)
+from mirabolic.schur_algebra import (SchurElement, chevalley, e_key, f_key,
+                                     mul_general, one_key, x_key)
 from mirabolic.tensor_space import TensorElement, ell_action, k_action
 
 
@@ -995,9 +995,30 @@ def test_oracle_tensor_action_matches_closed_forms(monkeypatch):
     assert max(chunks) >= 2
 
 
+def test_step_columns_match_the_oracle_on_marked_sequences():
+    # E_r and F_(r-1) count the same subspaces over the complete flag of a
+    # marked sequence as over the flag F' of a 2x2 label, so the engine's
+    # columns on its 2 x d matrix are the oracle's tensor action
+    actions = 0
+    for d in (1, 2, 3):
+        pool = oracle.interpolation_primes(d)
+        for ms in enumerate_xi(2, d, tensor=True):
+            r = ms.seq.count(1)
+            keys = ([("e", e_key(d, r))] if r < d else []) + \
+                ([("f", f_key(d, r - 1))] if r else [])
+            for kind, key in keys:
+                got = schur_algebra._special_column(
+                    kind, sequence_to_matrix(ms, 2))
+                assert {matrix_to_sequence(lab): c
+                        for lab, c in got.items()} == \
+                    oracle.tensor_action_constants(key, ms, pool), (key, ms)
+                actions += 1
+    assert actions == 92
+
+
 def test_oracle_tensor_ef_relation():
-    # no closed form for e and f on the tensor space; verify the algebra
-    # relation (ef - fe) = (k - k^-1)/(v - v^-1) through pure point counts
+    # e and f act on the tensor space by point counts alone here; verify the
+    # algebra relation (ef - fe) = (k - k^-1)/(v - v^-1) through them
     primes = [2, 3, 5, 7, 11]
     d = 2
     basis = sorted(enumerate_xi(2, d, tensor=True),

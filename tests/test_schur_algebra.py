@@ -119,16 +119,31 @@ def test_left_mul_special_pinned():
         "9eaa89ceeefbcc789b526130eb6932e9b731d60cc10f2834ed256203d3464691"
 
 
-# sha256 of X_r and T22_r applied to every basis element at d = 5 and 6,
-# recorded while each had its own six-case table
-@pytest.mark.parametrize("d, want", [
-    (5, "c673b227f3fa0745feead0ea57346dd254e3c2e3e8dacc7641811babe467e2f6"),
-    (6, "3c6b5cb11260acca482a2c21ac4408fb3a5668a943d064143640b07c946b1d94"),
-])
-def test_marked_idempotents_pinned(d, want):
-    keys = ([x_key(d, r) for r in range(1, d + 1)]
+def marked_keys(d):
+    return ([x_key(d, r) for r in range(1, d + 1)]
             + [x22_key(d, r) for r in range(d)])
-    assert digest(left_mul_special(key, basis(d, b)) for key in keys
+
+
+def step_keys(d):
+    return [e_key(d, r) for r in range(d)] + [f_key(d, r) for r in range(d)]
+
+
+# sha256 of X_r and T22_r applied to every basis element at d = 5 and 6,
+# recorded while each had its own six-case table, and of E_r and F_r,
+# recorded while they had theirs; the X_r and T22_r pins keep the ids they
+# had before the keys were a parameter
+@pytest.mark.parametrize("d, want, keys", [
+    pytest.param(d, want, marked_keys, id=f"{d}-{want}") for d, want in (
+        (5, "c673b227f3fa0745feead0ea57346dd254e3c2e3e8dacc7641811babe467e2f6"),
+        (6, "3c6b5cb11260acca482a2c21ac4408fb3a5668a943d064143640b07c946b1d94"),
+    )] + [
+    (5, "e8e0d8af80010a844be65c4ce172b4fb105c2ccd724dd8d98dad4cb6dc9838eb",
+     step_keys),
+    (6, "9cda8c83748e76cd2529cfe95a8b5a59bcc2ea7d42ce2f5baf2259a9a63396b9",
+     step_keys),
+])
+def test_marked_idempotents_pinned(d, want, keys):
+    assert digest(left_mul_special(key, basis(d, b)) for key in keys(d)
                   for b in enumerate_xi(2, d)) == want
 
 
