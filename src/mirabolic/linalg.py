@@ -3,17 +3,18 @@
 Sparse vectors are dicts mapping hashable keys to nonzero coefficients:
 `bump` adds into one entry, `Combination` is the vector type behind the
 algebra, PBW, module and tensor-space elements, `fold_word` multiplies out
-a word on one through a bounded suffix memo (`LruMemo`), `linear_sum` adds
-up c * word over an element's words, and elimination treats such dicts as
-rows.  Coefficients need only +, -, *, / and truthiness (Fraction and Q(v)
-alike); no floating point anywhere, so a reported rank or solution is exact.
+a word on one through a bounded suffix memo (`LruMemo`), `linear_sum` is
+the one sum of c * x over Q(v), reducing each coefficient once, and
+elimination treats such dicts as rows.  Elimination needs only +, -, *, /
+and truthiness of its coefficients (Fraction and Q(v) alike); no floating
+point anywhere, so a reported rank or solution is exact.
 """
 
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import count
 
-from .qv import RF_ONE, format_coeff, parse_coeff
+from .qv import RF_ONE, RationalFunction, format_coeff, parse_coeff
 
 
 def bump(terms, key, c):
@@ -209,15 +210,26 @@ def fold_word(memo, root_key, root, letters, step, alphabet):
 
 
 def linear_sum(pairs):
-    """sum c * x over (c, x) pairs of Combinations of one type and degree,
-    in one dict, with no x written into; a lone x with c == 1 is returned."""
+    """sum c * x over (c, x) pairs of Combinations of one type and degree
+    over Q(v), in one dict, with no x written into; a lone x with c == 1 is
+    returned.  A product of two Laurent polynomials is added at once; any
+    other is kept as a Laurent numerator in a (key, denominator) cell, and
+    each cell is reduced once, then added."""
     pairs = list(pairs)
     if len(pairs) == 1 and pairs[0][0] == RF_ONE:
         return pairs[0][1]
-    out = {}
+    out, cells = {}, {}
     for c, x in pairs:
+        laurent = len(c.den.c) == 1
         for k, c0 in x.terms.items():
-            bump(out, k, c * c0)
+            if laurent and len(c0.den.c) == 1:
+                bump(out, k, c * c0)
+                continue
+            cell, num = (k, c.den * c0.den), c.num * c0.num
+            prev = cells.get(cell)
+            cells[cell] = num if prev is None else prev + num
+    for (k, den), num in cells.items():
+        bump(out, k, RationalFunction(num, den))
     return pairs[0][1]._like(out) if pairs else Combination(None)
 
 

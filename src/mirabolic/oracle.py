@@ -3,8 +3,9 @@
 Basis symbols correspond to orbits of (flag, flag, vector) triples over F_p.
 Products are obtained by literally counting the points of the convolution
 sum for several primes and interpolating the counts as polynomials in q,
-with q = p at each prime.  Nothing here touches the closed-form case tables,
-so agreement between the two is a genuine cross-check.
+with q = p at each prime.  Nothing here reads the engine's structure
+constants: not the subspace and coset counts of `schur_algebra`, and not
+its products, so agreement between the two is a genuine cross-check.
 
 Conventions: vectors are length-d coordinate tuples over F_p, also addressed
 by the integer index sum(x_k p^k); subspaces are kept as canonical reduced

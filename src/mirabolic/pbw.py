@@ -33,10 +33,10 @@ from itertools import chain
 
 from .decorated import Record
 from .linalg import (FOLD_MEMO_TERMS, SIZE_GUARD, Combination, LruMemo, bump,
-                     fold_word, json_terms, stored_terms)
+                     fold_word, json_terms, linear_sum, stored_terms)
 from .qv import (RF_ONE, format_coeff, parse_coeff, quantum_integer, rf_const,
                  v_power)
-from .schur_algebra import GeneratorWord, evaluate_words
+from .schur_algebra import SchurElement, eval_letters
 
 GENERATORS = ("e", "f", "k", "k^-1", "l")
 
@@ -358,13 +358,6 @@ def left_mul_generator(g, x):
     return x.apply(lambda mono: _mul_mono(g, mono))
 
 
-def _fold(letters, x):
-    """Normal form of (the word letters) * x, one generator at a time."""
-    for letter in reversed(letters):
-        x = left_mul_generator(letter, x)
-    return x
-
-
 _NORMAL_FORMS = LruMemo(FOLD_MEMO_TERMS)
 
 
@@ -376,8 +369,11 @@ def normalize_word(letters):
 
 
 def multiply(x, y):
-    """Normal form of the product x * y."""
-    return x.apply(lambda mono: _fold(mono.letters(), y).terms)
+    """Normal form of the product x * y, each monomial of x folded onto y
+    by `fold_word` with no memo."""
+    return x.apply(lambda mono: fold_word(
+        None, None, lambda: y, mono.letters(), left_mul_generator,
+        GENERATORS).terms)
 
 
 def antiautomorphism(x):
@@ -414,7 +410,9 @@ _PROJECTIONS = LruMemo(FOLD_MEMO_TERMS)
 
 
 def project_to_schur(d, x):
-    """Image in the d-th convolution quotient, as a SchurElement.
+    """Image in the d-th convolution quotient, as a SchurElement: the sum
+    of c * (the word of the monomial, by `eval_letters`) over x's terms, by
+    `linear_sum`.
 
     Memoised under (d, the terms of x), so equal elements share one image
     however they were built and an element changed by its caller is
@@ -423,9 +421,9 @@ def project_to_schur(d, x):
     key = (d, frozenset(x.terms.items()))
     got = _PROJECTIONS.get(key)
     if got is None:
-        words = [GeneratorWord(c, mono.letters())
-                 for mono, c in x.sorted_terms()]
-        got = evaluate_words(d, words)
+        pairs = [(c, eval_letters(d, mono.letters()))
+                 for mono, c in x.terms.items()]
+        got = linear_sum(pairs) if pairs else SchurElement(d)
         _PROJECTIONS.put(key, got, stored_terms(
             chain(x.terms.values(), got.terms.values())))
     return got

@@ -10,9 +10,9 @@ Quantum integers use the balanced convention
 
     [m] = (v^m - v^-m) / (v - v^-1) = v^(m-1) + v^(m-3) + ... + v^(1-m),
 
-and the one-sided convention [m]_q = (q^m - 1)/(q - 1) = 1 + q + ... + q^(m-1)
-is available for counting arguments; the two are related through q = v^2 by
-[m]_q |_{q=v^2} = v^(m-1) [m].
+and point counts, which are integer polynomials in q, enter Q(v) through
+q = v^2 (`substitute_q`); the one-sided [m]_q = 1 + q + ... + q^(m-1) of a
+count becomes v^(m-1) [m].
 
 >>> quantum_integer(3) == parse_coeff("v^2+1+v^-2")
 True
@@ -547,18 +547,6 @@ def quantum_factorial(m):
     for i in range(2, m + 1):
         out = out * quantum_integer(i)
     return out
-
-
-def q_power(j):
-    """q^j as an element of Q(v) under q = v^2."""
-    return v_power(2 * j)
-
-
-def q_bracket(m):
-    """One-sided quantum integer [m]_q = 1 + q + ... + q^(m-1) at q = v^2."""
-    if m <= 0:
-        return RF_ZERO
-    return rf_laurent({2 * i: 1 for i in range(m)})
 
 
 @lru_cache(maxsize=32)

@@ -23,9 +23,9 @@ from .decorated import (D_11, D_12, D_1221, D_21, D_22, D_EMPTY,
                         DecoratedMatrix, Record, decorated2, decorations, diag2,
                         transpose_decorated, validate)
 from .linalg import (FOLD_MEMO_TERMS, Combination, LruMemo, bump, fold_word,
-                     stored_terms)
-from .qv import (LP_ONE, RF_ONE, RationalFunction, format_coeff,
-                 quantum_factorial, quantum_integer, rf_laurent, v_power)
+                     linear_sum, stored_terms)
+from .qv import (RF_ONE, format_coeff, quantum_factorial, quantum_integer,
+                 rf_laurent, v_power)
 
 
 class SchurElement(Combination):
@@ -351,37 +351,11 @@ def eval_letters(d, letters):
 
 
 def evaluate_words(d, words):
-    """Sum of scalar * (multiplied-out word) over an iterable of words.
-
-    A lone word whose scalar has denominator 1 is read from the
-    `eval_letters` memo and scaled unless the scalar is 1, so the result
-    may be the shared memo, read-only like the modules of `reps.build_module`.
-    Otherwise contributions, which carry Laurent coefficients, are
-    accumulated as Laurent numerators per scalar denominator, and each
-    (label, denominator) cell is canonicalized only once.
-    """
-    words = list(words)
-    if len(words) == 1 and words[0].scalar.den == LP_ONE:
-        x, c = eval_letters(d, words[0].letters), words[0].scalar
-        return x if c == RF_ONE else x.scale(c)
-    groups = {}
-    for w in words:
-        acc = groups.setdefault(w.scalar.den, {})
-        unit = w.scalar == RF_ONE
-        for lab, c in eval_letters(d, w.letters).terms.items():
-            num = c.num if unit else w.scalar.num * c.num
-            prev = acc.get(lab)
-            acc[lab] = num if prev is None else prev + num
-    total = {}
-    for den, acc in groups.items():
-        # over denominator 1 a numerator is already canonical
-        make = RationalFunction if den != LP_ONE else RationalFunction._raw
-        for lab, num in acc.items():
-            rf = make(num, den)
-            prev = total.get(lab)
-            rf = rf if prev is None else prev + rf
-            total[lab] = rf
-    return SchurElement(d, {lab: c for lab, c in total.items() if c})
+    """Sum of scalar * (multiplied-out word) over an iterable of words, by
+    `linear_sum`; a lone word with scalar 1 gives its shared, read-only
+    `eval_letters` value, and no word the zero of degree d."""
+    pairs = [(w.scalar, eval_letters(d, w.letters)) for w in words]
+    return linear_sum(pairs) if pairs else SchurElement(d)
 
 
 def star(x):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mirabolic import checks, pbw, reps, schur_algebra, tensor_space
 from mirabolic.decorated import enumerate_xi
-from mirabolic.linalg import FOLD_MEMO_TERMS, LruMemo
+from mirabolic.linalg import FOLD_MEMO_TERMS, LruMemo, fold_word
 from mirabolic.qv import RF_ONE, quantum_integer, v_power
 from mirabolic.schur_algebra import (GeneratorWord, SchurElement,
                                      eval_letters, evaluate_words,
@@ -83,7 +83,8 @@ def test_read_suffixes_become_most_recent(monkeypatch, module, attr,
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(WORDS_8)
 def test_normal_form_is_the_plain_fold(letters):
-    assert pbw.normalize_word(letters) == pbw._fold(letters, pbw.unit())
+    assert pbw.normalize_word(letters) == fold_word(
+        None, None, pbw.unit, letters, pbw.left_mul_generator, pbw.GENERATORS)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -119,10 +119,10 @@ def dead_private_names(sources):
 
 def dead_public_names(sources, readers, also_read=()):
     """(file, line, name) of each public module-level function or class and
-    each public method in sources, a {file: source} dict, that no source of
-    readers (another such dict) reads as a name or an attribute and that is
-    not in also_read.  Dunder methods are called by the language, so they
-    are not public names here."""
+    each public method, named Class.method, in sources, a {file: source}
+    dict, that no source of readers (another such dict) reads as a name or
+    an attribute and that is not in also_read.  Dunder methods are called
+    by the language, so they are not public names here."""
     read = names_read(ast.parse(source) for source in readers.values())
     read.update(also_read)
     found = []
@@ -130,11 +130,11 @@ def dead_public_names(sources, readers, also_read=()):
         for node in ast.parse(source).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs = [node]
+            defs = [(node, node.name)]
             if isinstance(node, ast.ClassDef):
-                defs += [m for m in node.body
+                defs += [(m, f"{node.name}.{m.name}") for m in node.body
                          if isinstance(m, ast.FunctionDef)]
-            found.extend((path, n.lineno, n.name) for n in defs
+            found.extend((path, n.lineno, name) for n, name in defs
                          if not n.name.startswith("_") and n.name not in read)
     return sorted(found)
 
@@ -180,7 +180,8 @@ def test_checker_finds_dead_public_names():
     readers = dict(sources, **{"b.py": "from a import Kept, used\n"
                                        "used(Kept().method())\n"})
     assert dead_public_names(sources, readers, {"hooked"}) == [
-        ("a.py", 3, "dead"), ("a.py", 14, "gone"), ("a.py", 16, "Unused")]
+        ("a.py", 3, "dead"), ("a.py", 14, "Kept.gone"),
+        ("a.py", 16, "Unused")]
 
 
 def test_perfbench_hooks_resolve(monkeypatch):
@@ -209,16 +210,42 @@ def test_perfbench_hooks_resolve(monkeypatch):
         sys.modules.update(saved)
 
 
+# public names that only the tests read, each kept for a reason
+TEST_ONLY = {
+    "apply_word": "a scaled word times any element, the reference that "
+                  "products by the recursion are tested against",
+    "t22_diagonal": "the marked diagonal built by the recursion, tested "
+                    "against its basis element",
+    "specialize_ell": "the quotients l = 0 and l = 1 of the PBW algebra, "
+                      "which test the normal forms against plain sl2",
+    "inversion_sum": "the inversion count of the tensor space, tested "
+                     "against its closed form",
+    "PrimeFieldSubspace.from_rows": "the oracle's subspace from any "
+                                    "spanning rows, for hand-built flags",
+    "Combination.is_zero": "the explicit zero test of the element API",
+}
+
+
 def test_no_dead_public_names():
+    # a name that only the tests read counts as dead unless TEST_ONLY gives
+    # it a reason: the package, the benchmark or the README must use it
     assert READERS
+    sources = {p.relative_to(ROOT): p.read_text("utf-8") for p in SRC}
     read = {p.relative_to(ROOT): p.read_text("utf-8") for p in READERS}
     hooked = strings_in((ROOT / "perfbench" / "bench_trace.py")
                         .read_text("utf-8"))
     assert "apply_letter" in hooked and entry_points() == {"main"}
-    found = dead_public_names({p.relative_to(ROOT): p.read_text("utf-8")
-                               for p in SRC}, read, hooked | entry_points())
+    found = dead_public_names(sources, read, hooked | entry_points())
     assert not found, "public names nothing reads:\n" + "\n".join(
         f"{path}:{line}: {name}" for path, line, name in found)
+    used = {path: source for path, source in read.items()
+            if path.parts[0] != "tests"}
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text("utf-8")))
+    found = dead_public_names(sources, used, hooked | entry_points() | readme)
+    names = {name for _, _, name in found}
+    assert names == TEST_ONLY.keys(), (
+        f"only the tests read {sorted(names - TEST_ONLY.keys())}; "
+        f"more than the tests read {sorted(TEST_ONLY.keys() - names)}")
 
 
 def schur_names_imported(source):

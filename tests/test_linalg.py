@@ -1,12 +1,14 @@
-"""Sparse exact elimination over Fraction and rational-function entries."""
+"""Sparse exact elimination over Fraction and rational-function entries,
+the bounded memo and the sum of c * x over Q(v)."""
 
 from fractions import Fraction
 
 import pytest
 
-from mirabolic.linalg import (LruMemo, eliminate, rank_of_rows, reduce_row,
-                              solve_unique)
-from mirabolic.qv import quantum_integer, v_power
+from mirabolic import qv
+from mirabolic.linalg import (Combination, LruMemo, eliminate, linear_sum,
+                              rank_of_rows, reduce_row, solve_unique)
+from mirabolic.qv import RF_ONE, RF_ZERO, quantum_integer, rf_const, v_power
 
 
 def test_rank_fraction_rows():
@@ -69,3 +71,25 @@ def test_lru_memo_put_replaces_the_charge():
     assert memo.size == 3 and memo.get("a") == 2
     memo.put("b", "b", 5)
     assert memo.size == 8 and len(memo) == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_linear_sum_reduces_each_coefficient_once(n, monkeypatch):
+    # n multiples v^(100n+i)/(v^2+3) of one basis vector, values no other
+    # test builds, so no memo of qv already holds their sums: adding them
+    # one at a time took n - 1 reductions, one per partial sum
+    den = v_power(2) + rf_const(3)
+    pairs = [(v_power(100 * n + i) / den, Combination(1, {"x": v_power(-1)}))
+             for i in range(n)]
+    want = sum(map(v_power, range(100 * n - 1, 101 * n - 1)), RF_ZERO) / den
+    canonical, calls = qv._rf_canonical, []
+
+    def counted(num, d):
+        calls.append(d)
+        return canonical(num, d)
+    monkeypatch.setattr(qv, "_rf_canonical", counted)
+    got = linear_sum(pairs)
+    assert len(calls) == 1
+    assert got.terms == {"x": want} and got.d == 1
+    x = Combination(1, {"x": RF_ONE})
+    assert linear_sum([(RF_ONE, x)]) is x

@@ -1,10 +1,12 @@
 """Normal-form engine for the abstract algebra on e, f, k, k^-1, l."""
 
 import hashlib
+import json
 import random
 import time
 import tracemalloc
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,18 @@ def test_left_mul_examples():
     # k e = v^2 e k
     got = pbw.left_mul_generator("k", nf("e k"))
     assert got == nf("e k k").scale(v_power(2))
+
+
+def test_short_word_projections_pinned():
+    # sha256 of the image in MU_v(2,3) of the normal form of every word of
+    # at most 4 letters (781 words), recorded before the projection summed
+    # its terms through linear_sum
+    words = [w for n in range(5) for w in product(pbw.GENERATORS, repeat=n)]
+    images = [pbw.project_to_schur(3, pbw.normalize_word(w)).to_json()
+              for w in words]
+    assert len(images) == 781
+    assert hashlib.sha256(json.dumps(images).encode()).hexdigest() == (
+        "89a49ee1b8eafd2d7481e3da6001538bce514919f6c8734b8a96ae37e9499e04")
 
 
 def test_left_mul_generator_pinned():

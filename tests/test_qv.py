@@ -11,9 +11,8 @@ from mirabolic import qv
 from mirabolic.qv import (LP_ONE, LP_ZERO, RF_ONE, RF_ZERO, LaurentPolynomial,
                           RationalFunction, format_coeff,
                           lagrange_interpolate, lp_v_power, parse_coeff,
-                          q_bracket, q_power, quantum_factorial,
-                          quantum_integer, rf_const, rf_laurent,
-                          substitute_q, v_power)
+                          quantum_factorial, quantum_integer, rf_const,
+                          rf_laurent, substitute_q, v_power)
 
 
 def test_laurent_basics():
@@ -51,14 +50,6 @@ def test_quantum_integers():
     assert quantum_integer(0) == RF_ZERO
     assert quantum_integer(-2) == -quantum_integer(2)
     assert quantum_factorial(3) == quantum_integer(3) * quantum_integer(2)
-
-
-def test_q_shorthand():
-    assert q_power(3) == v_power(6)
-    # [m]_q = (q^m - 1)/(q - 1)
-    assert q_bracket(3) == q_power(2) + q_power(1) + RF_ONE
-    assert q_bracket(1) == RF_ONE
-    assert q_bracket(0) == RF_ZERO
 
 
 @pytest.mark.parametrize("text", [
