@@ -1,10 +1,10 @@
-"""Sparse exact linear algebra over any Python field type.
+"""Sparse exact linear algebra over Python field types.
 
 Sparse vectors are dicts mapping hashable keys to nonzero coefficients:
 `bump` adds into one entry, `Combination` is the vector type behind the
 algebra, PBW, module and tensor-space elements, `fold_word` multiplies out
 a word on one through a bounded suffix memo (`LruMemo`), `linear_sum` is
-the one sum of c * x over Q(v), reducing each coefficient once, and
+the one sum of c * x over Q(v) alone, reducing each coefficient once, and
 elimination treats such dicts as rows.  Elimination needs only +, -, *, /
 and truthiness of its coefficients (Fraction and Q(v) alike); no floating
 point anywhere, so a reported rank or solution is exact.
@@ -212,9 +212,10 @@ def fold_word(memo, root_key, root, letters, step, alphabet):
 def linear_sum(pairs):
     """sum c * x over (c, x) pairs of Combinations of one type and degree
     over Q(v), in one dict, with no x written into; a lone x with c == 1 is
-    returned.  A product of two Laurent polynomials is added at once; any
-    other is kept as a Laurent numerator in a (key, denominator) cell, and
-    each cell is reduced once, then added."""
+    returned.  The coefficients must be RationalFunctions.  A product of
+    two Laurent polynomials is added at once, by the memoised product;
+    any other is kept as a Laurent numerator in a (key, denominator) cell,
+    and each cell is reduced once, then added."""
     pairs = list(pairs)
     if len(pairs) == 1 and pairs[0][0] == RF_ONE:
         return pairs[0][1]
